@@ -20,11 +20,16 @@ import numpy as np
 
 from .dynamics import ControlAffineSystem
 
+# Largest relative gap allowed between a barrier's batched and per-state outputs.
+BATCH_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Barrier:
     """Scalar safety measure with closed-form derivatives.
 
+    Every evaluator takes one state (n,) or a batch (B, n): ``value`` returns
+    a float or (B,), ``grad`` (n,) or (B, n), ``hess`` (n, n) or (B, n, n).
     ``hess`` is only required for relative-degree-2 constraint assembly.
     The safe set convention is value(x) >= 0.
     """
@@ -33,6 +38,17 @@ class Barrier:
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "barrier"
+
+
+def _state_or_batch(fn):
+    """Lift an evaluator on (B, n) states so that it also takes one (n,) state."""
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return fn(x)
+        out = fn(x[None, :])[0]
+        return float(out) if out.ndim == 0 else out
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -51,21 +67,23 @@ class ClassKappaLinear:
 
 @dataclass(frozen=True)
 class CbfLinearConstraint:
-    """Affine-in-control safety row: a . u_stacked + offset >= -eps."""
+    """Affine-in-control safety row: a . u_stacked + offset >= -eps.
+
+    One row has ``a`` of shape (m,) and a float ``offset``; the rows of a
+    batch of B states have ``a`` of shape (B, m) and ``offset`` of shape (B,).
+    """
 
     a: np.ndarray
     offset: float
     agent_dims: tuple
 
-    def per_agent(self):
-        out, k = [], 0
-        for d in self.agent_dims:
-            out.append(self.a[k:k + d])
-            k += d
-        return out
+    def rows(self):
+        """The per-state rows of a batch, in order."""
+        return [CbfLinearConstraint(a, float(c), self.agent_dims)
+                for a, c in zip(self.a, self.offset)]
 
     def value(self, u):
-        """Left-hand side at a stacked control (without the slack)."""
+        """Left-hand side of one row at a stacked control (without the slack)."""
         return float(self.a @ np.asarray(u, dtype=float)) + self.offset
 
 
@@ -95,11 +113,12 @@ def finite_difference_jacobian(f, x, step=1e-6):
 def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
     """Check closed-form derivatives against finite differences.
 
-    Gate for user-supplied barriers: raises ValueError on mismatch. ``states``
-    is an iterable of probe states.
+    Gate for user-supplied barriers: raises ValueError on mismatch, or when
+    an evaluator given the probe states as one (B, n) batch disagrees with
+    its per-state outputs. ``states`` is an iterable of probe states.
     """
+    states = [np.asarray(x, dtype=float) for x in states]
     for x in states:
-        x = np.asarray(x, dtype=float)
         g = np.asarray(barrier.grad(x), dtype=float)
         g_fd = finite_difference_grad(barrier.value, x, step)
         scale = max(1.0, float(np.max(np.abs(g_fd))))
@@ -113,45 +132,43 @@ def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
                 raise ValueError(f"{barrier.name}: Hessian disagrees with finite differences")
         elif require_hess:
             raise ValueError(f"{barrier.name}: Hessian evaluator is required")
+    evaluators = [("value", barrier.value), ("gradient", barrier.grad)]
+    if barrier.hess is not None:
+        evaluators.append(("Hessian", barrier.hess))
+    for what, fn in evaluators:
+        single = np.array([np.asarray(fn(x), dtype=float) for x in states])
+        try:
+            batch = np.asarray(fn(np.array(states)), dtype=float)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"{barrier.name}: {what} rejects a (B, n) batch of states") from exc
+        scale = max(1.0, float(np.max(np.abs(single))))
+        if batch.shape != single.shape or np.max(np.abs(batch - single)) > BATCH_RTOL * scale:
+            raise ValueError(f"{barrier.name}: batched {what} disagrees with the per-state {what}")
     return barrier
 
 
 def _pair_terms(system, margin):
-    """Closed forms for b_ij = ||p_i - p_j||^2 - margin^2 over all pairs."""
+    """Closed forms for b_k = ||p_i - p_j||^2 - margin^2 over all pairs k.
+
+    Returns the constant pair Hessians (P, n, n) and an evaluator mapping
+    states (B, n) to the pair values (B, P) and gradients (B, P, n).
+    """
     n = system.n_agents
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pdim = system.position_dim
-    dim = system.state_dim
+    pdim, block = system.position_dim, system.agent_state_dim
+    # diff[k] = D[k] @ x = p_i - p_j for pair k = (i, j).
+    D = np.zeros((len(pairs), pdim, system.state_dim))
+    for k, (i, j) in enumerate(pairs):
+        D[k, :, i * block:i * block + pdim] = np.eye(pdim)
+        D[k, :, j * block:j * block + pdim] = -np.eye(pdim)
+    hessians = 2.0 * np.einsum("kdi,kdj->kij", D, D)
 
-    def pos_index(i):
-        return slice(i * system.agent_state_dim, i * system.agent_state_dim + pdim)
+    def terms(X):
+        diff = np.einsum("kdn,bn->bkd", D, X)
+        values = np.sum(diff ** 2, axis=-1) - margin ** 2
+        return values, 2.0 * np.einsum("bkd,kdn->bkn", diff, D)
 
-    def values(x):
-        return np.array([
-            float(np.sum((x[pos_index(i)] - x[pos_index(j)]) ** 2)) - margin ** 2
-            for i, j in pairs
-        ])
-
-    def grad_k(x, k):
-        i, j = pairs[k]
-        g = np.zeros(dim)
-        d = 2.0 * (x[pos_index(i)] - x[pos_index(j)])
-        g[pos_index(i)] = d
-        g[pos_index(j)] = -d
-        return g
-
-    def hess_k(k):
-        i, j = pairs[k]
-        h = np.zeros((dim, dim))
-        eye = 2.0 * np.eye(pdim)
-        si, sj = pos_index(i), pos_index(j)
-        h[si, si] = eye
-        h[sj, sj] = eye
-        h[si, sj] = -eye
-        h[sj, si] = -eye
-        return h
-
-    return pairs, values, grad_k, hess_k
+    return hessians, terms
 
 
 def make_pairwise_distance_barrier(system, margin, temperature=10.0):
@@ -161,7 +178,8 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
     more agents the hard minimum over pairs is not differentiable at ties, so
     the default combines pairs with a soft minimum at the given temperature
     (which lower-bounds the hard min, hence is conservative). Pass
-    ``temperature=None`` for the exact hard-min variant.
+    ``temperature=None`` for the exact hard-min variant, which follows the
+    first closest pair at ties.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -170,70 +188,51 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
     if system.n_agents < 2:
         raise ValueError("pairwise barrier needs at least two agents")
 
-    pairs, values, grad_k, hess_k = _pair_terms(system, margin)
+    hessians, terms = _pair_terms(system, margin)
 
-    if len(pairs) == 1:
+    if len(hessians) == 1 or temperature is None:
+        # The closest pair per state (the only one, for two agents).
+        def closest(X):
+            values, grads = terms(X)
+            k = np.argmin(values, axis=1)
+            rows = np.arange(len(X))
+            return k, values[rows, k], grads[rows, k]
+
+        name = "pairwise_distance" if len(hessians) == 1 else "min_pairwise_distance"
         return Barrier(
-            value=lambda x: float(values(np.asarray(x, dtype=float))[0]),
-            grad=lambda x: grad_k(np.asarray(x, dtype=float), 0),
-            hess=lambda x: hess_k(0),
-            name=f"pairwise_distance(margin={margin})",
+            value=_state_or_batch(lambda X: closest(X)[1]),
+            grad=_state_or_batch(lambda X: closest(X)[2]),
+            hess=_state_or_batch(lambda X: hessians[closest(X)[0]]),
+            name=f"{name}(margin={margin})",
         )
-
-    if temperature is None:
-        def value(x):
-            return float(np.min(values(np.asarray(x, dtype=float))))
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            return grad_k(x, int(np.argmin(values(x))))
-
-        def hess(x):
-            x = np.asarray(x, dtype=float)
-            return hess_k(int(np.argmin(values(x))))
-
-        return Barrier(value, grad, hess, name=f"min_pairwise_distance(margin={margin})")
 
     t = float(temperature)
     if t <= 0:
         raise ValueError("temperature must be positive (or None for hard min)")
 
-    def _weights(vals):
-        # softmin weights: w_k = exp(-t b_k) / sum exp(-t b_j)
-        z = -t * vals
-        z -= np.max(z)
-        w = np.exp(z)
-        return w / np.sum(w)
+    def softmin(X):
+        # softmin = -logsumexp(-t b) / t, with weights w_k = softmax(-t b)_k
+        values, grads = terms(X)
+        z = -t * values
+        zmax = np.max(z, axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        total = np.sum(e, axis=1, keepdims=True)
+        value = -(zmax[:, 0] + np.log(total[:, 0])) / t
+        w = e / total
+        return value, w, grads, np.matmul(w[:, None, :], grads)[:, 0]
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        vals = values(x)
-        z = -t * vals
-        zmax = np.max(z)
-        return float(-(zmax + np.log(np.sum(np.exp(z - zmax)))) / t)
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        w = _weights(values(x))
-        g = np.zeros(system.state_dim)
-        for k, wk in enumerate(w):
-            g += wk * grad_k(x, k)
-        return g
-
-    def hess(x):
+    def hess(X):
         # d^2 softmin = sum w_k H_k + t (g_bar g_bar^T - sum w_k g_k g_k^T)
-        x = np.asarray(x, dtype=float)
-        w = _weights(values(x))
-        gs = [grad_k(x, k) for k in range(len(w))]
-        gbar = sum(wk * gk for wk, gk in zip(w, gs))
-        h = np.zeros((system.state_dim, system.state_dim))
-        for k, wk in enumerate(w):
-            h += wk * hess_k(k)
-            h -= t * wk * np.outer(gs[k], gs[k])
-        h += t * np.outer(gbar, gbar)
+        _, w, grads, gbar = softmin(X)
+        h = (w @ hessians.reshape(len(hessians), -1)).reshape(len(X), *hessians.shape[1:])
+        h -= t * np.matmul((grads * w[:, :, None]).transpose(0, 2, 1), grads)
+        h += t * gbar[:, :, None] * gbar[:, None, :]
         return h
 
-    return Barrier(value, grad, hess, name=f"softmin_pairwise_distance(margin={margin}, t={t})")
+    return Barrier(_state_or_batch(lambda X: softmin(X)[0]),
+                   _state_or_batch(lambda X: softmin(X)[3]),
+                   _state_or_batch(hess),
+                   name=f"softmin_pairwise_distance(margin={margin}, t={t})")
 
 
 def make_ellipse_barrier(a1, a2):
@@ -247,71 +246,88 @@ def make_ellipse_barrier(a1, a2):
         raise ValueError("ellipse semi-axes must be positive")
     inv1, inv2 = 1.0 / a1 ** 2, 1.0 / a2 ** 2
 
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        return float(r[0] ** 2 * inv1 + r[1] ** 2 * inv2 - 1.0)
+    def value(R):
+        # Square through C pow on each entry, as the scalar arithmetic of the
+        # per-state evaluator did: numpy's array square rounds about 1 value
+        # in 1000 differently, and rollouts would not repeat bit for bit.
+        sq = np.power(R[:, :2].astype(object), 2).astype(float)
+        return sq[:, 0] * inv1 + sq[:, 1] * inv2 - 1.0
 
-    def grad(r):
-        r = np.asarray(r, dtype=float)
-        g = np.zeros(r.size)
-        g[0] = 2.0 * r[0] * inv1
-        g[1] = 2.0 * r[1] * inv2
+    def grad(R):
+        g = np.zeros_like(R)
+        g[:, 0] = 2.0 * R[:, 0] * inv1
+        g[:, 1] = 2.0 * R[:, 1] * inv2
         return g
 
-    def hess(r):
-        r = np.asarray(r, dtype=float)
-        h = np.zeros((r.size, r.size))
-        h[0, 0] = 2.0 * inv1
-        h[1, 1] = 2.0 * inv2
+    def hess(R):
+        h = np.zeros((len(R), R.shape[1], R.shape[1]))
+        h[:, 0, 0] = 2.0 * inv1
+        h[:, 1, 1] = 2.0 * inv2
         return h
 
-    return Barrier(value, grad, hess, name=f"ellipse(a1={a1}, a2={a2})")
+    return Barrier(_state_or_batch(value), _state_or_batch(grad), _state_or_batch(hess),
+                   name=f"ellipse(a1={a1}, a2={a2})")
+
+
+def _rowdot(u, v):
+    """Row-wise dot products of (B, n) arrays.
+
+    The stacked matmul calls BLAS's dot once per row, so every row equals
+    the single-state product ``u[i] @ v[i]`` bit for bit (an elementwise sum
+    rounds differently when BLAS fuses the multiply-adds).
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
                         alpha_chain: Sequence[ClassKappaLinear], x) -> CbfLinearConstraint:
-    """Linearize the safety condition in the controls at state x.
+    """Linearize the safety condition in the controls at one state or a batch.
 
-    Relative degree 1 (one gain):   a_i = g_i(x)^T grad b,
-                                    c   = grad b . drift + alpha(b).
-    Relative degree 2 (two gains):  with w = hess b . drift + J_drift^T grad b,
-                                    a_i = g_i(x)^T w,
-                                    c   = w . drift + (k1 + k2) b' + k1 k2 b,
-    valid when grad b . g_i == 0 (control enters only through the second
+    ``x`` is one state (n,), giving one row, or a batch (B, n), giving every
+    row at once (``a`` of shape (B, m), ``offset`` of shape (B,)); a single
+    state is the B = 1 row of the batch computation. With drift f = F x:
+
+    Relative degree 1 (one gain):   a = G^T grad b,
+                                    c = grad b . f + alpha(b).
+    Relative degree 2 (two gains):  with w = hess b . f + F^T grad b,
+                                    a = G^T w,
+                                    c = w . f + (k1 + k2) b' + k1 k2 b,
+    valid when G^T grad b == 0 (control enters only through the second
     derivative), which is checked.
     """
     x = system.check_state(x)
+    X = np.atleast_2d(x)
     degree = system.relative_degree
     if len(alpha_chain) != degree:
         raise ValueError(
             f"alpha_chain must have {degree} element(s) for a relative-degree-{degree} system")
 
-    g_list = [system.actuation(x, i) for i in range(system.n_agents)]
-    grad = np.asarray(barrier.grad(x), dtype=float)
-    b = float(barrier.value(x))
-    f = np.asarray(system.drift(x), dtype=float)
+    grad = np.asarray(barrier.grad(X), dtype=float)
+    b = np.asarray(barrier.value(X), dtype=float)
+    f = system.drift(X)
+    bdot = _rowdot(grad, f)
 
     if degree == 1:
-        a = np.concatenate([g.T @ grad for g in g_list])
-        c = float(grad @ f) + float(alpha_chain[0](b))
-        return CbfLinearConstraint(a=a, offset=c, agent_dims=system.control_dims)
-
-    if degree != 2:
-        raise ValueError(f"unsupported relative degree {degree}")
-    if barrier.hess is None:
-        raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
-
-    scale = max(1.0, float(np.max(np.abs(grad))))
-    for i, g in enumerate(g_list):
-        if np.max(np.abs(g.T @ grad)) > 1e-8 * scale:
+        a = grad @ system.G
+        c = bdot + alpha_chain[0](b)
+    else:
+        if degree != 2:
+            raise ValueError(f"unsupported relative degree {degree}")
+        if barrier.hess is None:
+            raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
+        scale = np.maximum(1.0, np.max(np.abs(grad), axis=1))
+        leak = np.abs(grad @ system.G) > 1e-8 * scale[:, None]
+        if np.any(leak):
+            channel = int(np.argmax(leak[np.argmax(np.any(leak, axis=1))]))
+            agent = int(np.searchsorted(np.cumsum(system.control_dims), channel, side="right"))
             raise ValueError(
-                f"{barrier.name}: control enters the first derivative through agent {i}; "
+                f"{barrier.name}: control enters the first derivative through agent {agent}; "
                 "use a single-gain chain")
+        k1, k2 = alpha_chain[0].gain, alpha_chain[1].gain
+        hess = np.asarray(barrier.hess(X), dtype=float)
+        w = np.matmul(hess, f[:, :, None])[:, :, 0] + grad @ system.F
+        a = w @ system.G
+        c = _rowdot(w, f) + (k1 + k2) * bdot + k1 * k2 * b
 
-    k1, k2 = alpha_chain[0].gain, alpha_chain[1].gain
-    hess = np.asarray(barrier.hess(x), dtype=float)
-    w = hess @ f + system.drift_jacobian(x).T @ grad
-    bdot = float(grad @ f)
-    a = np.concatenate([g.T @ w for g in g_list])
-    c = float(w @ f) + (k1 + k2) * bdot + k1 * k2 * b
-    return CbfLinearConstraint(a=a, offset=c, agent_dims=system.control_dims)
+    rows = CbfLinearConstraint(a=a, offset=c, agent_dims=system.control_dims)
+    return rows if x.ndim == 2 else rows.rows()[0]

@@ -51,7 +51,7 @@ def _scene_for(scenario, beta1, beta2):
 
 DEFAULTS = {
     "generate": {
-        "scenario": "synthetic-2agent", "n": 128, "count": 8, "gamma": "0.3",
+        "scenario": "synthetic-2agent", "n": 128, "count": 8, "gamma": None,
         "gamma_model": None, "noise": 0.1, "seed": 0, "beta1": 0.1,
         "beta2": 600.0, "steps": 150, "out": None,
     },
@@ -93,7 +93,9 @@ def build_parser():
     add(g, "--scenario", choices=SYNTHETIC_SCENARIOS + WEAVING_SCENARIOS)
     add(g, "--n", type=int, help="sample count (synthetic scenarios)")
     add(g, "--count", type=int, help="trajectory count (weaving scenarios)")
-    add(g, "--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9'")
+    add(g, "--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9' "
+                           "(synthetic default 0.3; weaving default: the faster "
+                           "car yields less)")
     add(g, "--gamma-model", dest="gamma_model", help="checkpoint used as truth")
     add(g, "--noise", type=float, help="control noise variance")
     add(g, "--seed", type=int)
@@ -207,14 +209,18 @@ def cmd_generate(cfg):
     scenario = cfg["scenario"]
     scene = _scene_for(scenario, cfg["beta1"], cfg["beta2"])
 
+    if cfg["gamma"] is not None and cfg["gamma_model"]:
+        raise UsageError("give --gamma or --gamma-model, not both")
     if cfg["gamma_model"]:
         truth = load_model(cfg["gamma_model"])
+    elif cfg["gamma"] is not None:
+        truth = _parse_gamma(cfg["gamma"], scene.system.n_agents)
+    elif scenario in SYNTHETIC_SCENARIOS:
+        truth = _parse_gamma("0.3", scene.system.n_agents)
     else:
-        truth = None
+        truth = data_mod.speed_advantage_gamma()
 
     if scenario in SYNTHETIC_SCENARIOS:
-        n_agents = scene.system.n_agents
-        truth = truth if truth is not None else _parse_gamma(cfg["gamma"], n_agents)
         if scenario == "synthetic-2agent":
             sc = default_two_agent_config(cfg["n"], cfg["noise"], cfg["seed"])
         else:
@@ -229,9 +235,7 @@ def cmd_generate(cfg):
 
     save_trajectories(samples, out, scenario=scenario,
                       extra_header={"config": _jsonable(cfg)})
-    frac = data_mod.active_fraction(
-        samples[:min(len(samples), 200)], scene,
-        truth if isinstance(truth, np.ndarray) else None)
+    frac = data_mod.active_fraction(samples[:min(len(samples), 200)], scene, truth)
     print(f"wrote {len(samples)} samples to {out} "
           f"(safety row active on {frac:.0%} of the first "
           f"{min(len(samples), 200)})")
@@ -330,25 +334,27 @@ def cmd_landscape(cfg):
     lat_targets = (-ref[1], ref[1])    # each car aims at the other's lane
     policy = data_mod.DesiredPolicyParams(lat_targets=lat_targets)
 
+    # One cell per (v1, v2) with v2 varying fastest; fixed axes win.
+    v1s, v2s = np.repeat(grid1, res), np.tile(grid2, res)
+    cells = np.zeros((res * res, 4))
+    cells[:, RELATIVE_AXES[axes[0]]] = v1s
+    cells[:, RELATIVE_AXES[axes[1]]] = v2s
+    for name, val in fixed.items():
+        cells[:, RELATIVE_AXES[name]] = val
+    x_joint = np.hstack([np.tile(ref, (len(cells), 1)), ref + cells])
+    rows = scene.assemble(scene.filter_state(x_joint)).rows()
+
     lines = ["# config: " + json.dumps(_jsonable(cfg)),
              f"{axes[0]},{axes[1]},gamma1,filter_inactive"]
-    for v1 in grid1:
-        for v2 in grid2:
-            r = np.zeros(4)
-            r[RELATIVE_AXES[axes[0]]] = v1
-            r[RELATIVE_AXES[axes[1]]] = v2
-            for name, val in fixed.items():
-                r[RELATIVE_AXES[name]] = val
-            gamma = model.gamma(r if model.context_dim else None)
-            x_joint = np.concatenate([ref, ref + r])
-            u_des = desired_controls_weaving(x_joint, policy)
-            problem = scene.build_problem(x_joint, u_des.ravel(), gamma)
-            sol = solve_filter(problem)
-            inactive = (sol.eps <= 1e-9 and
-                        np.max(np.abs(sol.u - problem.shrunk_desired())) <= 1e-7)
-            lines.append(f"{float(v1)!r},{float(v2)!r},"
-                         f"{float(gamma[0])!r},{int(inactive)}")
-    data_mod._atomic_write(out, "\n".join(lines) + "\n")
+    for v1, v2, r, x, row in zip(v1s, v2s, cells, x_joint, rows):
+        gamma = model.gamma(r if model.context_dim else None)
+        problem = scene.problem(row, desired_controls_weaving(x, policy), gamma)
+        sol = solve_filter(problem)
+        inactive = (sol.eps <= 1e-9 and
+                    np.max(np.abs(sol.u - problem.shrunk_desired())) <= 1e-7)
+        lines.append(f"{float(v1)!r},{float(v2)!r},"
+                     f"{float(gamma[0])!r},{int(inactive)}")
+    data_mod.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {res * res} grid cells to {out}")
     return 0
 
@@ -384,7 +390,7 @@ def cmd_trace(cfg):
             raise UsageError("trajectory lacks desired controls")
         vals = [s.t, gamma[0], *s.u_des.ravel(), *s.u.ravel(), b]
         lines.append(",".join(repr(float(v)) for v in vals))
-    data_mod._atomic_write(out, "\n".join(lines) + "\n")
+    data_mod.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {len(samples)} timesteps to {out}")
     return 0
 
@@ -421,7 +427,7 @@ def cmd_bench(cfg):
         lines = ["# config: " + json.dumps(_jsonable(cfg)),
                  "batch_size,loss_grad_ms"]
         lines += [f"{s},{ms!r}" for s, ms in rows]
-        data_mod._atomic_write(cfg["out"], "\n".join(lines) + "\n")
+        data_mod.atomic_write(cfg["out"], "\n".join(lines) + "\n")
     for s, ms in rows:
         print(f"batch {s:5d}: {ms:8.2f} ms")
     print(f"fitted scaling exponent: {slope:.3f}")

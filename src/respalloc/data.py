@@ -95,13 +95,20 @@ class InteractionScene:
                              "no desired policy to recompute them")
         return np.asarray(self.desired_policy(sample.x), dtype=float)
 
-    def build_problem(self, x, u_des, gamma) -> FilterProblem:
-        xs = self.filter_state(x)
-        con = assemble_constraint(self.system, self.barrier, self.alpha_chain, xs)
+    def assemble(self, states):
+        """Safety rows at one filter state (n,) or at a batch of them (B, n)."""
+        return assemble_constraint(self.system, self.barrier, self.alpha_chain, states)
+
+    def problem(self, constraint, u_des, gamma) -> FilterProblem:
+        """The filter problem for one assembled safety row."""
         lb, ub = self.system.control_bounds()
-        return FilterProblem(constraint=con, u_des=np.asarray(u_des, dtype=float).ravel(),
+        return FilterProblem(constraint=constraint,
+                             u_des=np.asarray(u_des, dtype=float).ravel(),
                              gamma=gamma, beta1=self.beta1, beta2=self.beta2,
                              lb=lb, ub=ub)
+
+    def build_problem(self, x, u_des, gamma) -> FilterProblem:
+        return self.problem(self.assemble(self.filter_state(x)), u_des, gamma)
 
 
 def two_agent_line_scene(gain=1.0, beta1=0.1, beta2=600.0, margin=1.0):
@@ -126,9 +133,9 @@ def weaving_scene(gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
     """Two cars in relative coordinates with an elliptical keep-out region.
 
     Sample states are absolute two-agent states (8 entries, layout
-    [lon, lat, vlon, vlat] per agent); the filter runs on r = x2 - x1. The
-    handcrafted desired policy (with the given parameters) backs datasets
-    that did not store desired controls.
+    [lon, lat, vlon, vlat] per agent), one (8,) or a batch (B, 8); the
+    filter runs on r = x2 - x1. The handcrafted desired policy (with the
+    given parameters) backs datasets that did not store desired controls.
     """
     system = make_relative_double_integrator()
     barrier = make_ellipse_barrier(axis_lon, axis_lat)
@@ -137,11 +144,11 @@ def weaving_scene(gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
 
     def to_relative(x):
         x = np.asarray(x, dtype=float)
-        if x.shape == (4,):
+        if x.shape[-1:] == (4,):
             return x
-        if x.shape == (8,):
-            return relative_state(x[:4], x[4:])
-        raise ValueError(f"expected an 8-dim joint or 4-dim relative state, got {x.shape}")
+        if x.shape[-1:] == (8,):
+            return relative_state(x[..., :4], x[..., 4:])
+        raise ValueError(f"expected 8-dim joint or 4-dim relative states, got {x.shape}")
 
     return InteractionScene(system, barrier, chain, beta1=beta1, beta2=beta2,
                             state_map=to_relative,
@@ -287,20 +294,24 @@ def default_planar_group_config(n_agents=6, n_samples=128, noise_variance=0.1, s
 
 def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
                        gamma_truth) -> list:
-    """Draw (state, desired control) pairs, filter them, add control noise."""
+    """Draw (state, desired control) pairs, filter them, add control noise.
+
+    Sample k draws its state, desired control and noise in that order.
+    """
     rng = np.random.default_rng(config.seed)
-    n = scene.system.n_agents
     dims = scene.system.control_dims
     std = float(np.sqrt(config.noise_variance))
+    draws = [(rng.uniform(config.state_low, config.state_high),
+              rng.uniform(config.udes_low, config.udes_high),
+              rng.standard_normal(scene.system.control_dim_total))
+             for _ in range(config.n_samples)]
+    states = scene.filter_state(np.array([x for x, _, _ in draws]))
+    rows = scene.assemble(states).rows()
     samples = []
-    for k in range(config.n_samples):
-        x = rng.uniform(config.state_low, config.state_high)
-        u_des = rng.uniform(config.udes_low, config.udes_high)
-        gamma = resolve_gamma_truth(gamma_truth, k, scene.filter_state(x))
-        problem = scene.build_problem(x, u_des, gamma)
+    for k, ((x, u_des, noise), xs, row) in enumerate(zip(draws, states, rows)):
+        problem = scene.problem(row, u_des, resolve_gamma_truth(gamma_truth, k, xs))
         problem.validate_allocation(tol=1e-6)
-        sol = solve_filter(problem)
-        u_obs = sol.u + std * rng.standard_normal(sol.u.size)
+        u_obs = solve_filter(problem).u + std * noise
         samples.append(InteractionSample(
             x=x, u=_split_rows(u_obs, dims), u_des=_split_rows(u_des, dims),
             t=0.0, trajectory_id=k))
@@ -314,16 +325,19 @@ def _split_rows(u_stacked, dims):
     return u.reshape(len(dims), dims[0])
 
 
-def active_fraction(samples, scene, gamma=None):
-    """Share of samples whose safety row binds under the given allocation."""
-    n = scene.system.n_agents
-    g = np.full(n, 1.0 / n) if gamma is None else np.asarray(gamma, dtype=float)
+def active_fraction(samples, scene, gamma_truth):
+    """Share of samples whose safety row binds under the given allocation.
+
+    ``gamma_truth`` takes every form ``resolve_gamma_truth`` accepts; a
+    callable receives the sample's position in ``samples`` as k.
+    """
+    states = scene.filter_state(np.array([s.x for s in samples]))
+    rows = scene.assemble(states).rows()
     hits = 0
-    for s in samples:
-        problem = scene.build_problem(s.x, s.u_des.ravel(), g)
-        sol = solve_filter(problem)
-        if sol.lam_cbf > 1e-9:
-            hits += 1
+    for k, (s, xs, row) in enumerate(zip(samples, states, rows)):
+        gamma = resolve_gamma_truth(gamma_truth, k, xs)
+        sol = solve_filter(scene.problem(row, scene.desired_controls(s), gamma))
+        hits += sol.lam_cbf > 1e-9
     return hits / len(samples)
 
 
@@ -374,7 +388,10 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
 
     ``kind`` selects the initial-condition family ("mixed" alternates over
     the others). The ground-truth allocation defaults to the faster-car-
-    yields-less rule. Samples from trajectory j carry trajectory_id j.
+    yields-less rule. Samples from trajectory j carry trajectory_id j and
+    come out grouped by trajectory. Trajectory j draws its initial state and
+    then, if the noise is nonzero, a (steps, 4) block of control noise; all
+    trajectories then advance in lockstep, one safety row each per step.
     """
     if kind not in WEAVING_KINDS:
         raise ValueError(f"unknown weaving kind {kind!r}; expected one of {WEAVING_KINDS}")
@@ -389,29 +406,34 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     lower, upper = cfg.lane_centers
     policy = replace(cfg.policy, lat_targets=(upper, lower))
 
-    samples = []
     sub_kinds = ("side_by_side", "rear_overtake")
+    X = np.empty((count, 8))
+    noise = np.zeros((count, cfg.steps, 4))
     for traj in range(count):
         k_traj = kind if kind != "mixed" else sub_kinds[traj % len(sub_kinds)]
-        x = _weaving_initial_state(k_traj, rng, cfg)
-        for step in range(cfg.steps):
+        X[traj] = _weaving_initial_state(k_traj, rng, cfg)
+        if std > 0:
+            noise[traj] = std * rng.standard_normal((cfg.steps, 4))
+
+    per_traj = [[] for _ in range(count)]
+    U = np.empty((count, 2, 2))
+    for step in range(cfg.steps):
+        R = scene.filter_state(X)
+        rows = scene.assemble(R).rows()
+        for traj, x in enumerate(X):
             u_des = desired_controls_weaving(x, policy)
-            r = scene.filter_state(x)
-            gamma = resolve_gamma_truth(gamma_truth, step, r)
-            problem = scene.build_problem(x, u_des.ravel(), gamma)
-            sol = solve_filter(problem)
-            u_exec = sol.u + (std * rng.standard_normal(sol.u.size) if std > 0 else 0.0)
-            samples.append(InteractionSample(
-                x=x.copy(), u=u_exec.reshape(2, 2), u_des=u_des.copy(),
+            gamma = resolve_gamma_truth(gamma_truth, step, R[traj])
+            sol = solve_filter(scene.problem(rows[traj], u_des, gamma))
+            U[traj] = (sol.u + noise[traj, step]).reshape(2, 2)
+            per_traj[traj].append(InteractionSample(
+                x=x.copy(), u=U[traj].copy(), u_des=u_des,
                 t=step * cfg.dt, trajectory_id=traj))
-            # The noisy executed control drives the cars (process noise); it
-            # also breaks the side-by-side tie so either car may end up ahead.
-            u = u_exec.reshape(2, 2)
-            for i in range(2):
-                s = x[4 * i:4 * i + 4]
-                s[:2] += cfg.dt * s[2:]
-                s[2:] += cfg.dt * u[i]
-    return samples
+        # The noisy executed control drives the cars (process noise); it
+        # also breaks the side-by-side tie so either car may end up ahead.
+        cars = X.reshape(count, 2, 4)
+        cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
+        cars[:, :, 2:] += cfg.dt * U
+    return [s for samples in per_traj for s in samples]
 
 
 # -- augmentations --------------------------------------------------------------
@@ -454,7 +476,8 @@ def augment(samples: Sequence[InteractionSample], kind: str) -> list:
 # -- trajectory files ------------------------------------------------------------
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Replace ``path`` with ``text`` via a temporary file in the same directory."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                suffix=".tmp")
@@ -492,7 +515,7 @@ def save_trajectories(samples: Sequence[InteractionSample], path, scenario="cust
         if s.u_des is not None:
             rec["u_des"] = [[float(v) for v in row] for row in s.u_des]
         lines.append(json.dumps(rec))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_header(path) -> dict:
@@ -580,4 +603,4 @@ def export_csv(samples: Sequence[InteractionSample], path, header_comment=None):
             lines.append(",".join(row))
     else:
         lines.append("trajectory_id,t")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

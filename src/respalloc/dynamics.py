@@ -1,4 +1,4 @@
-"""Multi-agent control-affine dynamics: xdot = drift(x) + sum_i g_i(x) u_i.
+"""Multi-agent linear dynamics: xdot = F x + sum_i G_i u_i.
 
 Three system families are provided:
 
@@ -8,13 +8,13 @@ Three system families are provided:
 - the two-agent relative double integrator, whose "joint state" is the
   relative coordinate r = x2 - x1 with layout [r_lon, r_lat, vr_lon, vr_lat].
 
-Systems are immutable; drift/actuation evaluators are pure functions.
+Systems are immutable; each holds its constant (F, G) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +22,11 @@ DEFAULT_CONTROL_BOUND = 10.0
 
 # Index layout of the two-agent relative state r = x2 - x1.
 R_LON, R_LAT, R_VLON, R_VLAT = 0, 1, 2, 3
+
+# One planar double integrator [px, py, vx, vy]: positions integrate
+# velocities (drift block), the two controls drive the velocities.
+_DI_DRIFT = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 4))]])
+_DI_ACTUATION = np.vstack([np.zeros((2, 2)), np.eye(2)])
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,11 @@ def agent_spec(state_dim, control_dim, bound=DEFAULT_CONTROL_BOUND):
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """A joint system xdot = drift(x) + sum_i actuation(x, i) @ u_i.
+    """A linear time-invariant joint system xdot = F x + G u.
+
+    ``F`` (n x n) and ``G`` (n x m) are constant; the columns of ``G`` are
+    the agents' control channels in stacked order. Every evaluator accepts
+    one state (n,) or a batch (B, n).
 
     ``agent_state_dim`` is set for systems whose joint state is the
     concatenation of identical per-agent blocks; it is None for reduced
@@ -64,13 +73,22 @@ class ControlAffineSystem:
 
     name: str
     agents: tuple
-    state_dim: int
     relative_degree: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    drift_jacobian: Callable[[np.ndarray], np.ndarray]
-    actuation: Callable[[np.ndarray, int], np.ndarray]
+    F: np.ndarray
+    G: np.ndarray
     agent_state_dim: Optional[int] = None
     position_dim: int = 1
+
+    def __post_init__(self):
+        n = self.F.shape[0]
+        if self.F.shape != (n, n) or self.G.shape != (n, self.control_dim_total):
+            raise ValueError(f"{self.name}: F must be (n, n) and G (n, {self.control_dim_total})")
+        for mat in (self.F, self.G):
+            mat.setflags(write=False)
+
+    @property
+    def state_dim(self) -> int:
+        return self.F.shape[0]
 
     @property
     def n_agents(self) -> int:
@@ -98,13 +116,20 @@ class ControlAffineSystem:
             k += d
         return out
 
+    def drift(self, x):
+        return np.asarray(x, dtype=float) @ self.F.T
+
+    def drift_jacobian(self, x=None):
+        return self.F
+
+    def actuation(self, x, i):
+        """Columns of G driven by agent i's controls."""
+        k = sum(self.control_dims[:i])
+        return self.G[:, k:k + self.control_dims[i]]
+
     def xdot(self, x, u):
         """State derivative for stacked controls u (length control_dim_total)."""
-        x = np.asarray(x, dtype=float)
-        dx = self.drift(x).copy()
-        for i, ui in enumerate(self.split_controls(u)):
-            dx += self.actuation(x, i) @ ui
-        return dx
+        return self.drift(x) + np.asarray(u, dtype=float) @ self.G.T
 
     def agent_state(self, x, i):
         if self.agent_state_dim is None:
@@ -116,10 +141,11 @@ class ControlAffineSystem:
         return self.agent_state(x, i)[:self.position_dim]
 
     def check_state(self, x):
+        """One finite state (n,) or a batch (B, n), as a float array."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(
-                f"{self.name}: expected state of shape ({self.state_dim},), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.state_dim:
+            raise ValueError(f"{self.name}: expected state of shape ({self.state_dim},) "
+                             f"or (B, {self.state_dim}), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"{self.name}: non-finite state")
         return x
@@ -130,26 +156,12 @@ def make_single_integrator_1d(n_agents, control_bound=DEFAULT_CONTROL_BOUND):
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
     n = n_agents
-
-    def drift(x):
-        return np.zeros(n)
-
-    def drift_jacobian(x):
-        return np.zeros((n, n))
-
-    def actuation(x, i):
-        g = np.zeros((n, 1))
-        g[i, 0] = 1.0
-        return g
-
     return ControlAffineSystem(
         name="single_integrator_1d",
         agents=tuple(agent_spec(1, 1, control_bound) for _ in range(n)),
-        state_dim=n,
         relative_degree=1,
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        actuation=actuation,
+        F=np.zeros((n, n)),
+        G=np.eye(n),
         agent_state_dim=1,
         position_dim=1,
     )
@@ -160,34 +172,12 @@ def make_double_integrator_2d(n_agents, control_bound=DEFAULT_CONTROL_BOUND):
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
     n = n_agents
-    dim = 4 * n
-
-    # Constant drift Jacobian: positions integrate velocities.
-    jac = np.zeros((dim, dim))
-    for i in range(n):
-        jac[4 * i + 0, 4 * i + 2] = 1.0
-        jac[4 * i + 1, 4 * i + 3] = 1.0
-
-    def drift(x):
-        return jac @ np.asarray(x, dtype=float)
-
-    def drift_jacobian(x):
-        return jac
-
-    def actuation(x, i):
-        g = np.zeros((dim, 2))
-        g[4 * i + 2, 0] = 1.0
-        g[4 * i + 3, 1] = 1.0
-        return g
-
     return ControlAffineSystem(
         name="double_integrator_2d",
         agents=tuple(agent_spec(4, 2, control_bound) for _ in range(n)),
-        state_dim=dim,
         relative_degree=2,
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        actuation=actuation,
+        F=np.kron(np.eye(n), _DI_DRIFT),
+        G=np.kron(np.eye(n), _DI_ACTUATION),
         agent_state_dim=4,
         position_dim=2,
     )
@@ -198,31 +188,12 @@ def make_relative_double_integrator(control_bound=DEFAULT_CONTROL_BOUND):
 
     rdot = (vr_lon, vr_lat, u2 - u1), so g1 = -[0; I] and g2 = +[0; I].
     """
-    jac = np.zeros((4, 4))
-    jac[R_LON, R_VLON] = 1.0
-    jac[R_LAT, R_VLAT] = 1.0
-
-    def drift(r):
-        return jac @ np.asarray(r, dtype=float)
-
-    def drift_jacobian(r):
-        return jac
-
-    def actuation(r, i):
-        g = np.zeros((4, 2))
-        sign = -1.0 if i == 0 else 1.0
-        g[R_VLON, 0] = sign
-        g[R_VLAT, 1] = sign
-        return g
-
     return ControlAffineSystem(
         name="relative_double_integrator",
         agents=(agent_spec(4, 2, control_bound), agent_spec(4, 2, control_bound)),
-        state_dim=4,
         relative_degree=2,
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        actuation=actuation,
+        F=_DI_DRIFT.copy(),
+        G=np.hstack([-_DI_ACTUATION, _DI_ACTUATION]),
         agent_state_dim=None,
         position_dim=2,
     )

@@ -144,13 +144,6 @@ class FilterSolution:
     def lam_cbf(self):
         return float(self.duals[0])
 
-    def agent_controls(self, agent_dims):
-        out, k = [], 0
-        for d in agent_dims:
-            out.append(self.u[k:k + d])
-            k += d
-        return out
-
 
 @dataclass
 class FilterJacobians:

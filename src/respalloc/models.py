@@ -23,10 +23,10 @@ import functools
 import itertools
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
+
+from .data import atomic_write
 
 SYMMETRIC_N_CAP = 6
 
@@ -428,17 +428,7 @@ def save_model(model, path):
         "seed": getattr(model, "init_seed", None),
         "params": [float(v) for v in model.params],
     }
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, json.dumps(doc))
 
 
 def load_model(path):

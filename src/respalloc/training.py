@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import InteractionSample, InteractionScene
+from .data import InteractionSample, InteractionScene, atomic_write
 from .filter_qp import FilterProblem, differentiate_filter, solve_filter
 from .models import ConstantGamma
 
@@ -94,22 +92,13 @@ def prepare_batch(samples: Sequence[InteractionSample], scene: InteractionScene,
     """Assemble per-sample safety rows once; they do not depend on gamma."""
     if not samples:
         raise ValueError("empty batch")
-    from .barriers import assemble_constraint
-
-    contexts, cons, u_des, u_obs = [], [], [], []
-    for s in samples:
-        xs = scene.filter_state(s.x)
-        contexts.append(xs)
-        cons.append(assemble_constraint(scene.system, scene.barrier,
-                                        scene.alpha_chain, xs))
-        u_des.append(scene.desired_controls(s).ravel())
-        u_obs.append(s.u.ravel())
+    states = scene.filter_state(np.array([s.x for s in samples]))
+    cons = scene.assemble(states).rows()
+    u_des = np.array([scene.desired_controls(s).ravel() for s in samples])
+    u_obs = np.array([s.u.ravel() for s in samples])
     lb, ub = scene.system.control_bounds()
-    ctx = np.asarray(contexts, dtype=float)
-    if context_dim == 0:
-        ctx = np.zeros((len(samples), 0))
-    return PreparedBatch(contexts=ctx, constraints=cons,
-                         u_des=np.asarray(u_des), u_obs=np.asarray(u_obs),
+    ctx = np.zeros((len(samples), 0)) if context_dim == 0 else states
+    return PreparedBatch(contexts=ctx, constraints=cons, u_des=u_des, u_obs=u_obs,
                          lb=lb, ub=ub, beta1=scene.beta1, beta2=scene.beta2)
 
 
@@ -250,7 +239,7 @@ class TrainReport:
         return doc
 
     def save_json(self, path):
-        _atomic_write_text(path, json.dumps(self.to_dict()))
+        atomic_write(path, json.dumps(self.to_dict()))
 
     def save_trace_csv(self, path):
         lines = []
@@ -262,21 +251,7 @@ class TrainReport:
             if n:
                 row += [repr(float(v)) for v in self.gamma_trace[e]]
             lines.append(",".join(row))
-        _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write_text(path, text):
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainReport:

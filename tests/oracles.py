@@ -71,3 +71,34 @@ def fd_jacobian(f, x, step=1e-5):
         e[j] = step
         jac[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
     return jac
+
+
+def softmin_pair_reference(x, n_agents, margin, temperature):
+    """Softmin over planar pairs b_ij = ||p_i - p_j||^2 - margin^2, pair by pair.
+
+    ``x`` stacks [px, py, vx, vy] per agent. Returns (value, gradient, Hessian)
+    from the closed forms summed over pairs in a Python loop.
+    """
+    x = np.asarray(x, dtype=float)
+    t, n = temperature, x.size
+    vals, grads, hessians = [], [], []
+    for i in range(n_agents):
+        for j in range(i + 1, n_agents):
+            d = x[4 * i:4 * i + 2] - x[4 * j:4 * j + 2]
+            g = np.zeros(n)
+            g[4 * i:4 * i + 2], g[4 * j:4 * j + 2] = 2.0 * d, -2.0 * d
+            h = np.zeros((n, n))
+            for a, b, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+                h[4 * a:4 * a + 2, 4 * b:4 * b + 2] = 2.0 * sign * np.eye(2)
+            vals.append(float(d @ d) - margin ** 2)
+            grads.append(g)
+            hessians.append(h)
+    z = -t * np.array(vals)
+    w = np.exp(z - z.max())
+    w /= w.sum()
+    value = -(z.max() + np.log(np.sum(np.exp(z - z.max())))) / t
+    gbar = sum(wk * gk for wk, gk in zip(w, grads))
+    hess = t * np.outer(gbar, gbar)
+    for wk, gk, hk in zip(w, grads, hessians):
+        hess += wk * hk - t * wk * np.outer(gk, gk)
+    return value, gbar, hess

@@ -8,9 +8,10 @@ from respalloc.barriers import (Barrier, ClassKappaLinear, assemble_constraint,
 from respalloc.dynamics import (euler_rollout, make_double_integrator_2d,
                                 make_relative_double_integrator,
                                 make_single_integrator_1d)
+from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc.filter_qp import FilterProblem, solve_filter
 
-from oracles import fd_grad, fd_jacobian
+from oracles import fd_grad, fd_jacobian, softmin_pair_reference
 
 
 @pytest.fixture
@@ -57,8 +58,27 @@ def test_validate_barrier_gate_rejects_wrong_gradient():
                   name="bad")
     with pytest.raises(ValueError, match="gradient"):
         validate_barrier(bad, [np.array([1.3])])
-    good = Barrier(value=lambda x: float(x[0] ** 2), grad=lambda x: 2.0 * x)
+    good = Barrier(value=lambda x: x[..., 0] ** 2, grad=lambda x: 2.0 * x)
     validate_barrier(good, [np.array([1.3]), np.array([-0.4])])
+
+
+def test_validate_barrier_gate_rejects_batch_disagreement():
+    # Per-state outputs pass the finite-difference gate; the batched ones do not
+    # match them (a batch summed into one number, an offset only in batches).
+    probes = [np.array([1.3]), np.array([-0.4])]
+    summed = Barrier(value=lambda x: float(np.sum(np.asarray(x) ** 2)),
+                     grad=lambda x: 2.0 * np.asarray(x), name="summed")
+    with pytest.raises(ValueError, match="batched value"):
+        validate_barrier(summed, probes)
+    shifted = Barrier(value=lambda x: x[..., 0] ** 2,
+                      grad=lambda x: 2.0 * x + (np.ndim(x) - 1), name="shifted")
+    with pytest.raises(ValueError, match="batched gradient"):
+        validate_barrier(shifted, probes)
+    planar = make_double_integrator_2d(3)
+    states = np.random.default_rng(0).normal(size=(4, 12))
+    for temperature in (10.0, None):
+        validate_barrier(make_pairwise_distance_barrier(planar, 1.0, temperature=temperature),
+                         states, require_hess=True)
 
 
 def test_softmin_is_conservative_and_matches_hard_min_off_ties():
@@ -107,19 +127,21 @@ def test_degree2_requires_hessian_and_two_gains():
 
 
 def _fd_second_derivative_chain(sys, barrier, x, u, k1, k2, dt=1e-4):
-    """Oracle: b'' + (k1+k2) b' + k1 k2 b via finite differences along the flow."""
-    def flow(x0, steps):
-        xs = x0.copy()
-        for _ in range(steps):
-            xs = xs + dt * sys.xdot(xs, u)
-        return xs
+    """Oracle: b'' + (k1+k2) b' + k1 k2 b by central differences along the flow.
+
+    Under a constant control a double integrator's flow is exactly
+    x(t) = x + t xdot + t^2/2 F xdot, because F @ F = 0.
+    """
+    xdot = sys.xdot(x, u)
+
+    def flow(t):
+        return x + t * xdot + 0.5 * t ** 2 * (sys.F @ xdot)
 
     b0 = barrier.value(x)
-    bp = barrier.value(flow(x, 1))
-    bpp = barrier.value(flow(x, 2))
-    bm = barrier.value(x - dt * sys.xdot(x, u))  # one backward Euler step
+    bp = barrier.value(flow(dt))
+    bm = barrier.value(flow(-dt))
     bdot = (bp - bm) / (2 * dt)
-    bddot = (bpp - 2 * bp + b0) / dt ** 2
+    bddot = (bp - 2 * b0 + bm) / dt ** 2
     return bddot + (k1 + k2) * bdot + k1 * k2 * b0
 
 
@@ -177,3 +199,71 @@ def test_closed_loop_forward_invariance(line_pair):
                               dt=0.005, steps=400)
     b_along = np.array([barrier.value(x) for x in states])
     assert b_along.min() >= min(0.0, b_along[0]) - 1e-3
+
+
+# -- batched evaluation ------------------------------------------------------------
+
+# Scene and the scale of its random filter states.
+BATCH_SCENES = {
+    "line": (two_agent_line_scene(), 2.0),
+    "planar6_softmin": (planar_group_scene(6), 1.2),
+    "planar_hard_min": (planar_group_scene(4, temperature=None), 1.5),
+    "weaving_ellipse": (weaving_scene(), 6.0),
+}
+
+
+def _assert_rel_close(actual, expected, rtol=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(BATCH_SCENES)), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_rows_equal_stacked_single_state_rows(name, batch, seed):
+    scene, scale = BATCH_SCENES[name]
+    states = np.random.default_rng(seed).normal(size=(batch, scene.system.state_dim),
+                                                scale=scale)
+    rows = scene.assemble(states)
+    singles = [scene.assemble(x) for x in states]
+    assert rows.a.shape == (batch, scene.system.control_dim_total)
+    assert rows.offset.shape == (batch,)
+    for row, single, listed in zip(zip(rows.a, rows.offset), singles, rows.rows()):
+        _assert_rel_close(row[0], single.a)
+        _assert_rel_close(row[1], single.offset)
+        assert isinstance(single.offset, float) and single.a.ndim == 1
+        assert np.array_equal(listed.a, row[0]) and listed.offset == row[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(BATCH_SCENES)), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_array_evaluators_equal_per_state_evaluators(name, batch, seed):
+    scene, scale = BATCH_SCENES[name]
+    n = scene.system.state_dim
+    states = np.random.default_rng(seed).normal(size=(batch, n), scale=scale)
+    barrier = scene.barrier
+    values, grads, hessians = barrier.value(states), barrier.grad(states), barrier.hess(states)
+    assert values.shape == (batch,) and grads.shape == (batch, n)
+    assert hessians.shape == (batch, n, n)
+    for x, v, g, h in zip(states, values, grads, hessians):
+        assert isinstance(barrier.value(x), float)
+        _assert_rel_close(v, barrier.value(x))
+        _assert_rel_close(g, barrier.grad(x))
+        _assert_rel_close(h, barrier.hess(x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_softmin_evaluators_match_per_pair_loop_reference(seed):
+    system = make_double_integrator_2d(5)
+    barrier = make_pairwise_distance_barrier(system, 1.0, temperature=10.0)
+    states = np.random.default_rng(seed).normal(size=(8, system.state_dim), scale=1.2)
+    values, grads, hessians = barrier.value(states), barrier.grad(states), barrier.hess(states)
+    for x, v, g, h in zip(states, values, grads, hessians):
+        v_ref, g_ref, h_ref = softmin_pair_reference(x, 5, 1.0, 10.0)
+        _assert_rel_close(v, v_ref)
+        _assert_rel_close(g, g_ref)
+        _assert_rel_close(h, h_ref)

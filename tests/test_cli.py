@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from respalloc.cli import main
-from respalloc.data import load_trajectories, read_header, two_agent_line_scene
+from respalloc.data import (active_fraction, load_trajectories, read_header,
+                            two_agent_line_scene, weaving_scene)
 from respalloc.filter_qp import solve_filter
-from respalloc.models import load_model
+from respalloc.models import ConstantGamma, load_model, save_model
 
 
 def run(argv):
@@ -66,9 +67,37 @@ def test_generate_is_idempotent(tmp_path):
         p2.read_bytes().replace(b"b.ndjson", b"")
 
 
-def test_generate_validates_gamma():
+def test_generate_validates_gamma(tmp_path):
     assert run(["generate", "--scenario", "synthetic-2agent", "--gamma",
                 "0.9,0.9", "--out", "/tmp/na.ndjson"]) == 2
+    ckpt = tmp_path / "truth.json"
+    save_model(ConstantGamma(2), ckpt)
+    assert run(["generate", "--scenario", "synthetic-2agent", "--gamma", 0.3,
+                "--gamma-model", ckpt, "--out", tmp_path / "na.ndjson"]) == 2
+
+
+def test_generate_weaving_honours_gamma(tmp_path):
+    path = tmp_path / "weave_half.ndjson"
+    assert run(["generate", "--scenario", "weaving-single", "--count", 2,
+                "--steps", 30, "--gamma", 0.5, "--noise", 0, "--seed", 4,
+                "--out", path]) == 0
+    scene = weaving_scene()
+    for s in load_trajectories(path):
+        sol = solve_filter(scene.build_problem(s.x, s.u_des, np.array([0.5, 0.5])))
+        np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
+
+
+def test_generate_active_share_uses_the_model_truth(tmp_path, capsys):
+    ckpt, path = tmp_path / "truth.json", tmp_path / "d.ndjson"
+    truth = ConstantGamma(2, params=np.log([0.05, 0.95]))
+    save_model(truth, ckpt)
+    assert run(["generate", "--scenario", "synthetic-2agent", "--n", 64,
+                "--gamma-model", ckpt, "--seed", 1, "--out", path]) == 0
+    printed = capsys.readouterr().out
+    scene, samples = two_agent_line_scene(), load_trajectories(path)
+    share = active_fraction(samples, scene, truth)
+    assert f"{active_fraction(samples, scene, [0.5, 0.5]):.0%}" != f"{share:.0%}"
+    assert f"safety row active on {share:.0%} of the first 64" in printed
 
 
 def test_train_writes_checkpoint_and_report(small_dataset, tmp_path):

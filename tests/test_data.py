@@ -13,7 +13,7 @@ from respalloc.data import (DesiredPolicyParams, ScenarioConfig,
                             save_trajectories, two_agent_line_scene,
                             weaving_scene)
 from respalloc.filter_qp import solve_filter
-from respalloc.models import RelativeSymmetricGamma
+from respalloc.models import ConstantGamma, RelativeSymmetricGamma
 from respalloc.training import TrainConfig, loss
 
 PARAMS = DesiredPolicyParams()
@@ -93,6 +93,21 @@ def test_default_boxes_keep_constraint_frequently_active():
     g6 = np.random.default_rng(0).dirichlet(np.ones(6))
     cfg6 = default_planar_group_config(6, n_samples=64, seed=0)
     assert active_fraction(generate_synthetic(cfg6, scene6, g6), scene6, g6) >= 0.4
+
+
+def test_active_fraction_takes_every_truth_kind():
+    scene = two_agent_line_scene()
+    gamma = np.array([0.2, 0.8])
+    cfg = default_two_agent_config(n_samples=48, seed=4)
+    samples = generate_synthetic(cfg, scene, gamma)
+    share = active_fraction(samples, scene, gamma)
+    assert active_fraction(samples, scene, lambda k, x: gamma) == share
+    assert active_fraction(samples, scene, ConstantGamma(2, params=np.log(gamma))) == \
+        pytest.approx(share)
+    # A schedule is indexed by position in the sample list.
+    flip = active_fraction(samples, scene, lambda k, x: gamma if k < 24 else gamma[::-1])
+    assert flip == (active_fraction(samples[:24], scene, gamma) * 24
+                    + active_fraction(samples[24:], scene, gamma[::-1]) * 24) / 48
 
 
 def test_schedule_shift_is_detectable_in_the_data():

@@ -61,6 +61,9 @@ def test_xdot_linear_in_control(seed):
         rhs = sys.drift(x) + a * (sys.xdot(x, u) - sys.drift(x)) \
             + b * (sys.xdot(x, v) - sys.drift(x))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # A batch of states and controls gives the stacked single-state rates.
+        np.testing.assert_array_equal(sys.xdot(np.array([x, -x]), np.array([u, v])),
+                                      [sys.xdot(x, u), sys.xdot(-x, v)])
 
 
 @settings(max_examples=25, deadline=None)
