@@ -11,18 +11,17 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from respalloc import cli  # noqa: E402
 from respalloc.data import (default_planar_group_config,  # noqa: E402
                             default_two_agent_config, generate_synthetic,
                             planar_group_scene, two_agent_line_scene)
 from respalloc.models import ConstantGamma  # noqa: E402
-from respalloc.training import (TrainConfig, batch_loss_and_grad, fit,  # noqa: E402
-                                fit_windows, prepare_batch)
+from respalloc.training import TrainConfig, fit, fit_windows  # noqa: E402
 
 
 def two_agent_study(out_dir, seed=0):
@@ -77,31 +76,8 @@ def time_varying_study(out_dir, seed=0):
 
 
 def timing_sweep(out_dir, seed=0):
-    scene = two_agent_line_scene()
-    cfg = default_two_agent_config(n_samples=512, noise_variance=0.1, seed=seed)
-    samples = generate_synthetic(cfg, scene, np.array([0.4, 0.6]))
-    prep = prepare_batch(samples, scene, 0)
-    model = ConstantGamma(2)
-    tc = TrainConfig(epochs=1, batch_size=8)
-    rows = ["batch_size,loss_grad_ms"]
-    sizes = [8, 16, 32, 64, 128, 256, 512]
-    times = []
-    for size in sizes:
-        sub = prep.subset(np.arange(size))
-        batch_loss_and_grad(sub, model, tc)
-        best = min(_timed(sub, model, tc) for _ in range(5))
-        times.append(best)
-        rows.append(f"{size},{best * 1e3!r}")
-    slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
-    with open(os.path.join(out_dir, "timing.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    print(f"timing exponent over batch sizes 8..512: {slope:.3f}")
-
-
-def _timed(prep, model, tc):
-    t0 = time.perf_counter()
-    batch_loss_and_grad(prep, model, tc)
-    return time.perf_counter() - t0
+    """Loss+gradient time over batch sizes, via ``respalloc bench``."""
+    cli.main(["bench", "--seed", str(seed), "--out", os.path.join(out_dir, "timing.csv")])
 
 
 def main():

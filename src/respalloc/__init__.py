@@ -20,9 +20,9 @@ from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
 from .dynamics import (AgentSpec, ControlAffineSystem, euler_rollout,
                        make_double_integrator_2d, make_relative_double_integrator,
                        make_single_integrator_1d, relative_state)
-from .filter_qp import (FilterFailure, FilterJacobians, FilterProblem,
+from .filter_qp import (FilterError, FilterJacobians, FilterProblem,
                         FilterSolution, differentiate_filter, kkt_residuals,
-                        solve_filter, solve_filter_batch)
+                        solve_filter)
 from .models import (ConstantGamma, Mlp, MlpGamma, RelativeSymmetricGamma,
                      SymmetricGammaN, eval_gamma, grad_gamma, init_model,
                      load_model, save_model)

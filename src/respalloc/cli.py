@@ -38,6 +38,10 @@ WEAVING_SCENARIOS = ("weaving-single", "weaving-side-by-side",
 
 RELATIVE_AXES = {"r_lon": 0, "r_lat": 1, "vr_lon": 2, "vr_lat": 3}
 
+# Parameters of the weaving truth used when neither --gamma nor --gamma-model
+# is given; the dataset header records them.
+WEAVING_TRUTH = {"sharpness": 0.5, "span": 0.35}
+
 
 def _scene_for(scenario, beta1, beta2):
     if scenario == "synthetic-2agent":
@@ -213,12 +217,14 @@ def cmd_generate(cfg):
         raise UsageError("give --gamma or --gamma-model, not both")
     if cfg["gamma_model"]:
         truth = load_model(cfg["gamma_model"])
-    elif cfg["gamma"] is not None:
-        truth = _parse_gamma(cfg["gamma"], scene.system.n_agents)
-    elif scenario in SYNTHETIC_SCENARIOS:
-        truth = _parse_gamma("0.3", scene.system.n_agents)
+        truth_doc = {"kind": "model", "checkpoint": str(cfg["gamma_model"])}
+    elif cfg["gamma"] is not None or scenario in SYNTHETIC_SCENARIOS:
+        gamma = "0.3" if cfg["gamma"] is None else cfg["gamma"]
+        truth = _parse_gamma(gamma, scene.system.n_agents)
+        truth_doc = {"kind": "constant", "gamma": truth.tolist()}
     else:
-        truth = data_mod.speed_advantage_gamma()
+        truth = data_mod.speed_advantage_gamma(**WEAVING_TRUTH)
+        truth_doc = {"kind": "speed_advantage_gamma", **WEAVING_TRUTH}
 
     if scenario in SYNTHETIC_SCENARIOS:
         if scenario == "synthetic-2agent":
@@ -234,7 +240,7 @@ def cmd_generate(cfg):
             scene=scene, config=wcfg)
 
     save_trajectories(samples, out, scenario=scenario,
-                      extra_header={"config": _jsonable(cfg)})
+                      extra_header={"config": _jsonable(cfg), "truth": truth_doc})
     frac = data_mod.active_fraction(samples[:min(len(samples), 200)], scene, truth)
     print(f"wrote {len(samples)} samples to {out} "
           f"(safety row active on {frac:.0%} of the first "
@@ -342,18 +348,17 @@ def cmd_landscape(cfg):
     for name, val in fixed.items():
         cells[:, RELATIVE_AXES[name]] = val
     x_joint = np.hstack([np.tile(ref, (len(cells), 1)), ref + cells])
-    rows = scene.assemble(scene.filter_state(x_joint)).rows()
+    gammas = model.gamma_batch(cells if model.context_dim else np.zeros((len(cells), 0)))
+    u_des = np.array([desired_controls_weaving(x, policy) for x in x_joint])
+    problem = scene.problem(scene.assemble(scene.filter_state(x_joint)), u_des, gammas)
+    sol = solve_filter(problem)
+    inactive = (sol.eps <= 1e-9) & np.all(
+        np.abs(sol.u - problem.shrunk_desired()) <= 1e-7, axis=1)
 
     lines = ["# config: " + json.dumps(_jsonable(cfg)),
              f"{axes[0]},{axes[1]},gamma1,filter_inactive"]
-    for v1, v2, r, x, row in zip(v1s, v2s, cells, x_joint, rows):
-        gamma = model.gamma(r if model.context_dim else None)
-        problem = scene.problem(row, desired_controls_weaving(x, policy), gamma)
-        sol = solve_filter(problem)
-        inactive = (sol.eps <= 1e-9 and
-                    np.max(np.abs(sol.u - problem.shrunk_desired())) <= 1e-7)
-        lines.append(f"{float(v1)!r},{float(v2)!r},"
-                     f"{float(gamma[0])!r},{int(inactive)}")
+    lines += [f"{float(v1)!r},{float(v2)!r},{float(g1)!r},{int(flag)}"
+              for v1, v2, g1, flag in zip(v1s, v2s, gammas[:, 0], inactive)]
     data_mod.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {res * res} grid cells to {out}")
     return 0

@@ -100,10 +100,15 @@ class InteractionScene:
         return assemble_constraint(self.system, self.barrier, self.alpha_chain, states)
 
     def problem(self, constraint, u_des, gamma) -> FilterProblem:
-        """The filter problem for one assembled safety row."""
+        """The filter problem for one assembled safety row or a batch of them.
+
+        ``u_des`` holds per-agent controls, (N, d) or (B, N, d), or stacked
+        ones; it is reshaped to the rows' (m,) or (B, m).
+        """
         lb, ub = self.system.control_bounds()
         return FilterProblem(constraint=constraint,
-                             u_des=np.asarray(u_des, dtype=float).ravel(),
+                             u_des=np.reshape(np.asarray(u_des, dtype=float),
+                                              np.shape(constraint.a)),
                              gamma=gamma, beta1=self.beta1, beta2=self.beta2,
                              lb=lb, ub=ub)
 
@@ -305,17 +310,16 @@ def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
               rng.uniform(config.udes_low, config.udes_high),
               rng.standard_normal(scene.system.control_dim_total))
              for _ in range(config.n_samples)]
-    states = scene.filter_state(np.array([x for x, _, _ in draws]))
-    rows = scene.assemble(states).rows()
-    samples = []
-    for k, ((x, u_des, noise), xs, row) in enumerate(zip(draws, states, rows)):
-        problem = scene.problem(row, u_des, resolve_gamma_truth(gamma_truth, k, xs))
-        problem.validate_allocation(tol=1e-6)
-        u_obs = solve_filter(problem).u + std * noise
-        samples.append(InteractionSample(
-            x=x, u=_split_rows(u_obs, dims), u_des=_split_rows(u_des, dims),
-            t=0.0, trajectory_id=k))
-    return samples
+    X, U_des, noise = (np.array(column) for column in zip(*draws))
+    states = scene.filter_state(X)
+    gammas = np.array([resolve_gamma_truth(gamma_truth, k, xs)
+                       for k, xs in enumerate(states)])
+    problem = scene.problem(scene.assemble(states), U_des, gammas)
+    problem.validate_allocation(tol=1e-6)
+    U_obs = solve_filter(problem).u + std * noise
+    return [InteractionSample(x=x, u=_split_rows(u_obs, dims),
+                              u_des=_split_rows(u_des, dims), t=0.0, trajectory_id=k)
+            for k, (x, u_obs, u_des) in enumerate(zip(X, U_obs, U_des))]
 
 
 def _split_rows(u_stacked, dims):
@@ -332,13 +336,11 @@ def active_fraction(samples, scene, gamma_truth):
     callable receives the sample's position in ``samples`` as k.
     """
     states = scene.filter_state(np.array([s.x for s in samples]))
-    rows = scene.assemble(states).rows()
-    hits = 0
-    for k, (s, xs, row) in enumerate(zip(samples, states, rows)):
-        gamma = resolve_gamma_truth(gamma_truth, k, xs)
-        sol = solve_filter(scene.problem(row, scene.desired_controls(s), gamma))
-        hits += sol.lam_cbf > 1e-9
-    return hits / len(samples)
+    gammas = np.array([resolve_gamma_truth(gamma_truth, k, xs)
+                       for k, xs in enumerate(states)])
+    u_des = np.array([scene.desired_controls(s) for s in samples])
+    sol = solve_filter(scene.problem(scene.assemble(states), u_des, gammas))
+    return float(np.mean(sol.lam_cbf > 1e-9))
 
 
 # -- closed-loop two-lane weaving ---------------------------------------------
@@ -391,7 +393,8 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     yields-less rule. Samples from trajectory j carry trajectory_id j and
     come out grouped by trajectory. Trajectory j draws its initial state and
     then, if the noise is nonzero, a (steps, 4) block of control noise; all
-    trajectories then advance in lockstep, one safety row each per step.
+    trajectories then advance in lockstep, with one filter solve over every
+    trajectory's safety row per step.
     """
     if kind not in WEAVING_KINDS:
         raise ValueError(f"unknown weaving kind {kind!r}; expected one of {WEAVING_KINDS}")
@@ -416,17 +419,15 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
             noise[traj] = std * rng.standard_normal((cfg.steps, 4))
 
     per_traj = [[] for _ in range(count)]
-    U = np.empty((count, 2, 2))
     for step in range(cfg.steps):
         R = scene.filter_state(X)
-        rows = scene.assemble(R).rows()
+        U_des = np.array([desired_controls_weaving(x, policy) for x in X])
+        gammas = np.array([resolve_gamma_truth(gamma_truth, step, r) for r in R])
+        sol = solve_filter(scene.problem(scene.assemble(R), U_des, gammas))
+        U = (sol.u + noise[:, step]).reshape(count, 2, 2)
         for traj, x in enumerate(X):
-            u_des = desired_controls_weaving(x, policy)
-            gamma = resolve_gamma_truth(gamma_truth, step, R[traj])
-            sol = solve_filter(scene.problem(rows[traj], u_des, gamma))
-            U[traj] = (sol.u + noise[traj, step]).reshape(2, 2)
             per_traj[traj].append(InteractionSample(
-                x=x.copy(), u=U[traj].copy(), u_des=u_des,
+                x=x.copy(), u=U[traj], u_des=U_des[traj],
                 t=step * cfg.dt, trajectory_id=traj))
         # The noisy executed control drives the cars (process noise); it
         # also breaks the side-by-side tie so either car may end up ahead.

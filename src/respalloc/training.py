@@ -5,7 +5,8 @@ sample the model produces an allocation gamma from the sample's context, the
 safety-filter QP is solved at the sample's state, and the mismatch between
 its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
-with the middle factor coming from the QP's linearized KKT system.
+with the middle factor coming from the QP's closed form (``filter_qp``).
+Each minibatch row is solved and differentiated as its own one-row problem.
 
 Safety rows do not depend on gamma, so constraint assembly is hoisted out of
 the training loop (``prepare_batch``).
@@ -103,50 +104,37 @@ def prepare_batch(samples: Sequence[InteractionSample], scene: InteractionScene,
 
 
 def _solve_prepared(prep: PreparedBatch, gamma_rows):
-    problems, solutions = [], []
-    for i in range(len(prep)):
-        problem = FilterProblem(
-            constraint=prep.constraints[i], u_des=prep.u_des[i],
-            gamma=gamma_rows[i], beta1=prep.beta1, beta2=prep.beta2,
-            lb=prep.lb, ub=prep.ub)
-        problems.append(problem)
-        solutions.append(solve_filter(problem))
-    return problems, solutions
+    """One filter problem and solution per minibatch row, solved one at a time."""
+    problems = [FilterProblem(prep.constraints[i], prep.u_des[i], gamma_rows[i],
+                              prep.beta1, prep.beta2, prep.lb, prep.ub)
+                for i in range(len(prep))]
+    return problems, [solve_filter(problem) for problem in problems]
+
+
+def _residual_loss(prep: PreparedBatch, solutions, config: TrainConfig):
+    """Mean loss over the batch and its derivative in each row's u*."""
+    u = np.array([sol.u for sol in solutions])
+    total, dval_dresid = residual_loss(prep.u_obs - u, config.loss_metric,
+                                       config.huber_delta)
+    loss = total / len(prep)
+    if math.isnan(loss):
+        raise FloatingPointError("loss is NaN; check data and filter weights")
+    return loss, -dval_dresid           # residual = u_obs - u*
 
 
 def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
     """Mean per-sample loss of filter outputs against observed controls."""
-    gamma_rows = model.gamma_batch(prep.contexts)
-    _, solutions = _solve_prepared(prep, gamma_rows)
-    total = 0.0
-    for i, sol in enumerate(solutions):
-        val, _ = residual_loss(prep.u_obs[i] - sol.u, config.loss_metric,
-                               config.huber_delta)
-        total += val
-    loss = total / len(prep)
-    if math.isnan(loss):
-        raise FloatingPointError("loss is NaN; check data and filter weights")
-    return loss
+    _, solutions = _solve_prepared(prep, model.gamma_batch(prep.contexts))
+    return _residual_loss(prep, solutions, config)[0]
 
 
 def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     """Loss plus its gradient in the model's flat parameters."""
-    gamma_rows = model.gamma_batch(prep.contexts)
-    problems, solutions = _solve_prepared(prep, gamma_rows)
-    b = len(prep)
-    total = 0.0
-    dgamma = np.zeros((b, model.n_agents))
-    for i, (problem, sol) in enumerate(zip(problems, solutions)):
-        val, dval_du_resid = residual_loss(prep.u_obs[i] - sol.u,
-                                           config.loss_metric, config.huber_delta)
-        total += val
-        dval_du = -dval_du_resid        # residual = u_obs - u*
-        jac = differentiate_filter(problem, sol)
-        dgamma[i] = dval_du @ jac.du_dgamma
-    loss = total / b
-    if math.isnan(loss):
-        raise FloatingPointError("loss is NaN; check data and filter weights")
-    grad = model.vjp_params_batch(prep.contexts, dgamma / b)
+    problems, solutions = _solve_prepared(prep, model.gamma_batch(prep.contexts))
+    loss, dval_du = _residual_loss(prep, solutions, config)
+    dgamma = np.array([w @ differentiate_filter(problem, sol).du_dgamma
+                       for w, problem, sol in zip(dval_du, problems, solutions)])
+    grad = model.vjp_params_batch(prep.contexts, dgamma / len(prep))
     return loss, grad
 
 

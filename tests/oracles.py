@@ -52,6 +52,14 @@ def grid_solve_two_agent(a, c, u_des, gamma, beta1, beta2, lb=-10.0, ub=10.0,
     return float(u1), float(u2), float(eps)
 
 
+def assert_rel_close(actual, expected, rtol=1e-12):
+    """Max abs gap within rtol times max(1, max |expected|), shapes equal."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
 def fd_grad(f, x, step=1e-6):
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)

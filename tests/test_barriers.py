@@ -11,7 +11,8 @@ from respalloc.dynamics import (euler_rollout, make_double_integrator_2d,
 from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc.filter_qp import FilterProblem, solve_filter
 
-from oracles import fd_grad, fd_jacobian, softmin_pair_reference
+from oracles import (assert_rel_close, fd_grad, fd_jacobian,
+                     softmin_pair_reference)
 
 
 @pytest.fixture
@@ -212,13 +213,6 @@ BATCH_SCENES = {
 }
 
 
-def _assert_rel_close(actual, expected, rtol=1e-12):
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(BATCH_SCENES)), st.integers(1, 40),
        st.integers(0, 2 ** 32 - 1))
@@ -231,8 +225,8 @@ def test_batched_rows_equal_stacked_single_state_rows(name, batch, seed):
     assert rows.a.shape == (batch, scene.system.control_dim_total)
     assert rows.offset.shape == (batch,)
     for row, single, listed in zip(zip(rows.a, rows.offset), singles, rows.rows()):
-        _assert_rel_close(row[0], single.a)
-        _assert_rel_close(row[1], single.offset)
+        assert_rel_close(row[0], single.a)
+        assert_rel_close(row[1], single.offset)
         assert isinstance(single.offset, float) and single.a.ndim == 1
         assert np.array_equal(listed.a, row[0]) and listed.offset == row[1]
 
@@ -250,9 +244,9 @@ def test_array_evaluators_equal_per_state_evaluators(name, batch, seed):
     assert hessians.shape == (batch, n, n)
     for x, v, g, h in zip(states, values, grads, hessians):
         assert isinstance(barrier.value(x), float)
-        _assert_rel_close(v, barrier.value(x))
-        _assert_rel_close(g, barrier.grad(x))
-        _assert_rel_close(h, barrier.hess(x))
+        assert_rel_close(v, barrier.value(x))
+        assert_rel_close(g, barrier.grad(x))
+        assert_rel_close(h, barrier.hess(x))
 
 
 @settings(max_examples=20, deadline=None)
@@ -264,6 +258,6 @@ def test_softmin_evaluators_match_per_pair_loop_reference(seed):
     values, grads, hessians = barrier.value(states), barrier.grad(states), barrier.hess(states)
     for x, v, g, h in zip(states, values, grads, hessians):
         v_ref, g_ref, h_ref = softmin_pair_reference(x, 5, 1.0, 10.0)
-        _assert_rel_close(v, v_ref)
-        _assert_rel_close(g, g_ref)
-        _assert_rel_close(h, h_ref)
+        assert_rel_close(v, v_ref)
+        assert_rel_close(g, g_ref)
+        assert_rel_close(h, h_ref)

@@ -87,6 +87,35 @@ def test_generate_weaving_honours_gamma(tmp_path):
         np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
 
 
+def test_generate_header_records_the_synthetic_default_truth(tmp_path):
+    path = tmp_path / "default.ndjson"
+    assert run(["generate", "--scenario", "synthetic-2agent", "--n", 8,
+                "--noise", 0, "--seed", 3, "--out", path]) == 0
+    header = read_header(path)
+    assert header["config"]["gamma"] is None
+    assert header["truth"] == {"kind": "constant", "gamma": [0.3, 0.7]}
+    scene = two_agent_line_scene()
+    for s in load_trajectories(path):
+        sol = solve_filter(scene.build_problem(s.x, s.u_des, header["truth"]["gamma"]))
+        np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
+
+
+def test_generate_header_records_the_weaving_default_truth(tmp_path):
+    from respalloc.data import speed_advantage_gamma
+
+    path = tmp_path / "weave_default.ndjson"
+    assert run(["generate", "--scenario", "weaving-rear-overtake", "--count", 2,
+                "--steps", 20, "--noise", 0, "--seed", 4, "--out", path]) == 0
+    truth = read_header(path)["truth"]
+    assert truth == {"kind": "speed_advantage_gamma", "sharpness": 0.5, "span": 0.35}
+    gamma = speed_advantage_gamma(truth["sharpness"], truth["span"])
+    scene = weaving_scene()
+    for s in load_trajectories(path):
+        r = scene.filter_state(s.x)
+        sol = solve_filter(scene.build_problem(s.x, s.u_des, gamma(0, r)))
+        np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
+
+
 def test_generate_active_share_uses_the_model_truth(tmp_path, capsys):
     ckpt, path = tmp_path / "truth.json", tmp_path / "d.ndjson"
     truth = ConstantGamma(2, params=np.log([0.05, 0.95]))

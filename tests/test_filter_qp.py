@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from respalloc.barriers import CbfLinearConstraint, ClassKappaLinear, \
     assemble_constraint, make_pairwise_distance_barrier
+from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc.dynamics import make_single_integrator_1d
-from respalloc.filter_qp import (FilterError, FilterFailure, FilterProblem,
+from respalloc.filter_qp import (FilterError, FilterProblem,
                                  differentiate_filter, kkt_residuals,
-                                 solve_filter, solve_filter_batch)
+                                 solve_filter)
 
-from oracles import fd_jacobian, grid_solve_two_agent
+from oracles import assert_rel_close, fd_jacobian, grid_solve_two_agent
 
 
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
@@ -112,7 +113,8 @@ def test_feasible_perturbations_do_not_improve(seed):
         dz = rng.normal(size=z.size, scale=10 ** rng.uniform(-4, 0))
         zp = z + dz
         if np.all(rows @ zp >= rhs - 1e-12):
-            if problem.objective(zp[:-1], zp[-1]) < sol.objective - 1e-8:
+            if problem.objective(zp[:-1], zp[-1]) < \
+                    problem.objective(sol.u, sol.eps) - 1e-8:
                 better += 1
     assert better == 0
 
@@ -153,6 +155,48 @@ def test_problem_validation():
                             -1.0, 1.0)
     with pytest.raises(FilterError, match="sum"):
         problem.validate_allocation()
+    rows = CbfLinearConstraint(a=np.ones((3, 2)), offset=np.zeros(3), agent_dims=(1, 1))
+    gammas = np.full((3, 2), 0.5)
+    with pytest.raises(FilterError, match="lb > ub"):
+        FilterProblem(rows, np.zeros((3, 2)), gammas, 0.1, 1.0, [-1.0, 1.0], [1.0, -1.0])
+    with pytest.raises(FilterError, match="u_des"):
+        FilterProblem(rows, np.zeros(2), gammas, 0.1, 1.0, -1.0, 1.0)
+    with pytest.raises(FilterError, match="gamma"):
+        FilterProblem(rows, np.zeros((3, 2)), gammas[0], 0.1, 1.0, -1.0, 1.0)
+    gammas[1] = [0.5, 0.6]
+    with pytest.raises(FilterError, match=r"sum to 1 \(row 1\)"):
+        FilterProblem(rows, np.zeros((3, 2)), gammas, 0.1, 1.0, -1.0, 1.0).validate_allocation()
+
+
+@pytest.mark.parametrize("field", ["a", "offset", "u_des", "gamma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_nonfinite_inputs_raise_naming_the_field(field, bad, batch):
+    shape = () if batch is None else (batch,)
+    values = {"a": np.ones(shape + (2,)), "offset": np.zeros(shape),
+              "u_des": np.zeros(shape + (2,)), "gamma": np.full(shape + (2,), 0.5)}
+    values[field].reshape(-1)[-1] = bad
+    offset = float(values["offset"]) if batch is None else values["offset"]
+    con = CbfLinearConstraint(a=values["a"], offset=offset, agent_dims=(1, 1))
+    with pytest.raises(FilterError, match=f"{field} holds a NaN or infinite entry"):
+        FilterProblem(con, values["u_des"], values["gamma"], 0.1, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_nan_bounds_raise_and_infinite_bounds_are_legal(batch):
+    shape = () if batch is None else (batch,)
+    con = CbfLinearConstraint(a=np.ones(shape + (2,)),
+                              offset=0.0 if batch is None else np.zeros(batch),
+                              agent_dims=(1, 1))
+    args = (con, np.zeros(shape + (2,)), np.full(shape + (2,), 0.5), 0.1, 1.0)
+    for lb, ub in (([np.nan, -1.0], 1.0), (-1.0, [1.0, np.nan])):
+        with pytest.raises(FilterError, match="NaN"):
+            FilterProblem(*args, lb, ub)
+    sol = solve_filter(FilterProblem(*args, -np.inf, [np.inf, 2.0]))
+    assert np.all(np.isfinite(sol.u)) and np.all(np.isfinite(sol.duals))
+    for beta1, beta2 in ((np.nan, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(FilterError, match="beta"):
+            FilterProblem(*args[:3], beta1, beta2, -1.0, 1.0)
 
 
 # -- implicit differentiation -------------------------------------------------
@@ -240,42 +284,179 @@ def test_eps_gamma_sensitivity_matches_finite_differences():
     np.testing.assert_allclose(jac.deps_dgamma, fd, rtol=1e-4, atol=1e-8)
 
 
-# -- batching ------------------------------------------------------------------
-
-
-def test_singleton_batch_matches_single_solve():
-    problem = two_agent_problem([0.0, 1.5], [1.0, -1.0], [0.5, 0.5])
-    single = solve_filter(problem)
-    batch = solve_filter_batch([problem])
-    assert np.array_equal(batch[0].u, single.u)
-    assert batch[0].eps == single.eps
-
-
-def test_batch_matches_elementwise_resolve():
-    rng = np.random.default_rng(7)
-    problems = [random_two_agent_problem(rng) for _ in range(128)]
-    results = solve_filter_batch(problems)
-    for problem, res in zip(problems, results):
-        again = solve_filter(problem)
-        np.testing.assert_allclose(res.u, again.u, atol=1e-9)
-        assert res.eps == pytest.approx(again.eps, abs=1e-9)
-
-
-def test_batch_isolates_failures():
-    rng = np.random.default_rng(11)
-    good = random_two_agent_problem(rng)
-    bad = random_two_agent_problem(rng)
-    bad.lb = np.array([1.0, 1.0])      # mutate into an inconsistent box
-    bad.ub = np.array([-1.0, -1.0])
-    results = solve_filter_batch([good, bad, good])
-    assert not isinstance(results[0], FilterFailure)
-    assert isinstance(results[1], FilterFailure)
-    assert results[1].index == 1
-    assert not isinstance(results[2], FilterFailure)
-
-
 def test_solver_is_deterministic():
     problem = two_agent_problem([0.2, 1.4], [1.7, -0.4], [0.4, 0.6], beta1=0.02)
     a = solve_filter(problem)
     b = solve_filter(problem)
     assert np.array_equal(a.u, b.u) and a.eps == b.eps
+
+
+# -- whole arrays, symmetry and degenerate points -------------------------------
+
+# Scene and the scale of its random filter states.
+ARRAY_SCENES = {
+    "line": (two_agent_line_scene(), 2.0),
+    "planar6": (planar_group_scene(6), 1.2),
+    "weaving": (weaving_scene(), 6.0),
+}
+
+
+def _random_rows(name, batch, rng):
+    """Safety rows of a scene at random states, with random desired controls,
+    allocations, weights and boxes (some bounds infinite, many clipping)."""
+    scene, scale = ARRAY_SCENES[name]
+    system = scene.system
+    rows = scene.assemble(rng.normal(size=(batch, system.state_dim), scale=scale))
+    m = system.control_dim_total
+    lb = np.where(rng.random(m) < 0.25, -np.inf, -rng.uniform(0.05, 2.0, m))
+    ub = np.where(rng.random(m) < 0.25, np.inf, rng.uniform(0.05, 2.0, m))
+    gammas = rng.dirichlet(np.ones(system.n_agents), size=batch)
+    return FilterProblem(rows, rng.uniform(-4.0, 4.0, (batch, m)), gammas,
+                         beta1=float(rng.choice([0.0, 0.1])),
+                         beta2=float(rng.uniform(1.0, 600.0)), lb=lb, ub=ub)
+
+
+def _one_row(problem, i):
+    row = CbfLinearConstraint(problem.constraint.a[i], float(problem.constraint.offset[i]),
+                              problem.constraint.agent_dims)
+    return FilterProblem(row, problem.u_des[i], problem.gamma[i], problem.beta1,
+                         problem.beta2, problem.lb, problem.ub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_solve_equals_stacked_one_row_solves(name, batch, seed):
+    problem = _random_rows(name, batch, np.random.default_rng(seed))
+    sol = solve_filter(problem)
+    jac = differentiate_filter(problem, sol)
+    m, n_agents = problem.u_des.shape[1], problem.gamma.shape[1]
+    assert sol.u.shape == (batch, m) and sol.duals.shape == (batch, 2 * m + 2)
+    assert sol.eps.shape == sol.lam_cbf.shape == sol.n_pivots.shape == (batch,)
+    assert jac.du_dgamma.shape == (batch, m, n_agents)
+    assert jac.du_dudes.shape == (batch, m, m)
+    for i in range(batch):
+        single = _one_row(problem, i)
+        one = solve_filter(single)
+        one_jac = differentiate_filter(single, one)
+        assert isinstance(one.eps, float) and isinstance(one.lam_cbf, float)
+        assert isinstance(one.n_pivots, int) and isinstance(one_jac.degenerate, bool)
+        assert_rel_close(sol.u[i], one.u)
+        assert_rel_close(sol.eps[i], one.eps)
+        assert_rel_close(sol.duals[i], one.duals)
+        assert sol.n_pivots[i] == one.n_pivots
+        assert np.array_equal(sol.free[i], one.free)
+        assert sol.degenerate[i] == one.degenerate == one_jac.degenerate
+        assert_rel_close(jac.du_dgamma[i], one_jac.du_dgamma)
+        assert_rel_close(jac.deps_dgamma[i], one_jac.deps_dgamma)
+        assert_rel_close(jac.du_dudes[i], one_jac.du_dudes)
+        assert max(kkt_residuals(single, one).values()) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(0, 2 ** 32 - 1))
+def test_permuting_agents_permutes_the_filter(name, seed):
+    rng = np.random.default_rng(seed)
+    problem = _random_rows(name, 8, rng)
+    dims = problem.constraint.agent_dims
+    perm = rng.permutation(len(dims))
+    starts = np.cumsum((0,) + dims)
+    channels = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in perm])
+    permuted = FilterProblem(
+        CbfLinearConstraint(problem.constraint.a[:, channels], problem.constraint.offset,
+                            tuple(dims[k] for k in perm)),
+        problem.u_des[:, channels], problem.gamma[:, perm], problem.beta1,
+        problem.beta2, problem.lb[channels], problem.ub[channels])
+    sol, sol_p = solve_filter(problem), solve_filter(permuted)
+    assert_rel_close(sol_p.u, sol.u[:, channels])
+    assert_rel_close(sol_p.eps, sol.eps)
+    jac, jac_p = differentiate_filter(problem, sol), differentiate_filter(permuted, sol_p)
+    assert_rel_close(jac_p.du_dgamma, jac.du_dgamma[:, channels][:, :, perm])
+
+
+def _exact_problem(u_des, gamma, a, c, beta1, beta2, lb, ub):
+    return FilterProblem(CbfLinearConstraint(np.asarray(a, dtype=float), c, (1,) * len(a)),
+                         np.asarray(u_des, dtype=float), np.asarray(gamma, dtype=float),
+                         beta1, beta2, lb, ub)
+
+
+def test_row_exactly_tight_at_zero_multiplier_takes_lam_zero():
+    # phi(0) = a . u_des + c = 0 exactly: lam = 0 by convention, the row is
+    # active with a zero multiplier, and the derivative is the slack-row one.
+    problem = _exact_problem([1.0, -1.0], [0.5, 0.5], [1.0, 1.0], 0.0, 0.0, 10.0,
+                             -5.0, 5.0)
+    sol = solve_filter(problem)
+    assert sol.lam_cbf == 0.0 and sol.eps == 0.0 and sol.n_pivots == 0
+    np.testing.assert_array_equal(sol.u, [1.0, -1.0])
+    jac = differentiate_filter(problem, sol)
+    assert jac.degenerate
+    np.testing.assert_array_equal(jac.du_dudes, np.eye(2))
+    np.testing.assert_array_equal(jac.du_dgamma, 0.0)
+    # Moving the row off zero either way ends the degeneracy.
+    for c in (1e-3, -1e-3):
+        assert not solve_filter(_exact_problem([1.0, -1.0], [0.5, 0.5], [1.0, 1.0], c,
+                                               0.0, 10.0, -5.0, 5.0)).degenerate
+
+
+def test_channel_exactly_at_its_bound_with_zero_multiplier_counts_as_free():
+    # lam = 0: channel 0's shrunk desired control is exactly its upper bound.
+    problem = _exact_problem([2.0, 0.0], [0.5, 0.5], [1.0, 1.0], 5.0, 0.5, 10.0,
+                             -1.0, 1.0)
+    sol = solve_filter(problem)
+    assert sol.lam_cbf == 0.0 and sol.u[0] == 1.0
+    assert sol.free[0] and sol.duals[1 + 2] == 0.0 and sol.degenerate
+    jac = differentiate_filter(problem, sol)
+    assert jac.degenerate and jac.du_dudes[0, 0] == 0.5       # one-sided: g / h
+    # lam > 0: the root lands exactly on channel 0's breakpoint lam = 1/4
+    # (h = 1, v = lam, phi(lam) = 8 lam - 2 below it).
+    problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
+                             -1.0, [0.25, np.inf])
+    sol = solve_filter(problem)
+    assert sol.lam_cbf == 0.25 and np.array_equal(sol.u, [0.25, 0.25])
+    assert sol.free.all() and np.all(sol.duals[1:] == 0.0) and sol.degenerate
+    jac = differentiate_filter(problem, sol)
+    assert jac.degenerate and jac.du_dudes[0, 0] != 0.0
+    assert max(kkt_residuals(problem, sol).values()) == 0.0
+    # Inside the box the same channel is free and the point is regular.
+    regular = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
+                             -1.0, [0.5, np.inf])
+    assert not solve_filter(regular).degenerate
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(0, 2 ** 32 - 1))
+def test_tied_breakpoints_match_nearly_tied_ones(name, seed):
+    # Channel 1 copies channel 0 (same row entry, desired control, weight and
+    # box), so both meet their bounds at the same lam; nudging channel 1's
+    # bounds by 1e-10 separates the breakpoints and moves the optimum by
+    # about as much.
+    rng = np.random.default_rng(seed)
+    problem = _random_rows(name, 16, rng)
+    problem.gamma[:, 1] = problem.gamma[:, 0]
+    problem.gamma /= problem.gamma.sum(axis=1, keepdims=True)
+    owner = np.repeat(np.arange(len(problem.constraint.agent_dims)),
+                      problem.constraint.agent_dims)
+    j0, j1 = np.flatnonzero(owner == 0)[0], np.flatnonzero(owner == 1)[0]
+    a = problem.constraint.a.copy()
+    a[:, j1] = a[:, j0]
+    lb, ub, u_des = problem.lb.copy(), problem.ub.copy(), problem.u_des.copy()
+    lb[j1], ub[j1], u_des[:, j1] = lb[j0], ub[j0], u_des[:, j0]
+
+    def solve(lb, ub):
+        p = FilterProblem(CbfLinearConstraint(a, problem.constraint.offset,
+                                              problem.constraint.agent_dims),
+                          u_des, problem.gamma, problem.beta1, problem.beta2, lb, ub)
+        return p, solve_filter(p)
+
+    tied_problem, tied = solve(lb, ub)
+    assert np.array_equal(tied.u[:, j0], tied.u[:, j1])
+    nudged_lb, nudged_ub = lb.copy(), ub.copy()
+    nudged_lb[j1] -= 1e-10
+    nudged_ub[j1] += 1e-10
+    _, nudged = solve(nudged_lb, nudged_ub)
+    scale = 1.0 + np.max(np.abs(tied.u))
+    assert np.max(np.abs(nudged.u - tied.u)) <= 1e-8 * scale
+    assert np.max(np.abs(nudged.lam_cbf - tied.lam_cbf)) <= 1e-8 * (1.0 + np.max(tied.lam_cbf))
+    for i in range(16):
+        assert max(kkt_residuals(_one_row(tied_problem, i),
+                                 solve_filter(_one_row(tied_problem, i))).values()) <= 1e-7
