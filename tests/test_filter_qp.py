@@ -22,15 +22,28 @@ def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
                          beta2=beta2, lb=-bound, ub=bound)
 
 
-def random_two_agent_problem(rng):
-    """Positions straddle the separation boundary; moderate weights."""
+def random_two_agent_problem(rng, beta1=None, beta2=None):
+    """Positions straddle the separation boundary; moderate weights. Given
+    weights replace the drawn ones (the draws are made either way)."""
     x1 = rng.uniform(-1.0, 1.0)
     x = np.array([x1, x1 + rng.uniform(0.6, 2.2) * rng.choice([-1.0, 1.0])])
     u_des = rng.uniform(-3.0, 3.0, size=2)
     g1 = rng.uniform(0.05, 0.95)
+    drawn1, drawn2 = rng.uniform(0.0, 0.5), rng.uniform(1.0, 50.0)
     return two_agent_problem(x, u_des, [g1, 1.0 - g1],
-                             beta1=rng.uniform(0.0, 0.5),
-                             beta2=rng.uniform(1.0, 50.0))
+                             beta1=drawn1 if beta1 is None else beta1,
+                             beta2=drawn2 if beta2 is None else beta2)
+
+
+def stack_problems(problems):
+    """One batched problem from one-row problems sharing weights and box."""
+    first = problems[0]
+    rows = CbfLinearConstraint(np.stack([p.constraint.a for p in problems]),
+                               np.array([p.constraint.offset for p in problems]),
+                               first.constraint.agent_dims)
+    return FilterProblem(rows, np.stack([p.u_des for p in problems]),
+                         np.stack([p.gamma for p in problems]), first.beta1,
+                         first.beta2, first.lb, first.ub)
 
 
 def test_feasible_desired_control_passes_through():
@@ -282,6 +295,27 @@ def test_eps_gamma_sensitivity_matches_finite_differences():
     jac = differentiate_filter(problem, sol)
     fd = fd_jacobian(eps_of_gamma, problem.gamma, step=1e-5)[0]
     np.testing.assert_allclose(jac.deps_dgamma, fd, rtol=1e-4, atol=1e-8)
+
+
+# -- batching ------------------------------------------------------------------
+
+
+def test_singleton_batch_matches_single_solve():
+    problem = two_agent_problem([0.0, 1.5], [1.0, -1.0], [0.5, 0.5])
+    single = solve_filter(problem)
+    batch = solve_filter(stack_problems([problem]))
+    assert np.array_equal(batch.u[0], single.u)
+    assert batch.eps[0] == single.eps
+
+
+def test_batch_matches_elementwise_resolve():
+    rng = np.random.default_rng(7)
+    problems = [random_two_agent_problem(rng, beta1=0.2, beta2=20.0) for _ in range(128)]
+    results = solve_filter(stack_problems(problems))
+    for i, problem in enumerate(problems):
+        again = solve_filter(problem)
+        np.testing.assert_allclose(results.u[i], again.u, atol=1e-9)
+        assert results.eps[i] == pytest.approx(again.eps, abs=1e-9)
 
 
 def test_solver_is_deterministic():
