@@ -97,9 +97,10 @@ def build_parser():
     add(g, "--scenario", choices=SYNTHETIC_SCENARIOS + WEAVING_SCENARIOS)
     add(g, "--n", type=int, help="sample count (synthetic scenarios)")
     add(g, "--count", type=int, help="trajectory count (weaving scenarios)")
-    add(g, "--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9' "
-                           "(synthetic default 0.3; weaving default: the faster "
-                           "car yields less)")
+    add(g, "--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9'; a "
+                           "scalar only for two agents (default: 0.3 for two "
+                           "synthetic agents, uniform for more; weaving: the "
+                           "faster car yields less)")
     add(g, "--gamma-model", dest="gamma_model", help="checkpoint used as truth")
     add(g, "--noise", type=float, help="control noise variance")
     add(g, "--seed", type=int)
@@ -219,8 +220,11 @@ def cmd_generate(cfg):
         truth = load_model(cfg["gamma_model"])
         truth_doc = {"kind": "model", "checkpoint": str(cfg["gamma_model"])}
     elif cfg["gamma"] is not None or scenario in SYNTHETIC_SCENARIOS:
-        gamma = "0.3" if cfg["gamma"] is None else cfg["gamma"]
-        truth = _parse_gamma(gamma, scene.system.n_agents)
+        n = scene.system.n_agents
+        if cfg["gamma"] is not None:
+            truth = _parse_gamma(cfg["gamma"], n)
+        else:
+            truth = _parse_gamma("0.3", n) if n == 2 else np.full(n, 1.0 / n)
         truth_doc = {"kind": "constant", "gamma": truth.tolist()}
     else:
         truth = data_mod.speed_advantage_gamma(**WEAVING_TRUTH)

@@ -108,19 +108,8 @@ class ControlAffineSystem:
         hi = np.concatenate([a.control_upper for a in self.agents])
         return lo, hi
 
-    def split_controls(self, u):
-        u = np.asarray(u, dtype=float)
-        out, k = [], 0
-        for d in self.control_dims:
-            out.append(u[k:k + d])
-            k += d
-        return out
-
     def drift(self, x):
         return np.asarray(x, dtype=float) @ self.F.T
-
-    def drift_jacobian(self, x=None):
-        return self.F
 
     def actuation(self, x, i):
         """Columns of G driven by agent i's controls."""
@@ -130,15 +119,6 @@ class ControlAffineSystem:
     def xdot(self, x, u):
         """State derivative for stacked controls u (length control_dim_total)."""
         return self.drift(x) + np.asarray(u, dtype=float) @ self.G.T
-
-    def agent_state(self, x, i):
-        if self.agent_state_dim is None:
-            raise ValueError(f"{self.name}: joint state has no per-agent blocks")
-        d = self.agent_state_dim
-        return np.asarray(x, dtype=float)[i * d:(i + 1) * d]
-
-    def position(self, x, i):
-        return self.agent_state(x, i)[:self.position_dim]
 
     def check_state(self, x):
         """One finite state (n,) or a batch (B, n), as a float array."""

@@ -13,8 +13,10 @@ evaluation, batched parameter VJP):
   with the swap identity gamma1(r) + gamma1(-r) = 1 enforced exactly via
   gamma1 = (1 + tanh(phi(r) - phi(-r))) / 2.
 
-Gradients are accumulated by hand over the fixed primitive set
-(affine, tanh, softmax, permutation sums); there is no general tape.
+Each family's ``gamma_and_pullback`` runs one forward pass and returns the
+allocation with a pullback to the parameter gradient. Gradients are
+accumulated by hand over the fixed primitive set (affine, tanh, softmax,
+permutation sums); there is no general tape.
 """
 
 from __future__ import annotations
@@ -106,36 +108,60 @@ class Mlp:
         return y
 
     def forward_tape(self, x):
-        """Batched forward pass; returns (output, activations tape)."""
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        tape = [h]
+        """Batched forward pass; returns (output, tape).
+
+        The tape holds the weights it ran with and every layer's input, so
+        ``vjp_params`` stays consistent if the parameters change meanwhile.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         layers = self._layers()
-        for w, b in layers[:-1]:
-            h = np.tanh(h @ w.T + b)
-            tape.append(h)
-        w, b = layers[-1]
-        return h @ w.T + b, tape
+        w, b = layers[0]
+        y, acts = _tanh_stack(layers, x @ w.T + b)
+        return y, (layers, x, acts)
 
     def vjp_params(self, tape, dy):
         """Accumulate d(sum of seeded outputs)/d(params), summed over the batch."""
-        dy = np.atleast_2d(np.asarray(dy, dtype=float))
-        layers = self._layers()
-        grads = [None] * len(layers)
-        # Head layer is linear.
-        w, _ = layers[-1]
-        grads[-1] = (dy.T @ tape[-1], np.sum(dy, axis=0))
-        dh = dy @ w
-        for li in range(len(layers) - 2, -1, -1):
-            act = tape[li + 1]                 # tanh output of this layer
-            dpre = dh * (1.0 - act ** 2)
-            w, _ = layers[li]
-            grads[li] = (dpre.T @ tape[li], np.sum(dpre, axis=0))
-            dh = dpre @ w
-        flat = []
-        for gw, gb in grads:
-            flat.append(gw.ravel())
-            flat.append(gb)
-        return np.concatenate(flat)
+        layers, x, acts = tape
+        dpre, grads = _tanh_stack_vjp(layers, acts, dy)
+        return _flatten([(dpre.T @ x, np.sum(dpre, axis=0))] + grads)
+
+
+def _tanh_stack(layers, pre):
+    """Every layer after the first, from the first layer's pre-activation.
+
+    Returns the head output and the tanh activations of the hidden layers.
+    """
+    # In place where possible: at N! rows per context, each large temporary
+    # costs more in allocation than in arithmetic.
+    acts = [np.tanh(pre, out=pre)]
+    for w, b in layers[1:-1]:
+        h = acts[-1] @ w.T
+        h += b
+        acts.append(np.tanh(h, out=h))
+    w, b = layers[-1]
+    return acts[-1] @ w.T + b, acts
+
+
+def _tanh_stack_vjp(layers, acts, dy):
+    """Pull output cotangents back through ``_tanh_stack``.
+
+    Returns the cotangent of the first layer's pre-activation and the
+    (weight, bias) gradients of every later layer; the first layer's own
+    gradient depends on how its input was formed, so the caller adds it.
+    """
+    dout = np.atleast_2d(np.asarray(dy, dtype=float))
+    grads = []
+    for li in range(len(layers) - 1, 0, -1):
+        grads.append((dout.T @ acts[li - 1], np.sum(dout, axis=0)))
+        dout = dout @ layers[li][0]
+        slope = np.square(acts[li - 1])
+        dout *= np.subtract(1.0, slope, out=slope)      # tanh' = 1 - tanh^2
+    return dout, grads[::-1]
+
+
+def _flatten(grads):
+    """(weight, bias) gradients per layer, in parameter order, as one vector."""
+    return np.concatenate([v for gw, gb in grads for v in (gw.ravel(), gb)])
 
 
 class ResponsibilityModel:
@@ -153,10 +179,14 @@ class ResponsibilityModel:
     def params(self, value):
         raise NotImplementedError
 
-    def gamma_batch(self, contexts):
-        raise NotImplementedError
+    def gamma_and_pullback(self, contexts):
+        """One forward pass over (B, context_dim) contexts: (gamma, pullback).
 
-    def vjp_params_batch(self, contexts, dgamma):
+        ``gamma`` is (B, N). ``pullback(dgamma)`` maps a (B, N) cotangent to
+        the flat gradient of sum(dgamma * gamma) in the parameters at the
+        time of the forward pass, reusing its activations; it may be called
+        any number of times.
+        """
         raise NotImplementedError
 
     def _as_batch(self, context):
@@ -202,15 +232,19 @@ class ConstantGamma(ResponsibilityModel):
             raise ValueError("parameter count mismatch")
         self._params = value.copy()
 
-    def gamma_batch(self, contexts):
+    def gamma_and_pullback(self, contexts):
         b = np.atleast_2d(np.asarray(contexts, dtype=float)).shape[0]
-        g = softmax(self._params)
-        return np.tile(g, (b, 1))
+        gamma = np.tile(softmax(self._params), (b, 1))
+
+        def pullback(dgamma):
+            return softmax_vjp(gamma, np.atleast_2d(np.asarray(dgamma, dtype=float))).sum(axis=0)
+        return gamma, pullback
+
+    def gamma_batch(self, contexts):
+        return self.gamma_and_pullback(contexts)[0]
 
     def vjp_params_batch(self, contexts, dgamma):
-        g = softmax(self._params)
-        dg = np.atleast_2d(np.asarray(dgamma, dtype=float))
-        return softmax_vjp(np.tile(g, (dg.shape[0], 1)), dg).sum(axis=0)
+        return self.gamma_and_pullback(contexts)[1](dgamma)
 
     def checkpoint_dims(self):
         return {"n_agents": self.n_agents}
@@ -236,15 +270,19 @@ class MlpGamma(ResponsibilityModel):
     def params(self, value):
         self.net.params = value
 
-    def gamma_batch(self, contexts):
-        logits, _ = self.net.forward_tape(contexts)
-        return softmax(logits)
-
-    def vjp_params_batch(self, contexts, dgamma):
+    def gamma_and_pullback(self, contexts):
         logits, tape = self.net.forward_tape(contexts)
         gamma = softmax(logits)
-        dlogits = softmax_vjp(gamma, np.atleast_2d(dgamma))
-        return self.net.vjp_params(tape, dlogits)
+
+        def pullback(dgamma):
+            return self.net.vjp_params(tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
+        return gamma, pullback
+
+    def gamma_batch(self, contexts):
+        return self.gamma_and_pullback(contexts)[0]
+
+    def vjp_params_batch(self, contexts, dgamma):
+        return self.gamma_and_pullback(contexts)[1](dgamma)
 
     def checkpoint_dims(self):
         return {"n_agents": self.n_agents, "context_dim": self.context_dim,
@@ -252,23 +290,23 @@ class MlpGamma(ResponsibilityModel):
 
 
 @functools.lru_cache(maxsize=None)
-def _permutation_index_table(n, d):
-    """Flat gather indices, shape (n, (n-1)!, n*d); memoized per (n, d).
+def _ordering_incidence(n):
+    """0/1 matrix (n!, n*n) of the agent orderings; memoized per n.
 
-    Entry [i, s] reorders the context so agents 1<->i are swapped and the
-    remaining blocks take their s-th permutation (slot one fixed).
+    Row i*(n-1)! + s is the ordering that swaps agent i into slot one and
+    gives the other slots the s-th permutation of the rest (slot one fixed).
+    It marks column slot*n + agent for each of its n (slot, agent) pairs.
     """
     tails = list(itertools.permutations(range(1, n)))
-    table = np.empty((n, len(tails), n * d), dtype=np.intp)
-    base = np.arange(n * d).reshape(n, d)
+    incidence = np.zeros((n, len(tails), n, n))
     for i in range(n):
-        swapped = base.copy()
-        swapped[[0, i]] = swapped[[i, 0]]
+        relabel = list(range(n))
+        relabel[0], relabel[i] = i, 0
         for s, tail in enumerate(tails):
-            order = (0,) + tail
-            table[i, s] = swapped[list(order)].ravel()
-    table.setflags(write=False)
-    return table
+            incidence[i, s, np.arange(n), [relabel[k] for k in (0,) + tail]] = 1.0
+    incidence = incidence.reshape(-1, n * n)
+    incidence.setflags(write=False)
+    return incidence
 
 
 class SymmetricGammaN(ResponsibilityModel):
@@ -280,6 +318,11 @@ class SymmetricGammaN(ResponsibilityModel):
     across i then yields an allocation that provably commutes with agent
     relabeling. Evaluation cost is N! network calls per context, so N is
     capped at ``SYMMETRIC_N_CAP``.
+
+    The first layer is linear, so it never sees the N! reordered inputs: the
+    N^2 products of each slot's weight block with each agent's block are
+    formed once per context, and the incidence matrix of the orderings sums
+    them into every ordering's pre-activation in one matrix product.
     """
 
     kind = "symmetric"
@@ -295,7 +338,8 @@ class SymmetricGammaN(ResponsibilityModel):
         self.agent_dim = agent_dim
         self.context_dim = n_agents * agent_dim
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
-        self._index_table = _permutation_index_table(n_agents, agent_dim)
+        self._incidence = _ordering_incidence(n_agents)
+
     @property
     def params(self):
         return self.net.params
@@ -304,25 +348,39 @@ class SymmetricGammaN(ResponsibilityModel):
     def params(self, value):
         self.net.params = value
 
-    def _logits_tape(self, contexts):
+    def gamma_and_pullback(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
-        b = x.shape[0]
-        n, s, dim = self._index_table.shape
-        gathered = x[:, self._index_table.reshape(-1)].reshape(b * n * s, dim)
-        vals, tape = self.net.forward_tape(gathered)
-        logits = vals.reshape(b, n, s).sum(axis=2)
-        return logits, tape, (b, n, s)
+        b, n, d = x.shape[0], self.n_agents, self.agent_dim
+        incidence = self._incidence
+        orderings, per_agent = len(incidence), len(incidence) // n
+        layers = self.net._layers()
+        w1, b1 = layers[0]
+        hid = w1.shape[0]
+        # Rows (agent, context) times columns (slot, unit), regrouped to rows
+        # (slot, agent) and columns (context, unit).
+        agents = x.reshape(b, n, d).transpose(1, 0, 2).reshape(n * b, d)
+        blocks = agents @ w1.reshape(hid, n, d).transpose(2, 1, 0).reshape(d, n * hid)
+        blocks = blocks.reshape(n, b, n, hid).transpose(2, 0, 1, 3).reshape(n * n, b * hid)
+        pre = (incidence @ blocks).reshape(orderings * b, hid)
+        pre += b1
+        vals, acts = _tanh_stack(layers, pre)
+        gamma = softmax(vals.reshape(n, per_agent, b).sum(axis=1).T)
+
+        def pullback(dgamma):
+            dlogits = softmax_vjp(gamma, np.atleast_2d(dgamma))
+            seeds = np.repeat(dlogits.T, per_agent, axis=0).reshape(-1, 1)
+            dpre, grads = _tanh_stack_vjp(layers, acts, seeds)
+            dblocks = incidence.T @ dpre.reshape(orderings, b * hid)
+            dblocks = dblocks.reshape(n, n, b, hid).transpose(0, 3, 1, 2).reshape(n * hid, n * b)
+            dw1 = (dblocks @ agents).reshape(n, hid, d).transpose(1, 0, 2).reshape(hid, n * d)
+            return _flatten([(dw1, np.sum(dpre, axis=0))] + grads)
+        return gamma, pullback
 
     def gamma_batch(self, contexts):
-        logits, _, _ = self._logits_tape(contexts)
-        return softmax(logits)
+        return self.gamma_and_pullback(contexts)[0]
 
     def vjp_params_batch(self, contexts, dgamma):
-        logits, tape, (b, n, s) = self._logits_tape(contexts)
-        gamma = softmax(logits)
-        dlogits = softmax_vjp(gamma, np.atleast_2d(dgamma))
-        seeds = np.repeat(dlogits.reshape(b * n), s)[:, None]
-        return self.net.vjp_params(tape, seeds)
+        return self.gamma_and_pullback(contexts)[1](dgamma)
 
     def checkpoint_dims(self):
         return {"n_agents": self.n_agents, "agent_dim": self.agent_dim,
@@ -351,26 +409,24 @@ class RelativeSymmetricGamma(ResponsibilityModel):
     def params(self, value):
         self.net.params = value
 
-    def _delta_tape(self, contexts):
+    def gamma_and_pullback(self, contexts):
         r = np.atleast_2d(np.asarray(contexts, dtype=float))
-        stacked = np.vstack([r, -r])
-        vals, tape = self.net.forward_tape(stacked)
+        vals, tape = self.net.forward_tape(np.vstack([r, -r]))
         b = r.shape[0]
-        delta = vals[:b, 0] - vals[b:, 0]
-        return delta, tape, b
+        th = np.tanh(vals[:b, 0] - vals[b:, 0])
+        g1 = 0.5 * (1.0 + th)
+
+        def pullback(dgamma):
+            dg = np.atleast_2d(np.asarray(dgamma, dtype=float))
+            ddelta = (dg[:, 0] - dg[:, 1]) * 0.5 * (1.0 - th ** 2)
+            return self.net.vjp_params(tape, np.concatenate([ddelta, -ddelta])[:, None])
+        return np.stack([g1, 1.0 - g1], axis=1), pullback
 
     def gamma_batch(self, contexts):
-        delta, _, _ = self._delta_tape(contexts)
-        g1 = 0.5 * (1.0 + np.tanh(delta))
-        return np.stack([g1, 1.0 - g1], axis=1)
+        return self.gamma_and_pullback(contexts)[0]
 
     def vjp_params_batch(self, contexts, dgamma):
-        delta, tape, b = self._delta_tape(contexts)
-        dg = np.atleast_2d(np.asarray(dgamma, dtype=float))
-        th = np.tanh(delta)
-        ddelta = (dg[:, 0] - dg[:, 1]) * 0.5 * (1.0 - th ** 2)
-        seeds = np.concatenate([ddelta, -ddelta])[:, None]
-        return self.net.vjp_params(tape, seeds)
+        return self.gamma_and_pullback(contexts)[1](dgamma)
 
     def checkpoint_dims(self):
         return {"context_dim": self.context_dim, "hidden": self.net.hidden,
@@ -384,14 +440,8 @@ def eval_gamma(model, context=None):
 
 def grad_gamma(model, context=None):
     """Full Jacobian d gamma / d params, shape (n_agents, n_params)."""
-    ctx = model._as_batch(context)
-    n = model.n_agents
-    rows = []
-    for i in range(n):
-        seed = np.zeros((1, n))
-        seed[0, i] = 1.0
-        rows.append(model.vjp_params_batch(ctx, seed))
-    return np.stack(rows, axis=0)
+    _, pullback = model.gamma_and_pullback(model._as_batch(context))
+    return np.stack([pullback(seed[None]) for seed in np.eye(model.n_agents)])
 
 
 def init_model(kind, seed=0, *, n_agents=2, context_dim=4, agent_dim=None,
@@ -420,6 +470,10 @@ def init_model(kind, seed=0, *, n_agents=2, context_dim=4, agent_dim=None,
 
 def save_model(model, path):
     """Write a JSON checkpoint that round-trips the parameters bit-exactly."""
+    bad = np.flatnonzero(~np.isfinite(model.params))
+    if bad.size:
+        raise ValueError(f"parameter {bad[0]} is {model.params[bad[0]]}; "
+                         "refusing to save a non-finite model")
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,

@@ -129,13 +129,13 @@ def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
 
 
 def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
-    """Loss plus its gradient in the model's flat parameters."""
-    problems, solutions = _solve_prepared(prep, model.gamma_batch(prep.contexts))
+    """Loss plus its gradient in the model's flat parameters (one model forward)."""
+    gamma, pullback = model.gamma_and_pullback(prep.contexts)
+    problems, solutions = _solve_prepared(prep, gamma)
     loss, dval_du = _residual_loss(prep, solutions, config)
     dgamma = np.array([w @ differentiate_filter(problem, sol).du_dgamma
                        for w, problem, sol in zip(dval_du, problems, solutions)])
-    grad = model.vjp_params_batch(prep.contexts, dgamma / len(prep))
-    return loss, grad
+    return loss, pullback(dgamma / len(prep))
 
 
 def loss(samples, model, scene: InteractionScene, config: Optional[TrainConfig] = None):
@@ -246,7 +246,9 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
     """Seed-deterministic mini-batch training over shuffled epochs.
 
     The last short batch of an epoch is kept. Aborts with a partial report
-    if the loss exceeds the divergence limit.
+    (``diverged``) if an epoch's loss exceeds the divergence limit, or at
+    once if a step's gradient or updated parameters are not finite; that
+    update is not applied, so the model keeps its last finite parameters.
     """
     prep = prepare_batch(samples, scene, model.context_dim)
     rng = np.random.default_rng(config.seed)
@@ -262,21 +264,26 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
     diverged = False
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        epoch_loss, steps, t0 = 0.0, 0, time.perf_counter()
+        epoch_loss, seen, steps, t0 = 0.0, 0, 0, time.perf_counter()
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             value, grad = batch_loss_and_grad(prep.subset(idx), model, config)
-            model.params = optimizer.step(model.params, grad)
+            params = optimizer.step(model.params, grad)
             epoch_loss += value * len(idx)
+            seen += len(idx)
             steps += 1
+            if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(params))):
+                diverged = True
+                break
+            model.params = params
         elapsed_ms = 1e3 * (time.perf_counter() - t0) / steps
-        losses.append(epoch_loss / n)
+        losses.append(epoch_loss / seen)
         wall.append(elapsed_ms)
         if is_constant:
             gtrace.append(model.gamma())
         elif probe is not None:
             ptrace.append(model.gamma_batch(probe))
-        if losses[-1] > config.divergence_limit:
+        if diverged or losses[-1] > config.divergence_limit:
             diverged = True
             break
 

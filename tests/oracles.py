@@ -3,7 +3,12 @@
 These deliberately avoid the package's solver and differentiation code
 paths: the QP oracle is a dense grid search with the slack eliminated in
 closed form, and the derivative oracles are central finite differences.
+The symmetric-model reference runs the package's plain dense MLP on
+explicitly gathered inputs: the construction the incidence-matrix first
+layer replaced.
 """
+
+import itertools
 
 import numpy as np
 
@@ -110,3 +115,43 @@ def softmin_pair_reference(x, n_agents, margin, temperature):
     for wk, gk, hk in zip(w, grads, hessians):
         hess += wk * hk - t * wk * np.outer(gk, gk)
     return value, gbar, hess
+
+
+def permutation_index_table(n, d):
+    """Flat gather indices, shape (n, (n-1)!, n*d), of the symmetric model's orderings.
+
+    Entry [i, s] reorders the context so agents 1<->i are swapped and the
+    remaining blocks take their s-th permutation (slot one fixed).
+    """
+    tails = list(itertools.permutations(range(1, n)))
+    table = np.empty((n, len(tails), n * d), dtype=np.intp)
+    base = np.arange(n * d).reshape(n, d)
+    for i in range(n):
+        swapped = base.copy()
+        swapped[[0, i]] = swapped[[i, 0]]
+        for s, tail in enumerate(tails):
+            order = (0,) + tail
+            table[i, s] = swapped[list(order)].ravel()
+    return table
+
+
+def symmetric_gamma_reference(model, contexts, dgamma):
+    """``SymmetricGammaN`` by gathering every ordering's input: (gamma, VJP).
+
+    Copies each context into its N! reordered rows and runs them through the
+    model's network as a plain dense MLP, so the incidence-matrix first layer
+    is checked against the construction it replaces.
+    """
+    x = np.atleast_2d(np.asarray(contexts, dtype=float))
+    table = permutation_index_table(model.n_agents, model.agent_dim)
+    b = x.shape[0]
+    n, s, dim = table.shape
+    gathered = x[:, table.reshape(-1)].reshape(b * n * s, dim)
+    vals, tape = model.net.forward_tape(gathered)
+    logits = vals.reshape(b, n, s).sum(axis=2)
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    gamma = z / z.sum(axis=1, keepdims=True)
+    dg = np.atleast_2d(np.asarray(dgamma, dtype=float))
+    dlogits = gamma * (dg - np.sum(gamma * dg, axis=1, keepdims=True))
+    seeds = np.repeat(dlogits.reshape(b * n), s)[:, None]
+    return gamma, model.net.vjp_params(tape, seeds)

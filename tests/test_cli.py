@@ -100,6 +100,23 @@ def test_generate_header_records_the_synthetic_default_truth(tmp_path):
         np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
 
 
+def test_generate_six_agent_default_truth_is_uniform(tmp_path):
+    from respalloc.data import planar_group_scene
+
+    path = tmp_path / "six.ndjson"
+    assert run(["generate", "--scenario", "synthetic-6agent", "--n", 4,
+                "--noise", 0, "--seed", 3, "--out", path]) == 0
+    truth = read_header(path)["truth"]
+    assert truth == {"kind": "constant", "gamma": [1.0 / 6] * 6}
+    scene = planar_group_scene(6)
+    for s in load_trajectories(path):
+        sol = solve_filter(scene.build_problem(s.x, s.u_des.ravel(), truth["gamma"]))
+        np.testing.assert_allclose(s.u.ravel(), sol.u, rtol=0, atol=1e-12)
+    # An explicit scalar is still ambiguous for more than two agents.
+    assert run(["generate", "--scenario", "synthetic-6agent", "--n", 4,
+                "--gamma", 0.3, "--out", tmp_path / "na.ndjson"]) == 2
+
+
 def test_generate_header_records_the_weaving_default_truth(tmp_path):
     from respalloc.data import speed_advantage_gamma
 

@@ -10,6 +10,8 @@ from respalloc.models import (ConstantGamma, Mlp, MlpGamma,
                               eval_gamma, grad_gamma, init_model, load_model,
                               save_model)
 
+from oracles import assert_rel_close, symmetric_gamma_reference
+
 
 def test_uniform_logits_give_uniform_allocation():
     model = ConstantGamma(2)
@@ -122,6 +124,42 @@ def test_symmetric_model_full_permutation_equivariance():
         np.testing.assert_allclose(gp, g[list(order)], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_agents", [2, 3, 4, 5, 6])
+def test_symmetric_model_matches_the_gather_reference(n_agents):
+    d, b = (4, 3) if n_agents == 6 else (3, 5)
+    rng = np.random.default_rng(40 + n_agents)
+    model = SymmetricGammaN(n_agents, d, rng=rng)
+    model.params = model.params + rng.normal(size=model.params.size, scale=0.3)
+    ctx = rng.normal(size=(b, n_agents * d), scale=2.0)
+    dg = rng.normal(size=(b, n_agents))
+    gamma_ref, vjp_ref = symmetric_gamma_reference(model, ctx, dg)
+    gamma, pullback = model.gamma_and_pullback(ctx)
+    assert_rel_close(gamma, gamma_ref)
+    assert_rel_close(pullback(dg), vjp_ref)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("constant", {"n_agents": 3}),
+    ("mlp", {"n_agents": 3, "context_dim": 4}),
+    ("symmetric", {"n_agents": 3, "agent_dim": 2}),
+    ("relative", {"context_dim": 4}),
+])
+def test_pullback_is_the_batched_vjp_and_repeatable(kind, kwargs):
+    model = init_model(kind, seed=8, **kwargs)
+    rng = np.random.default_rng(2)
+    model.params = model.params + rng.normal(size=model.params.size, scale=0.3)
+    ctx = rng.normal(size=(5, model.context_dim))
+    dg = rng.normal(size=(5, model.n_agents))
+    gamma, pullback = model.gamma_and_pullback(ctx)
+    first = pullback(dg)
+    np.testing.assert_array_equal(gamma, model.gamma_batch(ctx))
+    np.testing.assert_array_equal(first, model.vjp_params_batch(ctx, dg))
+    np.testing.assert_array_equal(pullback(dg), first)
+    # The pullback keeps the parameters of its forward pass.
+    model.params = model.params + 1.0
+    np.testing.assert_array_equal(pullback(dg), first)
+
+
 def test_symmetric_cap():
     with pytest.raises(ValueError, match="capped"):
         SymmetricGammaN(7, 2)
@@ -222,6 +260,17 @@ def test_checkpoint_roundtrip_is_bit_exact(kind, kwargs, tmp_path):
     assert np.array_equal(loaded.params, model.params)
     ctx = np.linspace(-1, 1, model.context_dim) if model.context_dim else None
     np.testing.assert_array_equal(eval_gamma(loaded, ctx), eval_gamma(model, ctx))
+
+
+def test_checkpoint_refuses_non_finite_parameters(tmp_path):
+    model = init_model("mlp", seed=1, n_agents=2, context_dim=4)
+    params = model.params.copy()
+    params[[7, 30]] = [np.nan, np.inf]
+    model.params = params
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="parameter 7 is nan"):
+        save_model(model, path)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

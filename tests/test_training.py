@@ -6,7 +6,8 @@ import pytest
 from respalloc.data import (WeavingConfig, default_two_agent_config,
                             generate_synthetic, generate_weaving_trajectories,
                             two_agent_line_scene, weaving_scene)
-from respalloc.models import ConstantGamma, RelativeSymmetricGamma
+from respalloc import models, training
+from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import (Adam, Sgd, TrainConfig, batch_loss,
                                 batch_loss_and_grad, fit, fit_windows,
                                 gradient_step, loss, prepare_batch,
@@ -122,6 +123,66 @@ def test_inactive_rows_without_ridge_give_zero_gradient():
     gradient_step(model, prep, TrainConfig(epochs=1, batch_size=8,
                                            learning_rate=0.1, optimizer="sgd"))
     np.testing.assert_array_equal(model.params, before)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("constant", {"n_agents": 2}),
+    ("mlp", {"n_agents": 2, "context_dim": 2}),
+    ("symmetric", {"n_agents": 2, "agent_dim": 1}),
+    ("relative", {"context_dim": 2}),
+])
+def test_loss_and_grad_runs_one_model_forward(kind, kwargs, line_scene,
+                                              clean_samples, monkeypatch):
+    model = init_model(kind, seed=3, **kwargs)
+    prep = prepare_batch(clean_samples[:8], line_scene, model.context_dim)
+    calls = {"entry": 0, "stack": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cls = type(model)
+    for name in ("gamma_and_pullback", "gamma_batch", "vjp_params_batch"):
+        monkeypatch.setattr(cls, name, counted("entry", getattr(cls, name)))
+    monkeypatch.setattr(models, "_tanh_stack", counted("stack", models._tanh_stack))
+    batch_loss_and_grad(prep, model, CFG)
+    assert calls == {"entry": 1, "stack": 0 if kind == "constant" else 1}
+
+
+def _fit_with_bad_step(line_scene, samples, monkeypatch, bad_step, corrupt):
+    """Fit while the gradient of step ``bad_step`` goes through ``corrupt``."""
+    original, calls, before = training.batch_loss_and_grad, [], []
+
+    def flaky(prep, model, config):
+        value, grad = original(prep, model, config)
+        calls.append(1)
+        before.append(model.params.copy())
+        return value, corrupt(grad) if len(calls) == bad_step else grad
+
+    monkeypatch.setattr(training, "batch_loss_and_grad", flaky)
+    model = ConstantGamma(2)
+    tc = TrainConfig(epochs=20, batch_size=16, learning_rate=2.0,
+                     optimizer="sgd", seed=0)
+    return fit(samples, model, line_scene, tc), model, before, len(calls)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda g: np.where(np.arange(g.size) == 1, np.nan, g),     # NaN gradient
+    lambda g: np.full_like(g, np.finfo(float).max),            # update overflows
+], ids=["nan-gradient", "inf-parameters"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fit_stops_at_the_first_non_finite_step(line_scene, clean_samples,
+                                                monkeypatch, corrupt):
+    report, model, before, steps = _fit_with_bad_step(
+        line_scene, clean_samples, monkeypatch, bad_step=6, corrupt=corrupt)
+    assert report.diverged
+    assert steps == 6                       # stopped at once, mid-epoch
+    assert report.epochs_run == 2           # 64 samples / 16 = 4 steps an epoch
+    np.testing.assert_array_equal(model.params, before[-1])
+    np.testing.assert_array_equal(report.final_params, before[-1])
+    assert np.all(np.isfinite(report.losses)) and np.all(np.isfinite(report.gamma_trace))
 
 
 def test_sgd_and_adam_zero_gradient_fixed_point():
