@@ -129,7 +129,8 @@ class Mlp:
 def _tanh_stack(layers, pre):
     """Every layer after the first, from the first layer's pre-activation.
 
-    Returns the head output and the tanh activations of the hidden layers.
+    Returns the head output and the tanh activations of the hidden layers;
+    ``pre`` is overwritten by the first of them.
     """
     # In place where possible: at N! rows per context, each large temporary
     # costs more in allocation than in arithmetic.
@@ -165,7 +166,11 @@ def _flatten(grads):
 
 
 class ResponsibilityModel:
-    """Common surface: flat params, batched gamma, batched parameter VJP."""
+    """Common surface: flat params, batched gamma, batched parameter VJP.
+
+    Each family implements ``gamma_and_pullback`` and defines
+    ``gamma_batch`` and ``vjp_params_batch`` on itself as views of it.
+    """
 
     kind = "base"
     n_agents: int
