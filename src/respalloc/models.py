@@ -54,8 +54,8 @@ class Mlp:
     """Fixed-architecture perceptron: n_hidden tanh layers then a linear head.
 
     Parameters live in one flat float64 vector so optimizers can treat every
-    model uniformly. ``forward`` accepts a batch (B, in_dim) and the tape
-    returned by ``forward_tape`` feeds ``vjp_params``.
+    model uniformly. ``forward_tape`` takes a batch (B, in_dim); its tape
+    feeds ``vjp_params``.
     """
 
     def __init__(self, in_dim, out_dim, hidden=16, n_hidden=3, rng=None, params=None):
@@ -103,16 +103,9 @@ class Mlp:
             out.append((w, b))
         return out
 
-    def forward(self, x):
-        y, _ = self.forward_tape(x)
-        return y
-
     def forward_tape(self, x):
-        """Batched forward pass; returns (output, tape).
-
-        The tape holds the weights it ran with and every layer's input, so
-        ``vjp_params`` stays consistent if the parameters change meanwhile.
-        """
+        """Batched forward pass; returns (output, tape), the tape holding the
+        weights it ran with and every layer's input."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         layers = self._layers()
         w, b = layers[0]
@@ -127,11 +120,8 @@ class Mlp:
 
 
 def _tanh_stack(layers, pre):
-    """Every layer after the first, from the first layer's pre-activation.
-
-    Returns the head output and the tanh activations of the hidden layers;
-    ``pre`` is overwritten by the first of them.
-    """
+    """Every layer after the first, from the first layer's pre-activation
+    ``pre`` (overwritten): the head output and the hidden tanh activations."""
     # In place where possible: at N! rows per context, each large temporary
     # costs more in allocation than in arithmetic.
     acts = [np.tanh(pre, out=pre)]
@@ -144,12 +134,9 @@ def _tanh_stack(layers, pre):
 
 
 def _tanh_stack_vjp(layers, acts, dy):
-    """Pull output cotangents back through ``_tanh_stack``.
-
-    Returns the cotangent of the first layer's pre-activation and the
-    (weight, bias) gradients of every later layer; the first layer's own
-    gradient depends on how its input was formed, so the caller adds it.
-    """
+    """Pull output cotangents back through ``_tanh_stack``: the cotangent of
+    the first layer's pre-activation, and the (weight, bias) gradients of
+    every later layer (the caller forms the first layer's own)."""
     dout = np.atleast_2d(np.asarray(dy, dtype=float))
     grads = []
     for li in range(len(layers) - 1, 0, -1):
@@ -240,10 +227,7 @@ class ConstantGamma(ResponsibilityModel):
     def gamma_and_pullback(self, contexts):
         b = np.atleast_2d(np.asarray(contexts, dtype=float)).shape[0]
         gamma = np.tile(softmax(self._params), (b, 1))
-
-        def pullback(dgamma):
-            return softmax_vjp(gamma, np.atleast_2d(np.asarray(dgamma, dtype=float))).sum(axis=0)
-        return gamma, pullback
+        return gamma, lambda dgamma: softmax_vjp(gamma, np.atleast_2d(dgamma)).sum(axis=0)
 
     def gamma_batch(self, contexts):
         return self.gamma_and_pullback(contexts)[0]
@@ -278,10 +262,8 @@ class MlpGamma(ResponsibilityModel):
     def gamma_and_pullback(self, contexts):
         logits, tape = self.net.forward_tape(contexts)
         gamma = softmax(logits)
-
-        def pullback(dgamma):
-            return self.net.vjp_params(tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
-        return gamma, pullback
+        return gamma, lambda dgamma: self.net.vjp_params(
+            tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
 
     def gamma_batch(self, contexts):
         return self.gamma_and_pullback(contexts)[0]
@@ -324,10 +306,10 @@ class SymmetricGammaN(ResponsibilityModel):
     relabeling. Evaluation cost is N! network calls per context, so N is
     capped at ``SYMMETRIC_N_CAP``.
 
-    The first layer is linear, so it never sees the N! reordered inputs: the
-    N^2 products of each slot's weight block with each agent's block are
-    formed once per context, and the incidence matrix of the orderings sums
-    them into every ordering's pre-activation in one matrix product.
+    The first layer is linear, so the N^2 products of each slot's weight
+    block with each agent's block are formed once per context, and the 0/1
+    incidence matrix of the orderings sums them into every ordering's
+    pre-activation in one matrix product.
     """
 
     kind = "symmetric"
@@ -359,8 +341,7 @@ class SymmetricGammaN(ResponsibilityModel):
         incidence = self._incidence
         orderings, per_agent = len(incidence), len(incidence) // n
         layers = self.net._layers()
-        w1, b1 = layers[0]
-        hid = w1.shape[0]
+        (w1, b1), hid = layers[0], self.net.hidden
         # Rows (agent, context) times columns (slot, unit), regrouped to rows
         # (slot, agent) and columns (context, unit).
         agents = x.reshape(b, n, d).transpose(1, 0, 2).reshape(n * b, d)
