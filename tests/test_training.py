@@ -138,9 +138,9 @@ def test_loss_and_grad_runs_one_model_forward(kind, kwargs, line_scene,
     calls = {"entry": 0, "stack": 0}
 
     def counted(key, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(*args, **kw):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            return fn(*args, **kw)
         return wrapper
 
     cls = type(model)
