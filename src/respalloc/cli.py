@@ -257,6 +257,22 @@ def _scene_from_header(cfg, header):
     return scenario, _scene_for(scenario, cfg["beta1"], cfg["beta2"])
 
 
+def _check_dims(path, header, scenario, scene):
+    """Exit 2 unless the dataset's states and controls fit the scene."""
+    system = scene.system
+    have_x, have_u = (header["state_dim"],), (header["n_agents"], header["control_dim"])
+    want_x, want_u = (system.state_dim,), (system.n_agents, system.control_dims[0])
+    try:
+        mapped = scene.filter_state(np.zeros(have_x)).shape
+    except ValueError:
+        mapped = None
+    if mapped != want_x or have_u != want_u:
+        raise UsageError(
+            f"dataset {path} holds states of shape {have_x} and controls of shape "
+            f"{have_u}; scene {scenario!r} needs states of shape {want_x} (after its "
+            f"state map) and controls of shape {want_u}")
+
+
 def cmd_train(cfg):
     path = _require(cfg, "dataset", "input dataset")
     if not os.path.exists(path):
@@ -266,6 +282,7 @@ def cmd_train(cfg):
     if not samples:
         raise UsageError(f"dataset {path} has no samples")
     scenario, scene = _scene_from_header(cfg, header)
+    _check_dims(path, header, scenario, scene)
 
     kind = cfg["model"]
     n_agents = scene.system.n_agents
@@ -353,7 +370,7 @@ def cmd_landscape(cfg):
         cells[:, RELATIVE_AXES[name]] = val
     x_joint = np.hstack([np.tile(ref, (len(cells), 1)), ref + cells])
     gammas = model.gamma_batch(cells if model.context_dim else np.zeros((len(cells), 0)))
-    u_des = np.array([desired_controls_weaving(x, policy) for x in x_joint])
+    u_des = desired_controls_weaving(x_joint, policy)
     problem = scene.problem(scene.assemble(scene.filter_state(x_joint)), u_des, gammas)
     sol = solve_filter(problem)
     inactive = (sol.eps <= 1e-9) & np.all(

@@ -188,11 +188,15 @@ class DesiredPolicyParams:
 
 
 def desired_lateral_control(x, params: DesiredPolicyParams, lat_target):
-    """-(x_lon + lon_offset) * lat_gain * tanh(lat_rate * (x_lat - target))."""
+    """-(x_lon + lon_offset) * lat_gain * tanh(lat_rate * (x_lat - target)).
+
+    ``x`` is one agent state (4,), giving a float, or a batch (B, 4), giving (B,).
+    """
     x = np.asarray(x, dtype=float)
-    err = x[X_LAT] - lat_target
-    return float(-(x[X_LON] + params.lon_offset) * params.lat_gain
-                 * np.tanh(params.lat_rate * err))
+    err = x[..., X_LAT] - lat_target
+    out = (-(x[..., X_LON] + params.lon_offset) * params.lat_gain
+           * np.tanh(params.lat_rate * err))
+    return float(out) if out.ndim == 0 else out
 
 
 def desired_longitudinal_control(r, params: DesiredPolicyParams = DesiredPolicyParams()):
@@ -200,22 +204,28 @@ def desired_longitudinal_control(r, params: DesiredPolicyParams = DesiredPolicyP
 
     Zero when the other car is ahead (r_lon > 0); otherwise
     -(limit/2) * (tanh(r_lon * vr_lon) - 1), which saturates at the limit.
+    ``r`` is one relative state (4,), giving a float, or a batch (B, 4),
+    giving (B,).
     """
     r = np.asarray(r, dtype=float)
-    if r[0] > 0:
-        return 0.0
-    return float(-(params.lon_limit / 2.0) * (np.tanh(r[0] * r[2]) - 1.0))
+    out = np.where(r[..., 0] > 0, 0.0,
+                   -(params.lon_limit / 2.0) * (np.tanh(r[..., 0] * r[..., 2]) - 1.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def desired_controls_weaving(x_joint, params: DesiredPolicyParams):
-    """Per-agent desired (lon, lat) controls for the two-car scenario."""
+    """Per-agent desired (lon, lat) controls for the two-car scenario.
+
+    ``x_joint`` is one joint state (8,), giving (2, 2), or a batch (B, 8),
+    giving (B, 2, 2).
+    """
     x = np.asarray(x_joint, dtype=float)
-    x1, x2 = x[:4], x[4:]
-    out = np.zeros((2, 2))
-    out[0, 0] = desired_longitudinal_control(relative_state(x1, x2), params)
-    out[1, 0] = desired_longitudinal_control(relative_state(x2, x1), params)
-    out[0, 1] = desired_lateral_control(x1, params, params.lat_targets[0])
-    out[1, 1] = desired_lateral_control(x2, params, params.lat_targets[1])
+    x1, x2 = x[..., :4], x[..., 4:]
+    out = np.zeros(x.shape[:-1] + (2, 2))
+    out[..., 0, 0] = desired_longitudinal_control(relative_state(x1, x2), params)
+    out[..., 1, 0] = desired_longitudinal_control(relative_state(x2, x1), params)
+    out[..., 0, 1] = desired_lateral_control(x1, params, params.lat_targets[0])
+    out[..., 1, 1] = desired_lateral_control(x2, params, params.lat_targets[1])
     return out
 
 
@@ -421,7 +431,7 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     per_traj = [[] for _ in range(count)]
     for step in range(cfg.steps):
         R = scene.filter_state(X)
-        U_des = np.array([desired_controls_weaving(x, policy) for x in X])
+        U_des = desired_controls_weaving(X, policy)
         gammas = np.array([resolve_gamma_truth(gamma_truth, step, r) for r in R])
         sol = solve_filter(scene.problem(scene.assemble(R), U_des, gammas))
         U = (sol.u + noise[:, step]).reshape(count, 2, 2)

@@ -104,44 +104,51 @@ class Mlp:
         return out
 
     def forward_tape(self, x):
-        """Batched forward pass; returns (output, tape), the tape holding the
-        weights it ran with and every layer's input."""
+        """Batched forward pass over (B, in_dim) inputs; returns the (B,
+        out_dim) output and a tape holding the weights it ran with, the input
+        and the (hidden, B) activations."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         layers = self._layers()
         w, b = layers[0]
-        y, acts = _tanh_stack(layers, x @ w.T + b)
-        return y, (layers, x, acts)
+        pre = w @ x.T
+        pre += b[:, None]
+        y, acts = _tanh_stack(layers, pre)
+        return y.T, (layers, x, acts)
 
     def vjp_params(self, tape, dy):
-        """Accumulate d(sum of seeded outputs)/d(params), summed over the batch."""
+        """Accumulate d(sum of seeded outputs)/d(params), summed over the
+        batch, for a (B, out_dim) cotangent ``dy``."""
         layers, x, acts = tape
-        dpre, grads = _tanh_stack_vjp(layers, acts, dy)
-        return _flatten([(dpre.T @ x, np.sum(dpre, axis=0))] + grads)
+        dpre, grads = _tanh_stack_vjp(layers, acts, np.atleast_2d(dy).T)
+        return _flatten([(dpre @ x, dpre.sum(axis=1))] + grads)
 
 
 def _tanh_stack(layers, pre):
-    """Every layer after the first, from the first layer's pre-activation
-    ``pre`` (overwritten): the head output and the hidden tanh activations."""
+    """Every layer after the first, feature-major: from the first layer's
+    pre-activation ``pre`` (hidden, rows), overwritten, the head output
+    (out_dim, rows) and the hidden tanh activations, each (hidden, rows)."""
     # In place where possible: at N! rows per context, each large temporary
     # costs more in allocation than in arithmetic.
     acts = [np.tanh(pre, out=pre)]
     for w, b in layers[1:-1]:
-        h = acts[-1] @ w.T
-        h += b
+        h = w @ acts[-1]
+        h += b[:, None]
         acts.append(np.tanh(h, out=h))
     w, b = layers[-1]
-    return acts[-1] @ w.T + b, acts
+    out = w @ acts[-1]
+    out += b[:, None]
+    return out, acts
 
 
-def _tanh_stack_vjp(layers, acts, dy):
-    """Pull output cotangents back through ``_tanh_stack``: the cotangent of
-    the first layer's pre-activation, and the (weight, bias) gradients of
-    every later layer (the caller forms the first layer's own)."""
-    dout = np.atleast_2d(np.asarray(dy, dtype=float))
+def _tanh_stack_vjp(layers, acts, dout):
+    """Pull an (out_dim, rows) cotangent back through ``_tanh_stack``: the
+    (hidden, rows) cotangent of the first layer's pre-activation, and the
+    (weight, bias) gradients of every later layer (the caller forms the
+    first layer's own)."""
     grads = []
     for li in range(len(layers) - 1, 0, -1):
-        grads.append((dout.T @ acts[li - 1], np.sum(dout, axis=0)))
-        dout = dout @ layers[li][0]
+        grads.append((dout @ acts[li - 1].T, dout.sum(axis=1)))
+        dout = layers[li][0].T @ dout
         slope = np.square(acts[li - 1])
         dout *= np.subtract(1.0, slope, out=slope)      # tanh' = 1 - tanh^2
     return dout, grads[::-1]
@@ -162,6 +169,7 @@ class ResponsibilityModel:
     kind = "base"
     n_agents: int
     context_dim: int
+    net_rows_per_context: int       # rows each context sends through the network
 
     @property
     def params(self):
@@ -203,6 +211,7 @@ class ConstantGamma(ResponsibilityModel):
     """Context-free allocation: gamma = softmax(free logits)."""
 
     kind = "constant"
+    net_rows_per_context = 0
 
     def __init__(self, n_agents, params=None):
         if n_agents < 2:
@@ -243,6 +252,7 @@ class MlpGamma(ResponsibilityModel):
     """Unconstrained context-dependent allocation: softmax of N network logits."""
 
     kind = "mlp"
+    net_rows_per_context = 1
 
     def __init__(self, n_agents, context_dim, hidden=16, n_hidden=3, rng=None):
         if n_agents < 2:
@@ -326,6 +336,7 @@ class SymmetricGammaN(ResponsibilityModel):
         self.context_dim = n_agents * agent_dim
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
         self._incidence = _ordering_incidence(n_agents)
+        self.net_rows_per_context = len(self._incidence)
 
     @property
     def params(self):
@@ -342,24 +353,25 @@ class SymmetricGammaN(ResponsibilityModel):
         orderings, per_agent = len(incidence), len(incidence) // n
         layers = self.net._layers()
         (w1, b1), hid = layers[0], self.net.hidden
-        # Rows (agent, context) times columns (slot, unit), regrouped to rows
-        # (slot, agent) and columns (context, unit).
-        agents = x.reshape(b, n, d).transpose(1, 0, 2).reshape(n * b, d)
-        blocks = agents @ w1.reshape(hid, n, d).transpose(2, 1, 0).reshape(d, n * hid)
-        blocks = blocks.reshape(n, b, n, hid).transpose(2, 0, 1, 3).reshape(n * n, b * hid)
-        pre = (incidence @ blocks).reshape(orderings * b, hid)
-        pre += b1
+        # Rows (unit, slot) times columns (context, agent), regrouped to rows
+        # (unit, context) and columns (slot, agent); the incidence matrix
+        # then gives the (hidden, rows) pre-activation, rows (context, ordering).
+        agents = x.reshape(b * n, d)
+        blocks = w1.reshape(hid * n, d) @ agents.T
+        blocks = blocks.reshape(hid, n, b, n).transpose(0, 2, 1, 3).reshape(hid * b, n * n)
+        pre = (blocks @ incidence.T).reshape(hid, b * orderings)
+        pre += b1[:, None]
         vals, acts = _tanh_stack(layers, pre)
-        gamma = softmax(vals.reshape(n, per_agent, b).sum(axis=1).T)
+        gamma = softmax(vals.reshape(b, n, per_agent).sum(axis=2))
 
         def pullback(dgamma):
             dlogits = softmax_vjp(gamma, np.atleast_2d(dgamma))
-            seeds = np.repeat(dlogits.T, per_agent, axis=0).reshape(-1, 1)
+            seeds = np.repeat(dlogits, per_agent, axis=1).reshape(1, -1)
             dpre, grads = _tanh_stack_vjp(layers, acts, seeds)
-            dblocks = incidence.T @ dpre.reshape(orderings, b * hid)
-            dblocks = dblocks.reshape(n, n, b, hid).transpose(0, 3, 1, 2).reshape(n * hid, n * b)
-            dw1 = (dblocks @ agents).reshape(n, hid, d).transpose(1, 0, 2).reshape(hid, n * d)
-            return _flatten([(dw1, np.sum(dpre, axis=0))] + grads)
+            dblocks = dpre.reshape(hid * b, orderings) @ incidence
+            dblocks = dblocks.reshape(hid, b, n, n).transpose(0, 2, 1, 3).reshape(hid * n, b * n)
+            dw1 = (dblocks @ agents).reshape(hid, n * d)
+            return _flatten([(dw1, dpre.sum(axis=1))] + grads)
         return gamma, pullback
 
     def gamma_batch(self, contexts):
@@ -381,6 +393,7 @@ class RelativeSymmetricGamma(ResponsibilityModel):
     """
 
     kind = "relative"
+    net_rows_per_context = 2        # r and -r
 
     def __init__(self, context_dim, hidden=16, n_hidden=3, rng=None):
         self.n_agents = 2

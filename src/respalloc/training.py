@@ -28,6 +28,12 @@ from .models import ConstantGamma
 
 LOSS_METRICS = ("huber", "l2", "l1")
 
+# Network rows (contexts times rows per context) per training chunk: four
+# 6-agent contexts. At 16 hidden units each (hidden, rows) activation is
+# 0.37 MB, so a chunk's three activations and their temporaries stay in a
+# 2 MB L2 cache from the forward to the pullback.
+CHUNK_ROWS = 2880
+
 
 @dataclass
 class TrainConfig:
@@ -112,30 +118,50 @@ def _solve_prepared(prep: PreparedBatch, gamma_rows):
 
 
 def _residual_loss(prep: PreparedBatch, solutions, config: TrainConfig):
-    """Mean loss over the batch and its derivative in each row's u*."""
+    """Summed loss over the rows and its derivative in each row's u*."""
     u = np.array([sol.u for sol in solutions])
     total, dval_dresid = residual_loss(prep.u_obs - u, config.loss_metric,
                                        config.huber_delta)
-    loss = total / len(prep)
+    return total, -dval_dresid          # residual = u_obs - u*
+
+
+def _mean_loss(total, rows):
+    loss = total / rows
     if math.isnan(loss):
         raise FloatingPointError("loss is NaN; check data and filter weights")
-    return loss, -dval_dresid           # residual = u_obs - u*
+    return loss
 
 
 def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
     """Mean per-sample loss of filter outputs against observed controls."""
     _, solutions = _solve_prepared(prep, model.gamma_batch(prep.contexts))
-    return _residual_loss(prep, solutions, config)[0]
+    return _mean_loss(_residual_loss(prep, solutions, config)[0], len(prep))
 
 
 def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
-    """Loss plus its gradient in the model's flat parameters (one model forward)."""
-    gamma, pullback = model.gamma_and_pullback(prep.contexts)
-    problems, solutions = _solve_prepared(prep, gamma)
-    loss, dval_du = _residual_loss(prep, solutions, config)
-    dgamma = np.array([w @ differentiate_filter(problem, sol).du_dgamma
-                       for w, problem, sol in zip(dval_du, problems, solutions)])
-    return loss, pullback(dgamma / len(prep))
+    """Loss plus its gradient in the model's flat parameters.
+
+    The minibatch runs in chunks of at most ``CHUNK_ROWS`` network rows
+    (whole contexts, at least one): each chunk's forward, filter solves,
+    filter Jacobians and pullback run back to back, while its activations
+    are still in cache. Every row is in exactly one chunk, so each runs one
+    model forward; the loss is the sum of the chunks' row losses over the
+    batch size, and the gradient the sum of their pullbacks.
+    """
+    n, rows = len(prep), model.net_rows_per_context
+    per_chunk = max(1, CHUNK_ROWS // rows) if rows else n
+    total, grad = 0.0, 0.0
+    for start in range(0, n, per_chunk):
+        chunk = prep if per_chunk >= n else prep.subset(
+            np.arange(start, min(n, start + per_chunk)))
+        gamma, pullback = model.gamma_and_pullback(chunk.contexts)
+        problems, solutions = _solve_prepared(chunk, gamma)
+        chunk_total, dval_du = _residual_loss(chunk, solutions, config)
+        dgamma = np.array([w @ differentiate_filter(problem, sol).du_dgamma
+                           for w, problem, sol in zip(dval_du, problems, solutions)])
+        total += chunk_total
+        grad = grad + pullback(dgamma / n)
+    return _mean_loss(total, n), grad
 
 
 def loss(samples, model, scene: InteractionScene, config: Optional[TrainConfig] = None):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from respalloc import cli
 from respalloc.cli import main
 from respalloc.data import (active_fraction, load_trajectories, read_header,
                             two_agent_line_scene, weaving_scene)
@@ -166,6 +167,19 @@ def test_train_writes_checkpoint_and_report(small_dataset, tmp_path):
 def test_train_missing_dataset_exits_2(tmp_path):
     assert run(["train", "--dataset", tmp_path / "nope.ndjson",
                 "--model", "constant"]) == 2
+
+
+def test_train_rejects_a_dataset_that_does_not_fit_the_scene(small_dataset, capsys,
+                                                            monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran on a mismatched dataset")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    assert run(["train", "--dataset", small_dataset, "--scene", "synthetic-6agent",
+                "--model", "constant", "--epochs", 1]) == 2
+    err = capsys.readouterr().err
+    for shape in ("(2,)", "(2, 1)", "(24,)", "(6, 2)"):
+        assert shape in err
 
 
 def test_config_file_merging(small_dataset, tmp_path):

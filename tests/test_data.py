@@ -6,7 +6,8 @@ from respalloc.data import (DesiredPolicyParams, ScenarioConfig,
                             TrajectoryFormatError, WeavingConfig,
                             active_fraction, augment,
                             default_planar_group_config,
-                            default_two_agent_config, desired_lateral_control,
+                            default_two_agent_config, desired_controls_weaving,
+                            desired_lateral_control,
                             desired_longitudinal_control, export_csv,
                             generate_synthetic, generate_weaving_trajectories,
                             load_trajectories, planar_group_scene, read_header,
@@ -60,6 +61,23 @@ def test_policy_bounds(r_lon, vr_lon, x_lon, x_lat):
     assert 0.0 <= lon <= PARAMS.lon_limit
     lat = desired_lateral_control(np.array([x_lon, x_lat, 10.0, 0.0]), PARAMS, 1.85)
     assert abs(lat) <= abs(x_lon + PARAMS.lon_offset) * PARAMS.lat_gain + 1e-12
+
+
+def test_policies_on_a_batch_equal_per_state_calls():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 8)) * np.array([20.0, 2.0, 10.0, 1.0] * 2)
+    X[:3, 4] = X[:3, 0]                         # r_lon = 0 on the boundary branch
+    per_state = np.array([desired_controls_weaving(x, PARAMS) for x in X])
+    np.testing.assert_array_equal(desired_controls_weaving(X, PARAMS), per_state)
+    np.testing.assert_array_equal(
+        desired_longitudinal_control(X[:, 4:] - X[:, :4], PARAMS),
+        [desired_longitudinal_control(x[4:] - x[:4], PARAMS) for x in X])
+    np.testing.assert_array_equal(
+        desired_lateral_control(X[:, :4], PARAMS, 1.85),
+        [desired_lateral_control(x[:4], PARAMS, 1.85) for x in X])
+    assert per_state.shape == (200, 2, 2)
+    assert isinstance(desired_lateral_control(X[0, :4], PARAMS, 1.85), float)
+    assert isinstance(desired_longitudinal_control(X[0, :4], PARAMS), float)
 
 
 # -- i.i.d. synthetic -----------------------------------------------------------

@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from respalloc.data import (WeavingConfig, default_two_agent_config,
-                            generate_synthetic, generate_weaving_trajectories,
+from respalloc.data import (WeavingConfig, default_planar_group_config,
+                            default_two_agent_config, generate_synthetic,
+                            generate_weaving_trajectories, planar_group_scene,
                             two_agent_line_scene, weaving_scene)
 from respalloc import models, training
+from respalloc.filter_qp import FilterProblem, differentiate_filter, solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import (Adam, Sgd, TrainConfig, batch_loss,
                                 batch_loss_and_grad, fit, fit_windows,
                                 gradient_step, loss, prepare_batch,
                                 residual_loss)
+
+from oracles import assert_rel_close
 
 
 CFG = TrainConfig(epochs=1, batch_size=8)
@@ -149,6 +153,83 @@ def test_loss_and_grad_runs_one_model_forward(kind, kwargs, line_scene,
     monkeypatch.setattr(models, "_tanh_stack", counted("stack", models._tanh_stack))
     batch_loss_and_grad(prep, model, CFG)
     assert calls == {"entry": 1, "stack": 0 if kind == "constant" else 1}
+
+
+def _one_chunk_loss_and_grad(prep, model, config):
+    """The step as one forward and one pullback over the whole minibatch."""
+    gamma, pullback = model.gamma_and_pullback(prep.contexts)
+    problems = [FilterProblem(prep.constraints[i], prep.u_des[i], gamma[i],
+                              prep.beta1, prep.beta2, prep.lb, prep.ub)
+                for i in range(len(prep))]
+    solutions = [solve_filter(problem) for problem in problems]
+    u = np.array([sol.u for sol in solutions])
+    total, dval_dresid = residual_loss(prep.u_obs - u, config.loss_metric,
+                                       config.huber_delta)
+    dgamma = np.array([-w @ differentiate_filter(problem, sol).du_dgamma
+                       for w, problem, sol in zip(dval_dresid, problems, solutions)])
+    return total / len(prep), pullback(dgamma / len(prep))
+
+
+@pytest.fixture(scope="module")
+def planar6_prep():
+    scene = planar_group_scene(6)
+    cfg = default_planar_group_config(n_agents=6, n_samples=33, seed=4)
+    samples = generate_synthetic(cfg, scene, np.full(6, 1 / 6))
+    model = init_model("symmetric", seed=2, n_agents=6, agent_dim=4)
+    return prepare_batch(samples, scene, model.context_dim), model
+
+
+@pytest.mark.parametrize("size", [5, 16, 33])    # 33 is not a multiple of a chunk
+def test_chunked_step_equals_one_chunk_reference(planar6_prep, size):
+    prep, model = planar6_prep
+    sub = prep.subset(np.arange(size))
+    value, grad = batch_loss_and_grad(sub, model, CFG)
+    ref_value, ref_grad = _one_chunk_loss_and_grad(sub, model, CFG)
+    assert_rel_close(value, ref_value)
+    assert_rel_close(grad, ref_grad)
+
+
+@pytest.mark.parametrize("size", [16, 33])
+def test_each_ordering_row_runs_once_per_step(planar6_prep, size, monkeypatch):
+    prep, model = planar6_prep
+    columns = []
+
+    def counted(layers, pre):
+        columns.append(pre.shape[1])
+        return stack(layers, pre)
+
+    stack = models._tanh_stack
+    monkeypatch.setattr(models, "_tanh_stack", counted)
+    batch_loss_and_grad(prep.subset(np.arange(size)), model, CFG)
+    assert model.net_rows_per_context == 720
+    assert sum(columns) == size * 720
+    per_chunk = training.CHUNK_ROWS // 720
+    assert len(columns) == -(-size // per_chunk)
+    assert max(columns) <= training.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("kind,kwargs,rows", [
+    ("constant", {"n_agents": 2}, 0),
+    ("mlp", {"n_agents": 2, "context_dim": 2}, 1),
+    ("relative", {"context_dim": 2}, 2),
+])
+def test_small_row_models_run_one_chunk(kind, kwargs, rows, line_scene, monkeypatch):
+    cfg = default_two_agent_config(n_samples=512, noise_variance=0.1, seed=8)
+    samples = generate_synthetic(cfg, line_scene, np.array([0.4, 0.6]))
+    model = init_model(kind, seed=3, **kwargs)
+    prep = prepare_batch(samples, line_scene, model.context_dim)
+    calls = []
+    cls = type(model)
+    original = cls.gamma_and_pullback
+
+    def counted(self, contexts):
+        calls.append(len(contexts))
+        return original(self, contexts)
+
+    monkeypatch.setattr(cls, "gamma_and_pullback", counted)
+    batch_loss_and_grad(prep, model, CFG)
+    assert model.net_rows_per_context == rows
+    assert calls == [512]
 
 
 def _fit_with_bad_step(line_scene, samples, monkeypatch, bad_step, corrupt):
