@@ -8,6 +8,15 @@ gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
 Each minibatch row is solved and differentiated as its own one-row problem.
 
+A step runs the minibatch in chunks of whole contexts, at most
+``CHUNK_ROWS`` network rows each (``net_rows_per_context`` of the model per
+context). Each chunk goes forward through the model, through its filter
+solves and Jacobians, and back through its pullback before the next starts,
+so the activations the pullback reads are still in L2 cache. Models with
+few rows per context (constant, MLP, relative) take the whole minibatch as
+one chunk; the 6-agent symmetric model, at 720 rows per context, takes four
+contexts per chunk.
+
 Safety rows do not depend on gamma, so constraint assembly is hoisted out of
 the training loop (``prepare_batch``).
 """

@@ -192,13 +192,12 @@ def test_chunked_step_equals_one_chunk_reference(planar6_prep, size):
 @pytest.mark.parametrize("size", [16, 33])
 def test_each_ordering_row_runs_once_per_step(planar6_prep, size, monkeypatch):
     prep, model = planar6_prep
-    columns = []
+    columns, stack = [], models._tanh_stack
 
     def counted(layers, pre):
         columns.append(pre.shape[1])
         return stack(layers, pre)
 
-    stack = models._tanh_stack
     monkeypatch.setattr(models, "_tanh_stack", counted)
     batch_loss_and_grad(prep.subset(np.arange(size)), model, CFG)
     assert model.net_rows_per_context == 720
