@@ -1,15 +1,19 @@
 """Command-line pipeline: generate, train, landscape, trace, bench.
 
-Configuration precedence is CLI flag > JSON config file (--config) > built-in
-default, and the effective configuration is echoed into every artifact (as a
-header field in data files, a ``cli_config`` field in reports, and a leading
-``#`` comment in CSVs). Exit codes: 0 success, 2 usage or validation error,
-3 runtime/numeric failure.
+The argparse parser is the one declaration of every option and its default.
+A JSON config file (--config) is read as flags placed before the command
+line's own, so the precedence is flag > config file > default and file values
+meet the same types and choices. The effective configuration is echoed into
+every artifact (as a header field in data files, a ``cli_config`` field in
+reports, and a leading ``#`` comment in CSVs). Exit codes: 0 success, 2 usage
+or validation error (any bad flag or config value included), 3
+runtime/numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,139 +57,161 @@ def _scene_for(scenario, beta1, beta2):
     raise UsageError(f"unknown scenario {scenario!r}")
 
 
-DEFAULTS = {
-    "generate": {
-        "scenario": "synthetic-2agent", "n": 128, "count": 8, "gamma": None,
-        "gamma_model": None, "noise": 0.1, "seed": 0, "beta1": 0.1,
-        "beta2": 600.0, "steps": 150, "out": None,
-    },
-    "train": {
-        "dataset": None, "model": "constant", "scene": None, "epochs": 200,
-        "batch": 16, "lr": 1e-3, "optimizer": "adam", "loss": "huber",
-        "huber_delta": 1.0, "beta1": 0.1, "beta2": 600.0, "seed": 0,
-        "checkpoint_out": None, "report_out": None, "trace_csv": None,
-        "hidden": 16, "n_hidden": 3,
-    },
-    "landscape": {
-        "checkpoint": None, "out": None, "axes": "r_lon,r_lat",
-        "range1": (-15.0, 15.0), "range2": (-6.0, 6.0), "res": 25,
-        "fixed": "", "beta1": 0.1, "beta2": 600.0,
-        "ref_lon": 0.0, "ref_lat": -1.85, "ref_speed": 10.0,
-    },
-    "trace": {
-        "checkpoint": None, "dataset": None, "traj_id": 0, "out": None,
-        "beta1": 0.1, "beta2": 600.0,
-    },
-    "bench": {
-        "sizes": "8,16,32,64,128,256,512", "repeats": 5, "seed": 0,
-        "out": None, "beta1": 0.1, "beta2": 600.0,
-    },
-}
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a UsageError instead of printing and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="respalloc",
+    """The one declaration of every option: flag, type, choices and default.
+
+    Built once per process; every default is immutable, so parses do not
+    leak values into each other.
+    """
+    parser = _Parser(
+        prog="respalloc", allow_abbrev=False,
         description="Learn per-agent responsibility allocations from "
                     "interaction data via a differentiable safety-filter QP.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(p, flag, **kw):
-        p.add_argument(flag, default=None, **kw)
+    def command(name, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file of option values, read as "
+                                        "flags that the command line overrides")
+        return p
 
-    g = sub.add_parser("generate", help="write a synthetic dataset file")
-    add(g, "--scenario", choices=SYNTHETIC_SCENARIOS + WEAVING_SCENARIOS)
-    add(g, "--n", type=int, help="sample count (synthetic scenarios)")
-    add(g, "--count", type=int, help="trajectory count (weaving scenarios)")
-    add(g, "--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9'; a "
-                           "scalar only for two agents (default: 0.3 for two "
-                           "synthetic agents, uniform for more; weaving: the "
-                           "faster car yields less)")
-    add(g, "--gamma-model", dest="gamma_model", help="checkpoint used as truth")
-    add(g, "--noise", type=float, help="control noise variance")
-    add(g, "--seed", type=int)
-    add(g, "--beta1", type=float)
-    add(g, "--beta2", type=float)
-    add(g, "--steps", type=int, help="steps per weaving trajectory")
-    add(g, "--out", help="output dataset path (.ndjson)")
-    g.add_argument("--config", default=None)
+    def scene_gains(p):
+        p.add_argument("--beta1", type=float, default=0.1)
+        p.add_argument("--beta2", type=float, default=600.0)
 
-    t = sub.add_parser("train", help="fit an allocation model to a dataset")
-    add(t, "--dataset")
-    add(t, "--model", choices=("constant", "mlp", "symmetric", "relative"))
-    add(t, "--scene", help="override the scene implied by the dataset header")
-    add(t, "--epochs", type=int)
-    add(t, "--batch", type=int)
-    add(t, "--lr", type=float)
-    add(t, "--optimizer", choices=("adam", "sgd"))
-    add(t, "--loss", choices=("huber", "l2", "l1"))
-    add(t, "--huber-delta", dest="huber_delta", type=float)
-    add(t, "--beta1", type=float)
-    add(t, "--beta2", type=float)
-    add(t, "--seed", type=int)
-    add(t, "--hidden", type=int)
-    add(t, "--n-hidden", dest="n_hidden", type=int)
-    add(t, "--checkpoint-out", dest="checkpoint_out")
-    add(t, "--report-out", dest="report_out")
-    add(t, "--trace-csv", dest="trace_csv")
-    t.add_argument("--config", default=None)
+    g = command("generate", "write a synthetic dataset file")
+    g.add_argument("--scenario", default="synthetic-2agent",
+                   choices=SYNTHETIC_SCENARIOS + WEAVING_SCENARIOS)
+    g.add_argument("--n", type=int, default=128, help="sample count (synthetic scenarios)")
+    g.add_argument("--count", type=int, default=8,
+                   help="trajectory count (weaving scenarios)")
+    g.add_argument("--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9'; a "
+                                   "scalar only for two agents (default: 0.3 for two "
+                                   "synthetic agents, uniform for more; weaving: the "
+                                   "faster car yields less)")
+    g.add_argument("--gamma-model", help="checkpoint used as truth")
+    g.add_argument("--noise", type=float, default=0.1, help="control noise variance")
+    g.add_argument("--seed", type=int, default=0)
+    scene_gains(g)
+    g.add_argument("--steps", type=int, default=150, help="steps per weaving trajectory")
+    g.add_argument("--out", help="output dataset path (.ndjson)")
 
-    l = sub.add_parser("landscape", help="export an allocation grid to CSV")
-    add(l, "--checkpoint")
-    add(l, "--out")
-    add(l, "--axes", help="two of r_lon,r_lat,vr_lon,vr_lat (comma separated)")
-    l.add_argument("--range1", nargs=2, type=float, default=None)
-    l.add_argument("--range2", nargs=2, type=float, default=None)
-    add(l, "--res", type=int)
-    add(l, "--fixed", help="values for the other axes, e.g. 'vr_lon=2,vr_lat=0'")
-    add(l, "--beta1", type=float)
-    add(l, "--beta2", type=float)
-    add(l, "--ref-lon", dest="ref_lon", type=float)
-    add(l, "--ref-lat", dest="ref_lat", type=float)
-    add(l, "--ref-speed", dest="ref_speed", type=float)
-    l.add_argument("--config", default=None)
+    t = command("train", "fit an allocation model to a dataset")
+    t.add_argument("--dataset")
+    t.add_argument("--model", default="constant",
+                   choices=("constant", "mlp", "symmetric", "relative"))
+    t.add_argument("--scene", help="override the scene implied by the dataset header")
+    t.add_argument("--epochs", type=int, default=200)
+    t.add_argument("--batch", type=int, default=16)
+    t.add_argument("--lr", type=float, default=1e-3)
+    t.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
+    t.add_argument("--loss", default="huber", choices=("huber", "l2", "l1"))
+    t.add_argument("--huber-delta", type=float, default=1.0)
+    scene_gains(t)
+    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--checkpoint-out")
+    t.add_argument("--report-out")
+    t.add_argument("--trace-csv")
+    t.add_argument("--hidden", type=int, default=16)
+    t.add_argument("--n-hidden", type=int, default=3)
 
-    r = sub.add_parser("trace", help="export per-timestep allocations to CSV")
-    add(r, "--checkpoint")
-    add(r, "--dataset")
-    add(r, "--traj-id", dest="traj_id", type=int)
-    add(r, "--out")
-    add(r, "--beta1", type=float)
-    add(r, "--beta2", type=float)
-    r.add_argument("--config", default=None)
+    l = command("landscape", "export an allocation grid to CSV")
+    l.add_argument("--checkpoint")
+    l.add_argument("--out")
+    l.add_argument("--axes", default="r_lon,r_lat",
+                   help="two of r_lon,r_lat,vr_lon,vr_lat (comma separated)")
+    l.add_argument("--range1", nargs=2, type=float, default=(-15.0, 15.0))
+    l.add_argument("--range2", nargs=2, type=float, default=(-6.0, 6.0))
+    l.add_argument("--res", type=int, default=25)
+    l.add_argument("--fixed", default="",
+                   help="values for the other axes, e.g. 'vr_lon=2,vr_lat=0'")
+    scene_gains(l)
+    l.add_argument("--ref-lon", type=float, default=0.0)
+    l.add_argument("--ref-lat", type=float, default=-1.85)
+    l.add_argument("--ref-speed", type=float, default=10.0)
 
-    b = sub.add_parser("bench", help="time loss+gradient over batch sizes")
-    add(b, "--sizes")
-    add(b, "--repeats", type=int)
-    add(b, "--seed", type=int)
-    add(b, "--out")
-    add(b, "--beta1", type=float)
-    add(b, "--beta2", type=float)
-    b.add_argument("--config", default=None)
+    r = command("trace", "export per-timestep allocations to CSV")
+    r.add_argument("--checkpoint")
+    r.add_argument("--dataset")
+    r.add_argument("--traj-id", type=int, default=0)
+    r.add_argument("--out")
+    scene_gains(r)
+
+    b = command("bench", "time loss+gradient over batch sizes")
+    b.add_argument("--sizes", default="8,16,32,64,128,256,512")
+    b.add_argument("--repeats", type=int, default=5)
+    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--out")
+    scene_gains(b)
 
     return parser
 
 
-def effective_config(args):
-    """Merge defaults, the optional JSON config file, and explicit flags."""
-    cfg = dict(DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
+def _config_flags(args):
+    """The flags that ``args.config`` stands for.
+
+    Key ``k`` becomes ``--k`` (``_`` as ``-``), a two-value option takes a
+    two-item list, and ``null`` means "not given". The accepted keys are the
+    option names of ``args.command`` as they appear in the echoed config.
+    """
+    path = args.config
+    if not os.path.exists(path):
+        raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    options = vars(args)
+    unknown = set(doc) - (set(options) - {"command", "config"})
+    if unknown:
+        raise UsageError(f"unknown config keys in {path}: {sorted(unknown)}")
+    flags = []
+    for key, value in doc.items():
+        if value is None:
+            continue
+        # The two-value options are the ones whose value is a pair.
+        arity = len(options[key]) if isinstance(options[key], (tuple, list)) else 1
+        values = value if isinstance(value, list) else [value]
+        if len(values) != arity or any(isinstance(v, (list, dict)) for v in values):
+            want = f"a list of {arity} values" if arity > 1 else "one value"
+            raise UsageError(f"config file {path}: {key!r} takes {want}, "
+                             f"got {json.dumps(value)}")
+        flag = "--" + key.replace("_", "-")
+        text = [v if isinstance(v, str) else json.dumps(v) for v in values]
+        # "--k=v" keeps a value that starts with "-" from reading as a flag.
+        flags += [f"{flag}={text[0]}"] if arity == 1 else [flag, *text]
+    return flags
+
+
+def parse_command(argv):
+    """Parse argv into (command, config): flag > --config file > default.
+
+    The file's flags go right after the subcommand, ahead of the user's own,
+    so argparse's last-occurrence-wins gives the precedence and the file's
+    values meet the same types and choices as flags.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        flags = _config_flags(args)
         try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        except UsageError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from None
+    cfg = vars(args)
+    return cfg.pop("command"), {k: v for k, v in cfg.items() if k != "config"}
 
 
 def _require(cfg, key, what):
@@ -196,7 +222,7 @@ def _require(cfg, key, what):
 
 def _parse_gamma(text, n_agents):
     try:
-        parts = [float(v) for v in str(text).split(",")]
+        parts = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --gamma value {text!r}") from exc
     if len(parts) == 1 and n_agents == 2:
@@ -218,7 +244,7 @@ def cmd_generate(cfg):
         raise UsageError("give --gamma or --gamma-model, not both")
     if cfg["gamma_model"]:
         truth = load_model(cfg["gamma_model"])
-        truth_doc = {"kind": "model", "checkpoint": str(cfg["gamma_model"])}
+        truth_doc = {"kind": "model", "checkpoint": cfg["gamma_model"]}
     elif cfg["gamma"] is not None or scenario in SYNTHETIC_SCENARIOS:
         n = scene.system.n_agents
         if cfg["gamma"] is not None:
@@ -244,7 +270,7 @@ def cmd_generate(cfg):
             scene=scene, config=wcfg)
 
     save_trajectories(samples, out, scenario=scenario,
-                      extra_header={"config": _jsonable(cfg), "truth": truth_doc})
+                      extra_header={"config": cfg, "truth": truth_doc})
     frac = data_mod.active_fraction(samples[:min(len(samples), 200)], scene, truth)
     print(f"wrote {len(samples)} samples to {out} "
           f"(safety row active on {frac:.0%} of the first "
@@ -303,7 +329,7 @@ def cmd_train(cfg):
                      loss_metric=cfg["loss"], huber_delta=cfg["huber_delta"],
                      seed=cfg["seed"])
     report = fit(samples, model, scene, tc)
-    report.config["cli_config"] = _jsonable(cfg)
+    report.config["cli_config"] = cfg
     report.config["scenario"] = scenario
 
     if cfg["checkpoint_out"]:
@@ -323,7 +349,7 @@ def _parse_fixed(text):
     fixed = {}
     if not text:
         return fixed
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -346,11 +372,11 @@ def cmd_landscape(cfg):
         raise UsageError("landscape export needs a relative-state model "
                          f"(context dim 4); checkpoint has {model.context_dim}")
 
-    axes = [a.strip() for a in str(cfg["axes"]).split(",")]
+    axes = [a.strip() for a in cfg["axes"].split(",")]
     if len(axes) != 2 or any(a not in RELATIVE_AXES for a in axes):
         raise UsageError(f"--axes must name two of {sorted(RELATIVE_AXES)}")
     fixed = _parse_fixed(cfg["fixed"])
-    res = int(cfg["res"])
+    res = cfg["res"]
     if res < 2:
         raise UsageError("--res must be at least 2")
 
@@ -376,7 +402,7 @@ def cmd_landscape(cfg):
     inactive = (sol.eps <= 1e-9) & np.all(
         np.abs(sol.u - problem.shrunk_desired()) <= 1e-7, axis=1)
 
-    lines = ["# config: " + json.dumps(_jsonable(cfg)),
+    lines = ["# config: " + json.dumps(cfg),
              f"{axes[0]},{axes[1]},gamma1,filter_inactive"]
     lines += [f"{float(v1)!r},{float(v2)!r},{float(g1)!r},{int(flag)}"
               for v1, v2, g1, flag in zip(v1s, v2s, gammas[:, 0], inactive)]
@@ -395,7 +421,7 @@ def cmd_trace(cfg):
     model = load_model(ckpt)
     header = read_header(path)
     samples = [s for s in load_trajectories(path)
-               if s.trajectory_id == int(cfg["traj_id"])]
+               if s.trajectory_id == cfg["traj_id"]]
     if not samples:
         raise UsageError(f"trajectory id {cfg['traj_id']} not present in {path}")
     if header["n_agents"] != 2 or header["state_dim"] != 8:
@@ -405,7 +431,7 @@ def cmd_trace(cfg):
         raise UsageError(f"model context dim {model.context_dim} does not "
                          "match the relative state (4)")
 
-    lines = ["# config: " + json.dumps(_jsonable(cfg)),
+    lines = ["# config: " + json.dumps(cfg),
              "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
              "u1_lon,u1_lat,u2_lon,u2_lat,b"]
     for s in samples:
@@ -425,12 +451,12 @@ def cmd_bench(cfg):
     from .models import ConstantGamma
 
     try:
-        sizes = [int(v) for v in str(cfg["sizes"]).split(",")]
+        sizes = [int(v) for v in cfg["sizes"].split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes {cfg['sizes']!r}") from exc
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must be positive integers")
-    repeats = int(cfg["repeats"])
+    repeats = cfg["repeats"]
 
     scene = two_agent_line_scene(beta1=cfg["beta1"], beta2=cfg["beta2"])
     sc = default_two_agent_config(max(sizes), noise_variance=0.1,
@@ -450,7 +476,7 @@ def cmd_bench(cfg):
                              np.log([r[1] for r in rows]), 1)[0])
 
     if cfg["out"]:
-        lines = ["# config: " + json.dumps(_jsonable(cfg)),
+        lines = ["# config: " + json.dumps(cfg),
                  "batch_size,loss_grad_ms"]
         lines += [f"{s},{ms!r}" for s, ms in rows]
         data_mod.atomic_write(cfg["out"], "\n".join(lines) + "\n")
@@ -466,17 +492,6 @@ def _time_once(prep, model, tc):
     return time.perf_counter() - t0
 
 
-def _jsonable(cfg):
-    out = {}
-    for k, v in cfg.items():
-        if isinstance(v, (np.floating, np.integer)):
-            v = v.item()
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[k] = v
-    return out
-
-
 COMMANDS = {
     "generate": cmd_generate,
     "train": cmd_train,
@@ -487,15 +502,10 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = effective_config(args)
-        return COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (data_mod.TrajectoryFormatError, ValueError) as exc:
+        command, cfg = parse_command(sys.argv[1:] if argv is None else list(argv))
+        return COMMANDS[command](cfg)
+    except (UsageError, ValueError) as exc:     # TrajectoryFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FilterError, FloatingPointError, np.linalg.LinAlgError) as exc:

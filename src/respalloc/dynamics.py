@@ -20,9 +20,6 @@ import numpy as np
 
 DEFAULT_CONTROL_BOUND = 10.0
 
-# Index layout of the two-agent relative state r = x2 - x1.
-R_LON, R_LAT, R_VLON, R_VLAT = 0, 1, 2, 3
-
 # One planar double integrator [px, py, vx, vy]: positions integrate
 # velocities (drift block), the two controls drive the velocities.
 _DI_DRIFT = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 4))]])
@@ -110,11 +107,6 @@ class ControlAffineSystem:
 
     def drift(self, x):
         return np.asarray(x, dtype=float) @ self.F.T
-
-    def actuation(self, x, i):
-        """Columns of G driven by agent i's controls."""
-        k = sum(self.control_dims[:i])
-        return self.G[:, k:k + self.control_dims[i]]
 
     def xdot(self, x, u):
         """State derivative for stacked controls u (length control_dim_total)."""

@@ -167,6 +167,7 @@ class ResponsibilityModel:
     """
 
     kind = "base"
+    dims: tuple                     # init_model keywords in a checkpoint's dims
     n_agents: int
     context_dim: int
     net_rows_per_context: int       # rows each context sends through the network
@@ -204,13 +205,35 @@ class ResponsibilityModel:
         return self.gamma_batch(self._as_batch(context))[0]
 
     def checkpoint_dims(self):
-        raise NotImplementedError
+        """The ``init_model`` keywords that rebuild this model's shape."""
+        return {key: getattr(self, key) for key in self.dims}
+
+
+class _NetworkModel(ResponsibilityModel):
+    """A family whose parameters are those of its network ``self.net``."""
+
+    @property
+    def params(self):
+        return self.net.params
+
+    @params.setter
+    def params(self, value):
+        self.net.params = value
+
+    @property
+    def hidden(self):
+        return self.net.hidden
+
+    @property
+    def n_hidden(self):
+        return self.net.n_hidden
 
 
 class ConstantGamma(ResponsibilityModel):
     """Context-free allocation: gamma = softmax(free logits)."""
 
     kind = "constant"
+    dims = ("n_agents",)
     net_rows_per_context = 0
 
     def __init__(self, n_agents, params=None):
@@ -244,14 +267,12 @@ class ConstantGamma(ResponsibilityModel):
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
 
-    def checkpoint_dims(self):
-        return {"n_agents": self.n_agents}
 
-
-class MlpGamma(ResponsibilityModel):
+class MlpGamma(_NetworkModel):
     """Unconstrained context-dependent allocation: softmax of N network logits."""
 
     kind = "mlp"
+    dims = ("n_agents", "context_dim", "hidden", "n_hidden")
     net_rows_per_context = 1
 
     def __init__(self, n_agents, context_dim, hidden=16, n_hidden=3, rng=None):
@@ -260,14 +281,6 @@ class MlpGamma(ResponsibilityModel):
         self.n_agents = n_agents
         self.context_dim = context_dim
         self.net = Mlp(context_dim, n_agents, hidden, n_hidden, rng=rng)
-
-    @property
-    def params(self):
-        return self.net.params
-
-    @params.setter
-    def params(self, value):
-        self.net.params = value
 
     def gamma_and_pullback(self, contexts):
         logits, tape = self.net.forward_tape(contexts)
@@ -280,10 +293,6 @@ class MlpGamma(ResponsibilityModel):
 
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
-
-    def checkpoint_dims(self):
-        return {"n_agents": self.n_agents, "context_dim": self.context_dim,
-                "hidden": self.net.hidden, "n_hidden": self.net.n_hidden}
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,7 +315,7 @@ def _ordering_incidence(n):
     return incidence
 
 
-class SymmetricGammaN(ResponsibilityModel):
+class SymmetricGammaN(_NetworkModel):
     """Numbering-invariant allocation over N agents.
 
     The context is the concatenation of N equal-sized agent blocks. With a
@@ -323,6 +332,7 @@ class SymmetricGammaN(ResponsibilityModel):
     """
 
     kind = "symmetric"
+    dims = ("n_agents", "agent_dim", "hidden", "n_hidden")
 
     def __init__(self, n_agents, agent_dim, hidden=16, n_hidden=3, rng=None):
         if n_agents < 2:
@@ -337,14 +347,6 @@ class SymmetricGammaN(ResponsibilityModel):
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
         self._incidence = _ordering_incidence(n_agents)
         self.net_rows_per_context = len(self._incidence)
-
-    @property
-    def params(self):
-        return self.net.params
-
-    @params.setter
-    def params(self, value):
-        self.net.params = value
 
     def gamma_and_pullback(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -380,12 +382,8 @@ class SymmetricGammaN(ResponsibilityModel):
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
 
-    def checkpoint_dims(self):
-        return {"n_agents": self.n_agents, "agent_dim": self.agent_dim,
-                "hidden": self.net.hidden, "n_hidden": self.net.n_hidden}
 
-
-class RelativeSymmetricGamma(ResponsibilityModel):
+class RelativeSymmetricGamma(_NetworkModel):
     """Two-agent allocation over a relative state with exact swap symmetry.
 
     gamma1(r) = (1 + tanh(phi(r) - phi(-r))) / 2, so gamma1(r) + gamma1(-r)
@@ -393,20 +391,13 @@ class RelativeSymmetricGamma(ResponsibilityModel):
     """
 
     kind = "relative"
+    dims = ("context_dim", "hidden", "n_hidden")
     net_rows_per_context = 2        # r and -r
 
     def __init__(self, context_dim, hidden=16, n_hidden=3, rng=None):
         self.n_agents = 2
         self.context_dim = context_dim
         self.net = Mlp(context_dim, 1, hidden, n_hidden, rng=rng)
-
-    @property
-    def params(self):
-        return self.net.params
-
-    @params.setter
-    def params(self, value):
-        self.net.params = value
 
     def gamma_and_pullback(self, contexts):
         r = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -427,10 +418,6 @@ class RelativeSymmetricGamma(ResponsibilityModel):
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
 
-    def checkpoint_dims(self):
-        return {"context_dim": self.context_dim, "hidden": self.net.hidden,
-                "n_hidden": self.net.n_hidden}
-
 
 def eval_gamma(model, context=None):
     """Allocation vector at one context: sums to 1, entries in [0, 1]."""
@@ -443,26 +430,27 @@ def grad_gamma(model, context=None):
     return np.stack([pullback(seed[None]) for seed in np.eye(model.n_agents)])
 
 
+MODEL_KINDS = {cls.kind: cls for cls in (ConstantGamma, MlpGamma, SymmetricGammaN,
+                                          RelativeSymmetricGamma)}
+
+
 def init_model(kind, seed=0, *, n_agents=2, context_dim=4, agent_dim=None,
                hidden=16, n_hidden=3):
     """Seed-reproducible model factory.
 
     ``constant`` starts at the uniform allocation; network models draw from
-    the fan-in-scaled uniform initializer.
+    the fan-in-scaled uniform initializer. Each kind reads the keywords named
+    in its ``dims``.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "constant":
-        model = ConstantGamma(n_agents)
-    elif kind == "mlp":
-        model = MlpGamma(n_agents, context_dim, hidden, n_hidden, rng=rng)
-    elif kind == "symmetric":
-        if agent_dim is None:
-            raise ValueError("symmetric model needs agent_dim")
-        model = SymmetricGammaN(n_agents, agent_dim, hidden, n_hidden, rng=rng)
-    elif kind == "relative":
-        model = RelativeSymmetricGamma(context_dim, hidden, n_hidden, rng=rng)
-    else:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if kind == "symmetric" and agent_dim is None:
+        raise ValueError("symmetric model needs agent_dim")
+    cls = MODEL_KINDS[kind]
+    given = {"n_agents": n_agents, "context_dim": context_dim, "agent_dim": agent_dim,
+             "hidden": hidden, "n_hidden": n_hidden}
+    dims = {key: given[key] for key in cls.dims}
+    model = cls(**dims) if cls is ConstantGamma else cls(**dims, rng=np.random.default_rng(seed))
     model.init_seed = seed
     return model
 
@@ -485,27 +473,24 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Rebuild a checkpointed model; ValueError naming ``path`` if malformed."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    kind, dims = doc["kind"], doc["dims"]
-    if kind == "constant":
-        model = ConstantGamma(dims["n_agents"])
-    elif kind == "mlp":
-        model = MlpGamma(dims["n_agents"], dims["context_dim"],
-                         dims["hidden"], dims["n_hidden"])
-    elif kind == "symmetric":
-        model = SymmetricGammaN(dims["n_agents"], dims["agent_dim"],
-                                dims["hidden"], dims["n_hidden"])
-    elif kind == "relative":
-        model = RelativeSymmetricGamma(dims["context_dim"], dims["hidden"],
-                                       dims["n_hidden"])
-    else:
+    kind, dims = doc.get("kind"), doc.get("dims")
+    if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    model.params = np.array(doc["params"], dtype=float)
-    if doc.get("seed") is not None:
-        model.init_seed = doc["seed"]
+    want = MODEL_KINDS[kind].dims
+    if not isinstance(dims, dict) or set(dims) != set(want):
+        raise ValueError(f"{path}: a {kind} checkpoint needs dims {list(want)}, got {dims!r}")
+    if "params" not in doc:
+        raise ValueError(f"{path}: checkpoint has no params")
+    try:
+        model = init_model(kind, seed=doc.get("seed"), **dims)
+        model.params = np.array(doc["params"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return model

@@ -203,6 +203,103 @@ def test_config_file_rejects_unknown_keys(small_dataset, tmp_path):
                 "--config", cfgfile]) == 2
 
 
+@pytest.mark.parametrize("command,doc,key", [
+    ("train", {"epochs": 2.5}, "epochs"),
+    ("landscape", {"res": 2.5}, "res"),
+    ("landscape", {"range1": [0]}, "range1"),
+    ("landscape", {"range2": [1, 2, 3]}, "range2"),
+    ("train", {"model": "foo"}, "model"),
+    ("train", {"huber-delta": 1}, "huber-delta"),
+    ("train", {"epochs": {"n": 3}}, "epochs"),
+    ("train", {"batch": [8, 16]}, "batch"),
+    ("train", {"lr": True}, "lr"),
+])
+def test_bad_config_values_exit_2_naming_key_and_file(command, doc, key, tmp_path,
+                                                      capsys, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: pytest.fail("command ran"))
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps(doc))
+    assert run([command, "--config", cfgfile]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(cfgfile) in err
+    assert "Traceback" not in err
+
+
+def test_config_file_values_are_read_as_flags(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "train", lambda cfg: seen.append(cfg) or 0)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"epochs": "3", "lr": 1, "trace_csv": None,
+                                   "report_out": "-r.json"}))
+    assert run(["train", "--config", cfgfile]) == 0
+    assert run(["train", "--epochs", "3", "--lr", "1", "--report-out=-r.json"]) == 0
+    from_file, from_flags = seen
+    assert from_file == from_flags
+    assert from_file["epochs"] == 3 and from_file["lr"] == 1.0
+    assert from_file["trace_csv"] is None
+
+
+def test_usage_errors_return_2_and_help_exits_0(small_dataset, capsys):
+    assert run(["train", "--dataset", small_dataset, "--epoch", 3]) == 2
+    assert "--epoch" in capsys.readouterr().err
+    assert run(["train", "--epochs", "x"]) == 2
+    assert run(["fit"]) == 2
+    assert run([]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--help"])
+    assert exc.value.code == 0
+
+
+# The command-line examples of README.md and the configuration each one
+# echoes into its artifact.
+README_ECHOES = [
+    ("generate --scenario synthetic-2agent --n 128 --gamma 0.3 --seed 1 --out data.ndjson",
+     {"scenario": "synthetic-2agent", "n": 128, "count": 8, "gamma": "0.3",
+      "gamma_model": None, "noise": 0.1, "seed": 1, "beta1": 0.1, "beta2": 600.0,
+      "steps": 150, "out": "data.ndjson"}),
+    ("train --dataset data.ndjson --model constant --epochs 200 --batch 8 --lr 0.005 "
+     "--optimizer sgd --checkpoint-out model.json --report-out report.json",
+     {"dataset": "data.ndjson", "model": "constant", "scene": None, "epochs": 200,
+      "batch": 8, "lr": 0.005, "optimizer": "sgd", "loss": "huber", "huber_delta": 1.0,
+      "beta1": 0.1, "beta2": 600.0, "seed": 0, "checkpoint_out": "model.json",
+      "report_out": "report.json", "trace_csv": None, "hidden": 16, "n_hidden": 3}),
+    ("generate --scenario weaving-rear-overtake --count 6 --noise 0.05 --seed 5 "
+     "--out weave.ndjson",
+     {"scenario": "weaving-rear-overtake", "n": 128, "count": 6, "gamma": None,
+      "gamma_model": None, "noise": 0.05, "seed": 5, "beta1": 0.1, "beta2": 600.0,
+      "steps": 150, "out": "weave.ndjson"}),
+    ("train --dataset weave.ndjson --model relative --epochs 80 --batch 256 --lr 3e-3 "
+     "--checkpoint-out sym.json",
+     {"dataset": "weave.ndjson", "model": "relative", "scene": None, "epochs": 80,
+      "batch": 256, "lr": 0.003, "optimizer": "adam", "loss": "huber",
+      "huber_delta": 1.0, "beta1": 0.1, "beta2": 600.0, "seed": 0,
+      "checkpoint_out": "sym.json", "report_out": None, "trace_csv": None,
+      "hidden": 16, "n_hidden": 3}),
+    ("landscape --checkpoint sym.json --axes r_lon,vr_lon --range1 -15 15 --range2 -4 4 "
+     "--res 41 --fixed r_lat=3.7,vr_lat=0 --out landscape.csv",
+     {"checkpoint": "sym.json", "out": "landscape.csv", "axes": "r_lon,vr_lon",
+      "range1": [-15.0, 15.0], "range2": [-4.0, 4.0], "res": 41,
+      "fixed": "r_lat=3.7,vr_lat=0", "beta1": 0.1, "beta2": 600.0, "ref_lon": 0.0,
+      "ref_lat": -1.85, "ref_speed": 10.0}),
+    ("trace --checkpoint sym.json --dataset weave.ndjson --traj-id 0 --out trace.csv",
+     {"checkpoint": "sym.json", "dataset": "weave.ndjson", "traj_id": 0,
+      "out": "trace.csv", "beta1": 0.1, "beta2": 600.0}),
+    ("bench --sizes 8,16,32,64,128,256,512 --out bench.csv",
+     {"sizes": "8,16,32,64,128,256,512", "repeats": 5, "seed": 0, "out": "bench.csv",
+      "beta1": 0.1, "beta2": 600.0}),
+]
+
+
+@pytest.mark.parametrize("argv,echo", README_ECHOES)
+def test_readme_commands_echo_their_configuration(argv, echo, monkeypatch):
+    seen = []
+    command = argv.split()[0]
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+    assert run(argv.split()) == 0
+    # The text compare also pins the key order of the CSV "# config:" line.
+    assert json.dumps(seen[0]) == json.dumps(echo)
+
+
 @pytest.fixture(scope="module")
 def relative_checkpoint(weaving_dataset, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("cli") / "rel.json"
@@ -262,6 +359,35 @@ def test_landscape_mask_matches_closed_form_oracle(relative_checkpoint, tmp_path
         assert int(inactive) == expect
         flagged += expect
     assert 0 < flagged < 81      # both regimes appear on this grid
+
+
+def test_parser_is_built_once_and_shared_without_leaks(relative_checkpoint, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "land.csv"
+    assert run(["landscape", "--checkpoint", relative_checkpoint, "--out", out,
+                "--res", 7, "--range1", -1, 1]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 49
+    assert run(["landscape", "--checkpoint", relative_checkpoint, "--out", out]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 625
+    echo = json.loads(lines[0][len("# config: "):])
+    assert echo["res"] == 25 and echo["range1"] == [-15.0, 15.0]
+
+
+def test_malformed_checkpoint_exits_2(weaving_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "bad.json"
+    save_model(ConstantGamma(2), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["dims"] = {}
+    ckpt.write_text(json.dumps(doc))
+    for argv in (["landscape", "--checkpoint", ckpt, "--out", tmp_path / "l.csv"],
+                 ["trace", "--checkpoint", ckpt, "--dataset", weaving_dataset,
+                  "--out", tmp_path / "t.csv"],
+                 ["generate", "--gamma-model", ckpt, "--n", 4,
+                  "--out", tmp_path / "d.ndjson"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "n_agents" in err
 
 
 def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path):

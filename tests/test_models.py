@@ -278,3 +278,33 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text(json.dumps({"something": 1}))
     with pytest.raises(ValueError, match="not a model checkpoint"):
         load_model(path)
+
+
+@pytest.mark.parametrize("seed", [7, None])
+def test_checkpoint_roundtrips_the_init_seed(seed, tmp_path):
+    model = init_model("mlp", seed=3, n_agents=2, context_dim=4)
+    model.init_seed = seed
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    assert loaded.init_seed == seed
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: doc["dims"].pop("n_agents"), "needs dims"),
+    (lambda doc: doc["dims"].update(agent_dim=4), "needs dims"),
+    (lambda doc: doc.pop("params"), "has no params"),
+    (lambda doc: doc["params"].pop(), "expected 10 parameters, got 9"),
+])
+def test_checkpoint_rejects_malformed_files_naming_them(edit, match, tmp_path):
+    path = tmp_path / "bad.json"
+    save_model(init_model("mlp", seed=0, n_agents=2, context_dim=1, hidden=2,
+                          n_hidden=1), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
