@@ -1,13 +1,10 @@
 """Command-line pipeline: generate, train, landscape, trace, bench.
 
-The argparse parser is the one declaration of every option and its default.
-A JSON config file (--config) is read as flags placed before the command
-line's own, so the precedence is flag > config file > default and file values
-meet the same types and choices. The effective configuration is echoed into
-every artifact (as a header field in data files, a ``cli_config`` field in
-reports, and a leading ``#`` comment in CSVs). Exit codes: 0 success, 2 usage
-or validation error (any bad flag or config value included), 3
-runtime/numeric failure.
+Configuration precedence is CLI flag > JSON config file (--config) > the
+parser's default, and the effective configuration is echoed into every
+artifact (as a header field in data files, a ``cli_config`` field in reports,
+and a leading ``#`` comment in CSVs). Exit codes: 0 success, 2 usage or
+validation error, 3 runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -67,10 +64,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The one declaration of every option: flag, type, choices and default.
-
-    Built once per process; every default is immutable, so parses do not
-    leak values into each other.
-    """
+    Built once per process; defaults are immutable, so parses share nothing."""
     parser = _Parser(
         prog="respalloc", allow_abbrev=False,
         description="Learn per-agent responsibility allocations from "
@@ -169,7 +163,7 @@ def _config_flags(args):
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     options = vars(args)
@@ -358,7 +352,10 @@ def _parse_fixed(text):
         name, val = part.split("=", 1)
         if name.strip() not in RELATIVE_AXES:
             raise UsageError(f"unknown axis {name.strip()!r} in --fixed")
-        fixed[name.strip()] = float(val)
+        try:
+            fixed[name.strip()] = float(val)
+        except ValueError as exc:
+            raise UsageError(f"bad --fixed value {part!r}") from exc
     return fixed
 
 

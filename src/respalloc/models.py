@@ -475,13 +475,16 @@ def save_model(model, path):
 def load_model(path):
     """Rebuild a checkpointed model; ValueError naming ``path`` if malformed."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a model checkpoint ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     kind, dims = doc.get("kind"), doc.get("dims")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     want = MODEL_KINDS[kind].dims
     if not isinstance(dims, dict) or set(dims) != set(want):

@@ -390,9 +390,12 @@ def test_malformed_checkpoint_exits_2(weaving_dataset, tmp_path, capsys):
         assert str(ckpt) in err and "n_agents" in err
 
 
-def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path):
+def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path, capsys):
     assert run(["landscape", "--checkpoint", relative_checkpoint,
                 "--out", tmp_path / "x.csv", "--axes", "r_lon,theta"]) == 2
+    assert run(["landscape", "--checkpoint", relative_checkpoint,
+                "--out", tmp_path / "x.csv", "--fixed", "vr_lon=fast"]) == 2
+    assert "bad --fixed value 'vr_lon=fast'" in capsys.readouterr().err
 
 
 def test_trace_rows_and_self_consistency(relative_checkpoint, weaving_dataset,

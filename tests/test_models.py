@@ -275,9 +275,10 @@ def test_checkpoint_refuses_non_finite_parameters(tmp_path):
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
-    path.write_text(json.dumps({"something": 1}))
-    with pytest.raises(ValueError, match="not a model checkpoint"):
-        load_model(path)
+    for text in (json.dumps({"something": 1}), "not json"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("seed", [7, None])
@@ -296,6 +297,7 @@ def test_checkpoint_roundtrips_the_init_seed(seed, tmp_path):
     (lambda doc: doc["dims"].pop("n_agents"), "needs dims"),
     (lambda doc: doc["dims"].update(agent_dim=4), "needs dims"),
     (lambda doc: doc.pop("params"), "has no params"),
+    (lambda doc: doc.update(kind=["mlp"]), "unknown model kind"),
     (lambda doc: doc["params"].pop(), "expected 10 parameters, got 9"),
 ])
 def test_checkpoint_rejects_malformed_files_naming_them(edit, match, tmp_path):
