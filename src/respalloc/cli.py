@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -55,7 +56,15 @@ def _scene_for(scenario, beta1, beta2):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag as a UsageError instead of printing and exiting 2."""
+    """Reports a bad flag as a UsageError instead of printing and exiting 2.
+
+    A negative number written with an exponent ("-1e-3") is a value, not a
+    flag, as in Python 3.13's argparse; no option string looks like one.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise UsageError(message)

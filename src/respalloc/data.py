@@ -232,13 +232,19 @@ def desired_controls_weaving(x_joint, params: DesiredPolicyParams):
 # -- ground-truth allocations -------------------------------------------------
 
 
-def resolve_gamma_truth(gamma_truth, k, x_filter):
-    """Accept a fixed vector, a per-sample callable (k, x) -> vector, or a model."""
+def resolve_gamma_truth(gamma_truth, ks, states):
+    """Allocations (B, N) at filter states (B, n), row b labelled ``ks[b]``.
+
+    ``gamma_truth`` is a fixed vector (broadcast to every row), a callable
+    (k, x) -> vector (called once per row with that row's k and state), or a
+    model (its ``gamma`` called once per state).
+    """
     if callable(gamma_truth):
-        return np.asarray(gamma_truth(k, x_filter), dtype=float)
+        return np.array([gamma_truth(k, x) for k, x in zip(ks, states)], dtype=float)
     if hasattr(gamma_truth, "gamma"):
-        return np.asarray(gamma_truth.gamma(x_filter), dtype=float)
-    return np.asarray(gamma_truth, dtype=float)
+        return np.array([gamma_truth.gamma(x) for x in states], dtype=float)
+    gamma = np.asarray(gamma_truth, dtype=float)
+    return np.broadcast_to(gamma, (len(states),) + gamma.shape)
 
 
 def speed_advantage_gamma(sharpness=0.5, span=0.35):
@@ -276,10 +282,19 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.state_low = np.asarray(self.state_low, dtype=float)
-        self.state_high = np.asarray(self.state_high, dtype=float)
-        self.udes_low = np.asarray(self.udes_low, dtype=float)
-        self.udes_high = np.asarray(self.udes_high, dtype=float)
+        # Draws are formed as low + (high - low) * u, so the boxes are checked here.
+        for lo, hi in (("state_low", "state_high"), ("udes_low", "udes_high")):
+            for name in (lo, hi):
+                value = np.asarray(getattr(self, name), dtype=float)
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{name} holds a NaN or infinite entry")
+                setattr(self, name, value)
+            low, high = getattr(self, lo), getattr(self, hi)
+            if low.ndim != 1 or low.shape != high.shape:
+                raise ValueError(f"{lo} and {hi} must be vectors of one shape, "
+                                 f"got {low.shape} and {high.shape}")
+            if np.any(low > high):
+                raise ValueError(f"{lo} exceeds {hi} at entry {int(np.argmax(low > high))}")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.noise_variance < 0:
@@ -311,32 +326,31 @@ def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
                        gamma_truth) -> list:
     """Draw (state, desired control) pairs, filter them, add control noise.
 
-    Sample k draws its state, desired control and noise in that order.
+    Sample k draws its state, desired control and noise in that order: the
+    uniform doubles of the (state, desired control) box, scaled after the
+    loop exactly as ``Generator.uniform`` scales them, then standard normals.
     """
     rng = np.random.default_rng(config.seed)
     dims = scene.system.control_dims
-    std = float(np.sqrt(config.noise_variance))
-    draws = [(rng.uniform(config.state_low, config.state_high),
-              rng.uniform(config.udes_low, config.udes_high),
-              rng.standard_normal(scene.system.control_dim_total))
-             for _ in range(config.n_samples)]
-    X, U_des, noise = (np.array(column) for column in zip(*draws))
-    states = scene.filter_state(X)
-    gammas = np.array([resolve_gamma_truth(gamma_truth, k, xs)
-                       for k, xs in enumerate(states)])
-    problem = scene.problem(scene.assemble(states), U_des, gammas)
-    problem.validate_allocation(tol=1e-6)
-    U_obs = solve_filter(problem).u + std * noise
-    return [InteractionSample(x=x, u=_split_rows(u_obs, dims),
-                              u_des=_split_rows(u_des, dims), t=0.0, trajectory_id=k)
-            for k, (x, u_obs, u_des) in enumerate(zip(X, U_obs, U_des))]
-
-
-def _split_rows(u_stacked, dims):
-    u = np.asarray(u_stacked, dtype=float)
     if len(set(dims)) != 1:
         raise ValueError("heterogeneous control dims not supported in samples")
-    return u.reshape(len(dims), dims[0])
+    n, B = config.state_low.size, config.n_samples
+    raw = np.empty((B, n + config.udes_low.size))
+    noise = np.empty((B, scene.system.control_dim_total))
+    for k in range(B):
+        rng.random(out=raw[k])
+        rng.standard_normal(out=noise[k])
+    X = config.state_low + (config.state_high - config.state_low) * raw[:, :n]
+    U_des = config.udes_low + (config.udes_high - config.udes_low) * raw[:, n:]
+    states = scene.filter_state(X)
+    gammas = resolve_gamma_truth(gamma_truth, range(B), states)
+    problem = scene.problem(scene.assemble(states), U_des, gammas)
+    problem.validate_allocation(tol=1e-6)
+    U_obs = solve_filter(problem).u + float(np.sqrt(config.noise_variance)) * noise
+    shape = (B, len(dims), dims[0])
+    return [InteractionSample(x=x, u=u_obs, u_des=u_des, t=0.0, trajectory_id=k)
+            for k, (x, u_obs, u_des) in enumerate(zip(X, U_obs.reshape(shape),
+                                                      U_des.reshape(shape)))]
 
 
 def active_fraction(samples, scene, gamma_truth):
@@ -346,8 +360,7 @@ def active_fraction(samples, scene, gamma_truth):
     callable receives the sample's position in ``samples`` as k.
     """
     states = scene.filter_state(np.array([s.x for s in samples]))
-    gammas = np.array([resolve_gamma_truth(gamma_truth, k, xs)
-                       for k, xs in enumerate(states)])
+    gammas = resolve_gamma_truth(gamma_truth, range(len(states)), states)
     u_des = np.array([scene.desired_controls(s) for s in samples])
     sol = solve_filter(scene.problem(scene.assemble(states), u_des, gammas))
     return float(np.mean(sol.lam_cbf > 1e-9))
@@ -432,7 +445,7 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     for step in range(cfg.steps):
         R = scene.filter_state(X)
         U_des = desired_controls_weaving(X, policy)
-        gammas = np.array([resolve_gamma_truth(gamma_truth, step, r) for r in R])
+        gammas = resolve_gamma_truth(gamma_truth, [step] * count, R)
         sol = solve_filter(scene.problem(scene.assemble(R), U_des, gammas))
         U = (sol.u + noise[:, step]).reshape(count, 2, 2)
         for traj, x in enumerate(X):

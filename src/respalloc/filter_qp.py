@@ -229,21 +229,28 @@ def _clip(v, lb, ub):
     return np.minimum(np.maximum(v, lb), ub)
 
 
-def _root(a, c, v0, t, lb, ub, beta2):
-    """Root lam > 0 of phi for rows with phi(0) < 0, and breakpoints passed.
+def _breakpoints(v0, t, lb, ub):
+    """Every channel's two breakpoints (b, 2m), and which are unused (<= 0 or inf).
 
     Channel j moves as v0_j + lam t_j and meets a bound at the breakpoint
     lam = (bound_j - v0_j) / t_j = 2 (h_j bound_j - gamma_j u_des_j) / a_j.
+    """
+    gap = np.concatenate([lb, ub]) - v0[:, None]
+    bp = np.divide(gap, t[:, None], out=np.zeros_like(gap),
+                   where=t[:, None] != 0.0).reshape(len(v0), -1)
+    return bp, (bp <= 0.0) | (bp == np.inf)
+
+
+def _root(a, c, v0, t, lb, ub, beta2):
+    """Root lam > 0 of phi for rows with phi(0) < 0, and breakpoints passed.
+
     phi is evaluated at 0 and at the sorted positive breakpoints; on the
     first segment where it turns nonnegative (or past the last breakpoint)
     it is linear with slope sum_free a t + 1 / (2 beta2) over the channels
     free inside the segment, so one Newton step from its left end is exact.
     """
     b = len(c)
-    gap = np.concatenate([lb, ub]) - v0[:, None]
-    bp = np.divide(gap, t[:, None], out=np.zeros_like(gap),
-                   where=t[:, None] != 0.0).reshape(b, -1)
-    unused = (bp <= 0.0) | (bp == np.inf)
+    bp, unused = _breakpoints(v0, t, lb, ub)
     bp[unused] = 0.0
     bp.sort(axis=1)
     lams = np.concatenate([np.zeros((b, 1)), bp, 2.0 * bp[:, -1:] + 1.0], axis=1)
@@ -256,6 +263,27 @@ def _root(a, c, v0, t, lb, ub, beta2):
     v = v0 + (0.5 * (lo + lams[r, k]))[:, None] * t
     slope = np.where((lb < v) & (v < ub), a * t, 0.0).sum(axis=1) + 0.5 / beta2
     return lo - phi_lo / slope, k - 1 - np.count_nonzero(unused, axis=1)
+
+
+def _first_segment(a, c, phi0, v0, t, lb, ub, beta2):
+    """``_root``'s lam for the rows whose root lies on their first segment.
+
+    The first segment runs from 0 to the smallest positive breakpoint, or to
+    ``_root``'s end point 1 when there is none. Where phi is nonnegative at
+    that end, ``_root`` stops on this segment; this takes the same Newton
+    step, written as ``_root`` writes it, without sorting. Returns lam (the
+    other rows' entries are meaningless) and which rows it holds for.
+    """
+    bp, unused = _breakpoints(v0, t, lb, ub)
+    bp[unused] = np.inf
+    first = bp.min(axis=1)
+    none = first == np.inf
+    end = np.where(none, 1.0, first)
+    u = _clip(v0 + end[:, None] * t, lb, ub)
+    done = none | ((a * u).sum(axis=1) + (c + end / (2.0 * beta2)) >= 0.0)
+    v = v0 + (0.5 * (0.0 + end))[:, None] * t
+    slope = np.where((lb < v) & (v < ub), a * t, 0.0).sum(axis=1) + 0.5 / beta2
+    return 0.0 - phi0 / slope, done
 
 
 def solve_filter(problem: FilterProblem) -> FilterSolution:
@@ -272,9 +300,14 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     lam = np.zeros(len(c))
     passed = np.zeros(len(c), dtype=int)
     if tight.any():
-        # Rows slack at lam = 0 keep the shrunk desired control.
+        # Rows slack at lam = 0 keep the shrunk desired control. A tight row
+        # whose root lies past its first breakpoint takes the sorted search.
         i = slice(None) if tight.all() else np.flatnonzero(tight)
-        lam[i], passed[i] = _root(a[i], c[i], v[i], t[i], lb, ub, problem.beta2)
+        lam[i], first = _first_segment(a[i], c[i], phi0[i], v[i], t[i], lb, ub,
+                                       problem.beta2)
+        if not first.all():
+            j = np.flatnonzero(tight)[~first]
+            lam[j], passed[j] = _root(a[j], c[j], v[j], t[j], lb, ub, problem.beta2)
         v[i] += lam[i, None] * t[i]
         u[i] = _clip(v[i], lb, ub)
     # Box multipliers from stationarity: 2 h (u - v) = mu_lb - mu_ub.

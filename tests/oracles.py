@@ -155,3 +155,18 @@ def symmetric_gamma_reference(model, contexts, dgamma):
     dlogits = gamma * (dg - np.sum(gamma * dg, axis=1, keepdims=True))
     seeds = np.repeat(dlogits.reshape(b * n), s)[:, None]
     return gamma, model.net.vjp_params(tape, seeds)
+
+
+def synthetic_draws_reference(config, n_controls):
+    """(X, U_des, noise) of ``generate_synthetic``, drawn the way it first did.
+
+    Sample k calls ``Generator.uniform`` on the state box, then on the
+    desired-control box, then draws ``n_controls`` standard normals: the
+    draw order any faster generator must reproduce.
+    """
+    rng = np.random.default_rng(config.seed)
+    draws = [(rng.uniform(config.state_low, config.state_high),
+              rng.uniform(config.udes_low, config.udes_high),
+              rng.standard_normal(n_controls))
+             for _ in range(config.n_samples)]
+    return tuple(np.array(column) for column in zip(*draws))

@@ -374,6 +374,20 @@ def test_parser_is_built_once_and_shared_without_leaks(relative_checkpoint, tmp_
     assert echo["res"] == 25 and echo["range1"] == [-15.0, 15.0]
 
 
+def test_negative_values_with_exponents_are_values(relative_checkpoint, tmp_path):
+    out, cfgfile = tmp_path / "land.csv", tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"range1": [-1e-05, 3]}))
+    for flags, key, want in ((["--range1", "-1e-3", "1"], "range1", [-1e-3, 1.0]),
+                             (["--range1", "-1", "-.5"], "range1", [-1.0, -0.5]),
+                             (["--ref-lat", "-1e-3"], "ref_lat", -1e-3),
+                             (["--range2", "-2.5E+1", "-1e0"], "range2", [-25.0, -1.0]),
+                             (["--config", cfgfile], "range1", [-1e-05, 3.0])):
+        assert run(["landscape", "--checkpoint", relative_checkpoint, "--out", out,
+                    "--res", 3] + flags) == 0
+        echo = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+        assert echo[key] == want
+
+
 def test_malformed_checkpoint_exits_2(weaving_dataset, tmp_path, capsys):
     ckpt = tmp_path / "bad.json"
     save_model(ConstantGamma(2), ckpt)

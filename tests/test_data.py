@@ -11,11 +11,13 @@ from respalloc.data import (DesiredPolicyParams, ScenarioConfig,
                             desired_longitudinal_control, export_csv,
                             generate_synthetic, generate_weaving_trajectories,
                             load_trajectories, planar_group_scene, read_header,
-                            save_trajectories, two_agent_line_scene,
-                            weaving_scene)
+                            resolve_gamma_truth, save_trajectories,
+                            two_agent_line_scene, weaving_scene)
 from respalloc.filter_qp import solve_filter
-from respalloc.models import ConstantGamma, RelativeSymmetricGamma
+from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import TrainConfig, loss
+
+from oracles import synthetic_draws_reference
 
 PARAMS = DesiredPolicyParams()
 
@@ -160,6 +162,69 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
                        noise_variance=-0.1)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("state_low", [0.0, -np.inf], "state_low holds a NaN or infinite entry"),
+    ("state_high", [np.nan, 1.0], "state_high holds a NaN or infinite entry"),
+    ("udes_high", [1.0, np.inf], "udes_high holds a NaN or infinite entry"),
+    ("state_high", [1.0, 1.0, 1.0], "state_low and state_high must be vectors of one shape"),
+    ("udes_low", [[0.0, 0.0]], "udes_low and udes_high must be vectors of one shape"),
+    ("udes_low", 0.0, "udes_low and udes_high must be vectors of one shape"),
+    ("state_low", [0.0, 2.0], "state_low exceeds state_high at entry 1"),
+    ("udes_high", [1.0, -0.5], "udes_low exceeds udes_high at entry 1"),
+])
+def test_scenario_config_rejects_bad_boxes_naming_the_field(field, value, message):
+    boxes = {"state_low": np.zeros(2), "state_high": np.ones(2),
+             "udes_low": np.zeros(2), "udes_high": np.ones(2)}
+    boxes[field] = value
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**boxes)
+    # A point box (low == high) is legal and always draws that point.
+    boxes = {"state_low": np.ones(2), "state_high": np.ones(2),
+             "udes_low": np.zeros(2), "udes_high": np.zeros(2)}
+    samples = generate_synthetic(ScenarioConfig(**boxes, n_samples=3),
+                                 two_agent_line_scene(), [0.5, 0.5])
+    assert all(np.array_equal(s.x, [1.0, 1.0]) for s in samples)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: (default_two_agent_config(n_samples=40, seed=seed),
+                  two_agent_line_scene(), np.array([0.3, 0.7])),
+    lambda seed: (default_planar_group_config(6, n_samples=12, seed=seed),
+                  planar_group_scene(6), np.full(6, 1.0 / 6.0)),
+], ids=["line", "planar6"])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_synthetic_draws_follow_the_per_sample_uniform_reference(make, seed):
+    cfg, scene, gamma = make(seed)
+    samples = generate_synthetic(cfg, scene, gamma)
+    X, U_des, noise = synthetic_draws_reference(cfg, scene.system.control_dim_total)
+    U = (solve_filter(scene.problem(scene.assemble(X), U_des,
+                                    np.tile(gamma, (len(X), 1)))).u
+         + float(np.sqrt(cfg.noise_variance)) * noise)
+    n = len(scene.system.control_dims)
+    np.testing.assert_array_equal(np.array([s.x for s in samples]), X)
+    np.testing.assert_array_equal(np.array([s.u_des for s in samples]),
+                                  U_des.reshape(len(X), n, -1))
+    np.testing.assert_array_equal(np.array([s.u for s in samples]), U.reshape(len(X), n, -1))
+    assert [s.trajectory_id for s in samples] == list(range(cfg.n_samples))
+
+
+def test_truths_resolve_on_arrays_as_per_row_calls():
+    rng = np.random.default_rng(2)
+    states = rng.normal(size=(9, 4))
+    gamma = np.array([0.25, 0.75])
+    const = resolve_gamma_truth(gamma, range(9), states)
+    assert const.shape == (9, 2)
+    np.testing.assert_array_equal(const, resolve_gamma_truth(lambda k, x: gamma,
+                                                             range(9), states))
+    np.testing.assert_array_equal(const, np.tile(gamma, (9, 1)))
+    # A callable sees each row's own k and state; a model each state.
+    seen = resolve_gamma_truth(lambda k, x: [k, x[0]], [5] * 4 + list(range(5)), states)
+    np.testing.assert_array_equal(seen, np.c_[[5] * 4 + list(range(5)), states[:, 0]])
+    model = init_model("relative", seed=0, context_dim=4)
+    np.testing.assert_array_equal(resolve_gamma_truth(model, range(9), states),
+                                  [model.gamma(x) for x in states])
 
 
 # -- weaving rollouts -----------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from respalloc.barriers import CbfLinearConstraint, ClassKappaLinear, \
     assemble_constraint, make_pairwise_distance_barrier
 from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
+from respalloc import filter_qp
 from respalloc.dynamics import make_single_integrator_1d
 from respalloc.filter_qp import (FilterError, FilterProblem,
                                  differentiate_filter, kkt_residuals,
@@ -494,3 +497,65 @@ def test_tied_breakpoints_match_nearly_tied_ones(name, seed):
     for i in range(16):
         assert max(kkt_residuals(_one_row(tied_problem, i),
                                  solve_filter(_one_row(tied_problem, i))).values()) <= 1e-7
+
+
+def _solve_every_tight_row_by_root(problem):
+    """``solve_filter`` with the first-segment exit taking no row."""
+    def no_row(a, c, *rest):
+        return np.zeros(len(c)), np.zeros(len(c), dtype=bool)
+
+    with mock.patch.object(filter_qp, "_first_segment", no_row):
+        return solve_filter(problem)
+
+
+def _assert_same_solution(fast, ref):
+    for name in ("u", "eps", "duals", "n_pivots", "free", "degenerate"):
+        np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name), err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.sampled_from(["random", "unbounded", "tied", "tiny box"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_first_segment_exit_equals_root_on_every_tight_row(name, batch, kind, seed):
+    # "random" clips channels and has +-inf bounds; "unbounded" rows have no
+    # positive breakpoint; "tied" gives two channels the same breakpoints;
+    # "tiny box" pushes most roots past the first breakpoint into _root.
+    problem = _random_rows(name, batch, np.random.default_rng(seed))
+    a, lb, ub = problem.constraint.a, problem.lb.copy(), problem.ub.copy()
+    if kind == "unbounded":
+        lb[:], ub[:] = -np.inf, np.inf
+    elif kind == "tied":
+        a[:, 1], problem.u_des[:, 1], lb[1], ub[1] = a[:, 0], problem.u_des[:, 0], lb[0], ub[0]
+        problem.gamma[:, :2] = problem.gamma[:, :2].mean(axis=1, keepdims=True)
+    elif kind == "tiny box":
+        lb, ub = np.maximum(lb, -0.05), np.minimum(ub, 0.05)
+    problem = FilterProblem(problem.constraint, problem.u_des, problem.gamma,
+                            problem.beta1, problem.beta2, lb, ub)
+    _assert_same_solution(solve_filter(problem), _solve_every_tight_row_by_root(problem))
+    for i in range(min(batch, 3)):
+        one = _one_row(problem, i)
+        _assert_same_solution(solve_filter(one), _solve_every_tight_row_by_root(one))
+
+
+def test_root_exactly_at_the_first_breakpoint_stays_on_the_first_segment():
+    # h = 1, v = lam: channel 0 meets its bound 1/4 where phi(lam) = 8 lam - 2
+    # reaches 0, so the exit takes the row and passes no breakpoint.
+    problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
+                             -1.0, [0.25, np.inf])
+    v = np.zeros((1, 2))
+    t = np.ones((1, 2))
+    lam, first = filter_qp._first_segment(np.array([[2.0, 2.0]]), np.array([-2.0]),
+                                          np.array([-2.0]), v, t, problem.lb[None],
+                                          problem.ub[None], 0.125)
+    assert first.all() and lam[0] == 0.25
+    sol = solve_filter(problem)
+    assert sol.n_pivots == 0 and sol.lam_cbf == 0.25
+    _assert_same_solution(sol, _solve_every_tight_row_by_root(problem))
+    # A looser bound past the root, and one crossed before it.
+    for bound, pivots in ((0.5, 0), (0.125, 1)):
+        problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
+                                 -1.0, [bound, np.inf])
+        sol = solve_filter(problem)
+        assert sol.n_pivots == pivots
+        _assert_same_solution(sol, _solve_every_tight_row_by_root(problem))
