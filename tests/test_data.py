@@ -162,6 +162,10 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
                        noise_variance=-0.1)
+    # A point box (low == high) is legal and always draws that point.
+    point = ScenarioConfig(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), n_samples=3)
+    samples = generate_synthetic(point, two_agent_line_scene(), [0.5, 0.5])
+    assert all(np.array_equal(s.x, [1.0, 1.0]) for s in samples)
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -180,12 +184,6 @@ def test_scenario_config_rejects_bad_boxes_naming_the_field(field, value, messag
     boxes[field] = value
     with pytest.raises(ValueError, match=message):
         ScenarioConfig(**boxes)
-    # A point box (low == high) is legal and always draws that point.
-    boxes = {"state_low": np.ones(2), "state_high": np.ones(2),
-             "udes_low": np.zeros(2), "udes_high": np.zeros(2)}
-    samples = generate_synthetic(ScenarioConfig(**boxes, n_samples=3),
-                                 two_agent_line_scene(), [0.5, 0.5])
-    assert all(np.array_equal(s.x, [1.0, 1.0]) for s in samples)
 
 
 @pytest.mark.parametrize("make", [
