@@ -77,10 +77,9 @@ class CbfLinearConstraint:
     offset: float
     agent_dims: tuple
 
-    def rows(self):
-        """The per-state rows of a batch, in order."""
-        return [CbfLinearConstraint(a, float(c), self.agent_dims)
-                for a, c in zip(self.a, self.offset)]
+    def __getitem__(self, i):
+        """Row ``i`` of a batch as a one-row constraint."""
+        return CbfLinearConstraint(self.a[i], float(self.offset[i]), self.agent_dims)
 
     def value(self, u):
         """Left-hand side of one row at a stacked control (without the slack)."""
@@ -330,4 +329,4 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
         c = _rowdot(w, f) + (k1 + k2) * bdot + k1 * k2 * b
 
     rows = CbfLinearConstraint(a=a, offset=c, agent_dims=system.control_dims)
-    return rows if x.ndim == 2 else rows.rows()[0]
+    return rows if x.ndim == 2 else rows[0]

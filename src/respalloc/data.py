@@ -19,6 +19,7 @@ Files are newline-delimited JSON with a header record; see
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -82,6 +83,12 @@ class InteractionScene:
     beta2: float = 600.0
     state_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     desired_policy: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.beta1 < math.inf:
+            raise ValueError(f"beta1 must be nonnegative and finite, got {self.beta1}")
+        if not 0.0 < self.beta2 < math.inf:
+            raise ValueError(f"beta2 must be positive and finite, got {self.beta2}")
 
     def filter_state(self, x):
         x = np.asarray(x, dtype=float)
@@ -297,8 +304,12 @@ class ScenarioConfig:
                 raise ValueError(f"{lo} exceeds {hi} at entry {int(np.argmax(low > high))}")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        _check_noise(self.noise_variance)
+
+
+def _check_noise(variance):
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"noise_variance must be nonnegative and finite, got {variance}")
 
 
 def default_two_agent_config(n_samples=128, noise_variance=0.1, seed=0):
@@ -380,6 +391,9 @@ class WeavingConfig:
     noise_variance: float = 0.0
     policy: DesiredPolicyParams = field(default_factory=DesiredPolicyParams)
     start_lon_spread: float = 2.0
+
+    def __post_init__(self):
+        _check_noise(self.noise_variance)
 
 
 WEAVING_KINDS = ("single", "side_by_side", "rear_overtake", "mixed")

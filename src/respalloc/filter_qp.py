@@ -19,7 +19,9 @@ root of the nondecreasing piecewise-linear phi(lam) = a . u(lam) + c +
 lam / (2 beta2), or 0 when phi(0) >= 0 (README: "The safety filter in closed
 form"). ``FilterProblem``, ``solve_filter`` and ``differentiate_filter`` take
 one row (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the
-problem's dense pieces are one-row references.
+problem's dense pieces are one-row references. ``solve_rows_and_pullback``,
+the training step's entry, solves a batch one row at a time and pulls a
+cotangent on u* back to gamma without forming the Jacobians.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class FilterProblem:
             raise FilterError("gamma entries must be nonnegative")
         if gmin + self.beta1 <= 0:
             raise FilterError("need gamma_i + beta1 > 0 for a unique solution")
-        if not np.all(self.lb <= self.ub):
+        if not (self.lb <= self.ub).all():
             if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
                 raise FilterError("box bounds lb/ub hold a NaN entry")
             raise FilterError("inconsistent box bounds (lb > ub)")
@@ -286,12 +288,12 @@ def _first_segment(a, c, phi0, v0, t, lb, ub, beta2):
     return 0.0 - phi0 / slope, done
 
 
-def solve_filter(problem: FilterProblem) -> FilterSolution:
-    """Solve the projection QP in closed form; deterministic for fixed inputs."""
-    a, d, g, h = _rows(problem)
-    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
-    m = a.shape[1]
-    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
+def _solve_core(a, d, g, h, c, lb, ub, beta2):
+    """The closed-form optimum of checked rows: ``a``, ``d`` (u_des), ``g``, ``h`` (B, m).
+
+    Returns u, the unclipped v = v0 + lam t, lam, the breakpoints passed and
+    phi(0). Each row's result depends on that row alone, bit for bit.
+    """
     v = g * d / h                   # unclipped optimum, v0 + lam t once lam is known
     t = (0.5 * a) / h
     u = _clip(v, lb, ub)
@@ -303,13 +305,22 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
         # Rows slack at lam = 0 keep the shrunk desired control. A tight row
         # whose root lies past its first breakpoint takes the sorted search.
         i = slice(None) if tight.all() else np.flatnonzero(tight)
-        lam[i], first = _first_segment(a[i], c[i], phi0[i], v[i], t[i], lb, ub,
-                                       problem.beta2)
+        lam[i], first = _first_segment(a[i], c[i], phi0[i], v[i], t[i], lb, ub, beta2)
         if not first.all():
             j = np.flatnonzero(tight)[~first]
-            lam[j], passed[j] = _root(a[j], c[j], v[j], t[j], lb, ub, problem.beta2)
+            lam[j], passed[j] = _root(a[j], c[j], v[j], t[j], lb, ub, beta2)
         v[i] += lam[i, None] * t[i]
         u[i] = _clip(v[i], lb, ub)
+    return u, v, lam, passed, phi0
+
+
+def solve_filter(problem: FilterProblem) -> FilterSolution:
+    """Solve the projection QP in closed form; deterministic for fixed inputs."""
+    a, d, g, h = _rows(problem)
+    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
+    m = a.shape[1]
+    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
+    u, v, lam, passed, phi0 = _solve_core(a, d, g, h, c, lb, ub, problem.beta2)
     # Box multipliers from stationarity: 2 h (u - v) = mu_lb - mu_ub.
     gap = (u - v) * (2.0 * h)
     duals = np.zeros((len(c), 2 * m + 2))
@@ -329,6 +340,25 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
                           degenerate=degenerate)
 
 
+def _rowsum(x):
+    # The ufunc reduction that ``x.sum(axis=1)`` calls, without its wrapper.
+    return np.add.reduce(x, axis=1)
+
+
+def _sensitivities(a, d, h, u, free, binds, beta2):
+    """The closed form's pieces of du*/dgamma over rows (B, m).
+
+    ``own`` is d u_j / d gamma_j at fixed lam, ``t`` = d u / d lam (zero on
+    clipped channels) and ``scale`` = binds / -phi'(lam), so that, while the
+    row binds, d lam = scale * (a . du at fixed lam). Also returns free / h.
+    """
+    on = free / h
+    own = (d - u) * on
+    t = (0.5 * a) * on
+    scale = binds / (-0.5 / beta2 - _rowsum(a * t))
+    return on, own, t, scale
+
+
 def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> FilterJacobians:
     """Jacobians of (u*, eps*) in gamma and u_des, from the closed form.
 
@@ -340,13 +370,10 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
     a, d, g, h = _rows(problem)
     b, m = a.shape
     onehot = _channel_agent(problem.constraint.agent_dims)[1]
-    on = solution.free.reshape(b, m) / h
-    own = (d - solution.u.reshape(b, m)) * on       # d u_j / d gamma_j at fixed lam
+    on, own, t, scale = _sensitivities(
+        a, d, h, solution.u.reshape(b, m), solution.free.reshape(b, m),
+        solution.duals.reshape(b, -1)[:, 0] > 0.0, problem.beta2)
     shrink = g * on                                 # d u_j / d u_des_j at fixed lam
-    t = (0.5 * a) * on
-    # While the row binds, d lam = -(a . du at fixed lam) / phi'(lam).
-    binds = solution.duals.reshape(b, -1)[:, 0] > 0.0
-    scale = binds / (-(a * t).sum(axis=1) - 0.5 / problem.beta2)
     dlam_dgamma = ((a * own) * scale[:, None]) @ onehot
     du_dgamma = own[:, :, None] * onehot + t[:, :, None] * dlam_dgamma[:, None, :]
     du_dudes = t[:, :, None] * ((a * shrink) * scale[:, None])[:, None, :]
@@ -357,3 +384,33 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
                                du_dudes=du_dudes[0], degenerate=solution.degenerate)
     return FilterJacobians(du_dgamma=du_dgamma, deps_dgamma=deps_dgamma,
                            du_dudes=du_dudes, degenerate=solution.degenerate)
+
+
+def solve_rows_and_pullback(problem: FilterProblem):
+    """Each row's optimum u* (B, m), solved one row at a time, and its pullback.
+
+    The rows of a checked batch problem go through the closed-form core one
+    at a time, as (1, m) views, and skip the duals and flags of
+    ``solve_filter``; u* equals that function's bit for bit. ``pullback(w)``
+    maps a cotangent w (B, m) on u* to w . du*/dgamma (B, N), the rows of
+    ``differentiate_filter``'s Jacobian contracted with w without forming it:
+
+        (own (w + (w . t) scale a)) @ onehot
+    """
+    a, d, g, h = _rows(problem)
+    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
+    b, m = a.shape
+    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
+    beta2, onehot = problem.beta2, _channel_agent(problem.constraint.agent_dims)[1]
+    u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
+    for i in range(b):
+        r = slice(i, i + 1)
+        ur, vr, lam, _, _ = _solve_core(a[r], d[r], g[r], h[r], c[r], lb, ub, beta2)
+        u[r], free[r], binds[r] = ur, ur == vr, lam > 0.0
+
+    def pullback(w):
+        _, own, t, scale = _sensitivities(a, d, h, u, free, binds, beta2)
+        scale *= _rowsum(w * t)
+        return (own * (w + scale[:, None] * a)) @ onehot
+
+    return u, pullback

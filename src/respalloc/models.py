@@ -39,14 +39,14 @@ _CHECKPOINT_VERSION = 1
 def softmax(logits):
     """Row-wise stable softmax; accepts (..., N)."""
     z = np.asarray(logits, dtype=float)
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_vjp(gamma, dgamma):
     """Pull a cotangent on softmax outputs back to the logits (batched)."""
-    inner = np.sum(gamma * dgamma, axis=-1, keepdims=True)
+    inner = (gamma * dgamma).sum(axis=-1, keepdims=True)
     return gamma * (dgamma - inner)
 
 
@@ -258,7 +258,7 @@ class ConstantGamma(ResponsibilityModel):
 
     def gamma_and_pullback(self, contexts):
         b = np.atleast_2d(np.asarray(contexts, dtype=float)).shape[0]
-        gamma = np.tile(softmax(self._params), (b, 1))
+        gamma = softmax(self._params)[None].repeat(b, axis=0)
         return gamma, lambda dgamma: softmax_vjp(gamma, np.atleast_2d(dgamma)).sum(axis=0)
 
     def gamma_batch(self, contexts):

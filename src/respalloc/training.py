@@ -6,12 +6,14 @@ safety-filter QP is solved at the sample's state, and the mismatch between
 its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
-Each minibatch row is solved and differentiated as its own one-row problem.
+Each chunk of the minibatch is checked once as one batch problem; each of
+its rows is then solved on its own by the closed-form core, and the chunk
+is pulled back through w . du*/dgamma without forming the Jacobians.
 
 A step runs the minibatch in chunks of whole contexts, at most
 ``CHUNK_ROWS`` network rows each (``net_rows_per_context`` of the model per
 context). Each chunk goes forward through the model, through its filter
-solves and Jacobians, and back through its pullback before the next starts,
+solves and their pullback, and back through the model before the next starts,
 so the activations the pullback reads are still in L2 cache. Models with
 few rows per context (constant, MLP, relative) take the whole minibatch as
 one chunk; the 6-agent symmetric model, at 720 rows per context, takes four
@@ -31,8 +33,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .barriers import CbfLinearConstraint
 from .data import InteractionSample, InteractionScene, atomic_write
-from .filter_qp import FilterProblem, differentiate_filter, solve_filter
+# solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
+from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
+                        solve_rows_and_pullback)
 from .models import ConstantGamma
 
 LOSS_METRICS = ("huber", "l2", "l1")
@@ -57,8 +62,12 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
+        for name in ("learning_rate", "huber_delta"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss_metric not in LOSS_METRICS:
@@ -73,10 +82,10 @@ def residual_loss(residual, metric="huber", delta=1.0):
     if metric == "l1":
         return float(np.sum(np.abs(r))), np.sign(r)
     if metric == "huber":
-        a = np.abs(r)
-        quad = a <= delta
-        val = float(np.sum(np.where(quad, 0.5 * r ** 2, delta * (a - 0.5 * delta))))
-        return val, np.where(quad, r, delta * np.sign(r))
+        # The derivative is r clipped to [-delta, delta], and q (r - q / 2)
+        # rounds as 0.5 r^2 inside and delta (|r| - delta / 2) outside.
+        q = np.minimum(np.maximum(r, -delta), delta)
+        return float((q * (r - 0.5 * q)).sum()), q
     raise ValueError(f"unknown loss metric {metric!r}")
 
 
@@ -85,7 +94,7 @@ class PreparedBatch:
     """Constraint rows and stacked controls hoisted out of the inner loop."""
 
     contexts: np.ndarray        # (B, context_dim) model inputs
-    constraints: list           # per-sample CbfLinearConstraint
+    constraints: CbfLinearConstraint    # a (B, m), offset (B,)
     u_des: np.ndarray           # (B, m) stacked desired controls
     u_obs: np.ndarray           # (B, m) stacked observed controls
     lb: np.ndarray
@@ -94,11 +103,13 @@ class PreparedBatch:
     beta2: float
 
     def __len__(self):
-        return len(self.constraints)
+        return len(self.u_des)
 
     def subset(self, idx):
+        rows = self.constraints
         return PreparedBatch(
-            contexts=self.contexts[idx], constraints=[self.constraints[i] for i in idx],
+            contexts=self.contexts[idx],
+            constraints=CbfLinearConstraint(rows.a[idx], rows.offset[idx], rows.agent_dims),
             u_des=self.u_des[idx], u_obs=self.u_obs[idx], lb=self.lb, ub=self.ub,
             beta1=self.beta1, beta2=self.beta2)
 
@@ -109,7 +120,7 @@ def prepare_batch(samples: Sequence[InteractionSample], scene: InteractionScene,
     if not samples:
         raise ValueError("empty batch")
     states = scene.filter_state(np.array([s.x for s in samples]))
-    cons = scene.assemble(states).rows()
+    cons = scene.assemble(states)
     u_des = np.array([scene.desired_controls(s).ravel() for s in samples])
     u_obs = np.array([s.u.ravel() for s in samples])
     lb, ub = scene.system.control_bounds()
@@ -118,20 +129,19 @@ def prepare_batch(samples: Sequence[InteractionSample], scene: InteractionScene,
                          lb=lb, ub=ub, beta1=scene.beta1, beta2=scene.beta2)
 
 
-def _solve_prepared(prep: PreparedBatch, gamma_rows):
-    """One filter problem and solution per minibatch row, solved one at a time."""
-    problems = [FilterProblem(prep.constraints[i], prep.u_des[i], gamma_rows[i],
-                              prep.beta1, prep.beta2, prep.lb, prep.ub)
-                for i in range(len(prep))]
-    return problems, [solve_filter(problem) for problem in problems]
+def _solve(prep: PreparedBatch, gamma):
+    """The rows' filter optima u* (B, m) at allocations ``gamma`` and their pullback."""
+    return solve_rows_and_pullback(FilterProblem(
+        prep.constraints, prep.u_des, gamma, prep.beta1, prep.beta2, prep.lb, prep.ub))
 
 
-def _residual_loss(prep: PreparedBatch, solutions, config: TrainConfig):
-    """Summed loss over the rows and its derivative in each row's u*."""
-    u = np.array([sol.u for sol in solutions])
-    total, dval_dresid = residual_loss(prep.u_obs - u, config.loss_metric,
-                                       config.huber_delta)
-    return total, -dval_dresid          # residual = u_obs - u*
+def _residual_loss(prep: PreparedBatch, u, config: TrainConfig):
+    """Summed loss over the rows and its derivative in each row's u*.
+
+    Every metric is even in the residual u_obs - u*, so it is scored on
+    u* - u_obs, whose derivative is the one in u*.
+    """
+    return residual_loss(u - prep.u_obs, config.loss_metric, config.huber_delta)
 
 
 def _mean_loss(total, rows):
@@ -143,16 +153,16 @@ def _mean_loss(total, rows):
 
 def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
     """Mean per-sample loss of filter outputs against observed controls."""
-    _, solutions = _solve_prepared(prep, model.gamma_batch(prep.contexts))
-    return _mean_loss(_residual_loss(prep, solutions, config)[0], len(prep))
+    u, _ = _solve(prep, model.gamma_batch(prep.contexts))
+    return _mean_loss(_residual_loss(prep, u, config)[0], len(prep))
 
 
 def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     """Loss plus its gradient in the model's flat parameters.
 
     The minibatch runs in chunks of at most ``CHUNK_ROWS`` network rows
-    (whole contexts, at least one): each chunk's forward, filter solves,
-    filter Jacobians and pullback run back to back, while its activations
+    (whole contexts, at least one): each chunk's forward, filter solves and
+    the two pullbacks run back to back, while its activations
     are still in cache. Every row is in exactly one chunk, so each runs one
     model forward; the loss is the sum of the chunks' row losses over the
     batch size, and the gradient the sum of their pullbacks.
@@ -164,12 +174,10 @@ def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
         chunk = prep if per_chunk >= n else prep.subset(
             np.arange(start, min(n, start + per_chunk)))
         gamma, pullback = model.gamma_and_pullback(chunk.contexts)
-        problems, solutions = _solve_prepared(chunk, gamma)
-        chunk_total, dval_du = _residual_loss(chunk, solutions, config)
-        dgamma = np.array([w @ differentiate_filter(problem, sol).du_dgamma
-                           for w, problem, sol in zip(dval_du, problems, solutions)])
+        u, filter_pullback = _solve(chunk, gamma)
+        chunk_total, dval_du = _residual_loss(chunk, u, config)
         total += chunk_total
-        grad = grad + pullback(dgamma / n)
+        grad = grad + pullback(filter_pullback(dval_du) / n)
     return _mean_loss(total, n), grad
 
 

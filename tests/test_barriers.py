@@ -224,10 +224,11 @@ def test_batched_rows_equal_stacked_single_state_rows(name, batch, seed):
     singles = [scene.assemble(x) for x in states]
     assert rows.a.shape == (batch, scene.system.control_dim_total)
     assert rows.offset.shape == (batch,)
-    for row, single, listed in zip(zip(rows.a, rows.offset), singles, rows.rows()):
+    for i, (row, single) in enumerate(zip(zip(rows.a, rows.offset), singles)):
         assert_rel_close(row[0], single.a)
         assert_rel_close(row[1], single.offset)
         assert isinstance(single.offset, float) and single.a.ndim == 1
+        listed = rows[i]
         assert np.array_equal(listed.a, row[0]) and listed.offset == row[1]
 
 

@@ -182,6 +182,31 @@ def test_train_rejects_a_dataset_that_does_not_fit_the_scene(small_dataset, caps
         assert shape in err
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--huber-delta=-1"], "huber_delta"), (["--huber-delta", 0], "huber_delta"),
+    (["--lr", "nan"], "learning_rate"), (["--lr", "inf"], "learning_rate"),
+    (["--beta1=-1"], "beta1"), (["--beta2=-1"], "beta2")])
+def test_train_rejects_bad_training_numbers(flags, name, small_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    assert run(["train", "--dataset", small_dataset, "--model", "constant", "--epochs", 2,
+                *flags, "--checkpoint-out", ckpt]) == 2
+    assert name in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--scenario", "synthetic-2agent", "--noise", "nan"], "noise_variance"),
+    (["--scenario", "synthetic-2agent", "--noise", "inf"], "noise_variance"),
+    (["--scenario", "weaving-mixed", "--noise", "nan"], "noise_variance"),
+    (["--scenario", "synthetic-2agent", "--beta1=-1"], "beta1"),
+    (["--scenario", "weaving-mixed", "--beta2=-1"], "beta2")])
+def test_generate_rejects_bad_noise_and_filter_weights(flags, name, tmp_path, capsys):
+    out = tmp_path / "d.ndjson"
+    assert run(["generate", *flags, "--out", out]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_merging(small_dataset, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"epochs": 2, "batch": 16}))

@@ -159,13 +159,28 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
                        n_samples=0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-                       noise_variance=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_variance must be nonnegative and finite"):
+            ScenarioConfig(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
+                           noise_variance=bad)
+        with pytest.raises(ValueError, match="noise_variance must be nonnegative and finite"):
+            WeavingConfig(noise_variance=bad)
     # A point box (low == high) is legal and always draws that point.
     point = ScenarioConfig(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), n_samples=3)
     samples = generate_synthetic(point, two_agent_line_scene(), [0.5, 0.5])
     assert all(np.array_equal(s.x, [1.0, 1.0]) for s in samples)
+
+
+@pytest.mark.parametrize("make", [two_agent_line_scene, weaving_scene,
+                                  lambda **kw: planar_group_scene(3, **kw)])
+def test_scene_rejects_bad_filter_weights(make):
+    for beta1 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta1 must be nonnegative and finite"):
+            make(beta1=beta1)
+    for beta2 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta2 must be positive and finite"):
+            make(beta2=beta2)
+    assert make(beta1=0.0).beta1 == 0.0
 
 
 @pytest.mark.parametrize("field,value,message", [

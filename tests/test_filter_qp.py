@@ -513,16 +513,21 @@ def _assert_same_solution(fast, ref):
         np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name), err_msg=name)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
-       st.sampled_from(["random", "unbounded", "tied", "tiny box"]),
-       st.integers(0, 2 ** 32 - 1))
-def test_first_segment_exit_equals_root_on_every_tight_row(name, batch, kind, seed):
-    # "random" clips channels and has +-inf bounds; "unbounded" rows have no
-    # positive breakpoint; "tied" gives two channels the same breakpoints;
-    # "tiny box" pushes most roots past the first breakpoint into _root.
+ROW_KINDS = ["random", "unbounded", "tied", "tiny box"]
+
+
+def _rows_of_kind(name, batch, kind, seed):
+    """``_random_rows`` shaped into one kind of row set.
+
+    "random" clips channels and has +-inf bounds; "unbounded" rows have no
+    positive breakpoint; "tied" gives two channels the same breakpoints;
+    "tiny box" pushes most roots past the first breakpoint into _root;
+    "phi0 zero" makes every other row exactly tight at lam = 0; "at bound"
+    puts row 0's channel 0 exactly on its upper bound at lam = 0.
+    """
     problem = _random_rows(name, batch, np.random.default_rng(seed))
     a, lb, ub = problem.constraint.a, problem.lb.copy(), problem.ub.copy()
+    offset = problem.constraint.offset.copy()
     if kind == "unbounded":
         lb[:], ub[:] = -np.inf, np.inf
     elif kind == "tied":
@@ -530,8 +535,22 @@ def test_first_segment_exit_equals_root_on_every_tight_row(name, batch, kind, se
         problem.gamma[:, :2] = problem.gamma[:, :2].mean(axis=1, keepdims=True)
     elif kind == "tiny box":
         lb, ub = np.maximum(lb, -0.05), np.minimum(ub, 0.05)
-    problem = FilterProblem(problem.constraint, problem.u_des, problem.gamma,
-                            problem.beta1, problem.beta2, lb, ub)
+    elif kind in ("phi0 zero", "at bound"):
+        g = problem.gamma_per_channel()
+        v = g * problem.u_des / (g + problem.beta1)
+        if kind == "at bound":
+            ub[0] = max(v[0, 0], lb[0])
+        phi = (a * np.minimum(np.maximum(v, lb), ub)).sum(axis=1)
+        offset[::2] = -phi[::2]
+    return FilterProblem(CbfLinearConstraint(a, offset, problem.constraint.agent_dims),
+                         problem.u_des, problem.gamma, problem.beta1, problem.beta2, lb, ub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.sampled_from(ROW_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_first_segment_exit_equals_root_on_every_tight_row(name, batch, kind, seed):
+    problem = _rows_of_kind(name, batch, kind, seed)
     _assert_same_solution(solve_filter(problem), _solve_every_tight_row_by_root(problem))
     for i in range(min(batch, 3)):
         one = _one_row(problem, i)
@@ -559,3 +578,74 @@ def test_root_exactly_at_the_first_breakpoint_stays_on_the_first_segment():
         sol = solve_filter(problem)
         assert sol.n_pivots == pivots
         _assert_same_solution(sol, _solve_every_tight_row_by_root(problem))
+
+
+# -- the per-row core and the training pullback ---------------------------------
+
+
+def _core_on_row(problem, i):
+    """``_solve_core`` on row i's (1, m) views of a checked batch problem."""
+    a, d, g, h = filter_qp._rows(problem)
+    m, r = a.shape[1], slice(i, i + 1)
+    return filter_qp._solve_core(a[r], d[r], g[r], h[r], problem.constraint.offset[r],
+                                 problem.lb.reshape(1, m), problem.ub.reshape(1, m),
+                                 problem.beta2)
+
+
+def _assert_pullback_matches_jacobian(problem, rng):
+    """Per-row u* equals ``solve_filter``'s; the pullback equals w @ du*/dgamma."""
+    sol = solve_filter(problem)
+    u, pullback = filter_qp.solve_rows_and_pullback(problem)
+    np.testing.assert_array_equal(u, sol.u)
+    w = rng.normal(size=u.shape)
+    expected = np.einsum("bm,bmn->bn", w, differentiate_filter(problem, sol).du_dgamma)
+    got = pullback(w)
+    for i in range(len(u)):
+        assert_rel_close(got[i], expected[i])
+    return sol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.sampled_from(ROW_KINDS + ["phi0 zero", "at bound"]), st.integers(0, 2 ** 32 - 1))
+def test_per_row_core_equals_solve_filter_and_pullback_equals_jacobian(name, batch, kind,
+                                                                      seed):
+    problem = _rows_of_kind(name, batch, kind, seed)
+    sol = _assert_pullback_matches_jacobian(problem, np.random.default_rng(seed))
+    for i in range(batch):
+        u, v, lam, passed, phi0 = _core_on_row(problem, i)
+        assert u.shape == v.shape == (1, problem.u_des.shape[1])
+        np.testing.assert_array_equal(u[0], sol.u[i])
+        np.testing.assert_array_equal(u[0] == v[0], sol.free[i])
+        assert lam[0] == sol.lam_cbf[i] and passed[0] == sol.n_pivots[i]
+        if kind == "phi0 zero" and i % 2 == 0:
+            assert phi0[0] == 0.0 and lam[0] == 0.0 and sol.degenerate[i]
+
+
+def test_pullback_on_slack_binding_and_degenerate_rows():
+    # Exact rows: slack; binding inside the box; binding with a channel
+    # clipped; phi(0) = 0; a channel exactly at its bound at lam = 0; the
+    # root exactly on a breakpoint.
+    cases = [([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], 5.0, 0.1, 10.0, -5.0, 5.0),
+             ([1.0, -1.0], [0.3, 0.7], [1.0, 1.0], -3.0, 0.1, 10.0, -5.0, 5.0),
+             ([1.0, -1.0], [0.3, 0.7], [1.0, 1.0], -3.0, 0.1, 10.0, -5.0, [5.0, -0.5]),
+             ([1.0, -1.0], [0.5, 0.5], [1.0, 1.0], 0.0, 0.0, 10.0, -5.0, 5.0),
+             ([2.0, 0.0], [0.5, 0.5], [1.0, 1.0], 5.0, 0.5, 10.0, -1.0, 1.0),
+             ([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125, -1.0, [0.25, np.inf])]
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for case in cases:
+        one = _exact_problem(*case)
+        problem = FilterProblem(CbfLinearConstraint(one.constraint.a[None],
+                                                    np.array([one.constraint.offset]),
+                                                    one.constraint.agent_dims),
+                                one.u_des[None], one.gamma[None], one.beta1, one.beta2,
+                                one.lb, one.ub)
+        sol = _assert_pullback_matches_jacobian(problem, rng)
+        kinds.add(("binding" if sol.lam_cbf[0] > 0 else "slack", bool(sol.degenerate[0]),
+                   bool(sol.free.all())))
+    assert {("slack", False, True), ("binding", False, True), ("binding", False, False),
+            ("slack", True, True), ("binding", True, True)} <= kinds
+    # Rows with different weights and boxes sharing one batch problem.
+    problem = stack_problems([random_two_agent_problem(rng) for _ in range(12)])
+    _assert_pullback_matches_jacobian(problem, rng)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from respalloc.data import (WeavingConfig, default_planar_group_config,
+from respalloc.data import (WeavingConfig, augment, default_planar_group_config,
                             default_two_agent_config, generate_synthetic,
                             generate_weaving_trajectories, planar_group_scene,
                             two_agent_line_scene, weaving_scene)
@@ -45,6 +45,10 @@ def test_loss_metric_derivatives():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    for name in ("learning_rate", "huber_delta"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                TrainConfig(**{name: bad})
     with pytest.raises(ValueError):
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError):
@@ -179,14 +183,52 @@ def planar6_prep():
     return prepare_batch(samples, scene, model.context_dim), model
 
 
-@pytest.mark.parametrize("size", [5, 16, 33])    # 33 is not a multiple of a chunk
-def test_chunked_step_equals_one_chunk_reference(planar6_prep, size):
-    prep, model = planar6_prep
+@pytest.fixture(scope="module")
+def line2_prep(line_scene):
+    cfg = default_two_agent_config(n_samples=64, noise_variance=0.1, seed=5)
+    samples = generate_synthetic(cfg, line_scene, np.array([0.3, 0.7]))
+    return prepare_batch(samples, line_scene, 0), ConstantGamma(2, params=np.array([0.4, -0.3]))
+
+
+@pytest.fixture(scope="module")
+def weave_prep():
+    rollouts = generate_weaving_trajectories(
+        "mixed", 2, seed=6, config=WeavingConfig(steps=40, noise_variance=0.05))
+    model = init_model("relative", seed=6, context_dim=4)
+    return prepare_batch(augment(rollouts, "mirror_lateral"), weaving_scene(), 4), model
+
+
+# The perfbench workloads' scenes and model families; 33 is not a multiple of
+# the symmetric model's four-context chunk.
+@pytest.mark.parametrize("workload,size", [
+    pytest.param("planar6_prep", 5, id="5"), pytest.param("planar6_prep", 16, id="16"),
+    pytest.param("planar6_prep", 33, id="33"), pytest.param("planar6_prep", 4, id="planar6-4"),
+    pytest.param("line2_prep", 8, id="line2-8"), pytest.param("line2_prep", 64, id="line2-64"),
+    pytest.param("weave_prep", 160, id="weave-160")])
+def test_chunked_step_equals_one_chunk_reference(workload, size, request):
+    prep, model = request.getfixturevalue(workload)
     sub = prep.subset(np.arange(size))
     value, grad = batch_loss_and_grad(sub, model, CFG)
     ref_value, ref_grad = _one_chunk_loss_and_grad(sub, model, CFG)
+    rows = model.net_rows_per_context
+    if not rows or size <= training.CHUNK_ROWS // rows:
+        assert value == ref_value       # one chunk: the same sum, bit for bit
     assert_rel_close(value, ref_value)
     assert_rel_close(grad, ref_grad)
+    assert batch_loss(sub, model, CFG) == ref_value
+
+
+def test_prepared_rows_index_as_one_row_constraints(line_scene, clean_samples):
+    prep = prepare_batch(clean_samples, line_scene, 0)
+    rows = line_scene.assemble(np.array([line_scene.filter_state(s.x) for s in clean_samples]))
+    idx = np.array([5, 2, 5, 63])
+    sub = prep.subset(idx)
+    assert sub.constraints.a.shape == (4, 2) and sub.constraints.offset.shape == (4,)
+    for k, i in enumerate(idx):
+        for got in (prep.constraints[i], sub.constraints[k]):
+            assert got.a.shape == (2,) and np.array_equal(got.a, rows.a[i])
+            assert type(got.offset) is float and got.offset == rows.offset[i]
+            assert got.agent_dims == rows.agent_dims
 
 
 @pytest.mark.parametrize("size", [16, 33])
