@@ -392,8 +392,9 @@ def solve_rows_and_pullback(problem: FilterProblem):
     The rows of a checked batch problem go through the closed-form core one
     at a time, as (1, m) views, and skip the duals and flags of
     ``solve_filter``; u* equals that function's bit for bit. ``pullback(w)``
-    maps a cotangent w (B, m) on u* to w . du*/dgamma (B, N), the rows of
-    ``differentiate_filter``'s Jacobian contracted with w without forming it:
+    maps a cotangent w (B, m) on u* to w . du*/dgamma (B, N), again one row
+    at a time: each row of ``differentiate_filter``'s Jacobian contracted
+    with that row of w, without forming it:
 
         (own (w + (w . t) scale a)) @ onehot
     """
@@ -409,8 +410,13 @@ def solve_rows_and_pullback(problem: FilterProblem):
         u[r], free[r], binds[r] = ur, ur == vr, lam > 0.0
 
     def pullback(w):
-        _, own, t, scale = _sensitivities(a, d, h, u, free, binds, beta2)
-        scale *= _rowsum(w * t)
-        return (own * (w + scale[:, None] * a)) @ onehot
+        dgamma = np.empty((b, onehot.shape[1]))
+        for i in range(b):
+            r = slice(i, i + 1)
+            wr, ar = w[r], a[r]
+            _, own, t, scale = _sensitivities(ar, d[r], h[r], u[r], free[r], binds[r], beta2)
+            scale *= _rowsum(wr * t)
+            dgamma[r] = (own * (wr + scale[:, None] * ar)) @ onehot
+        return dgamma
 
     return u, pullback

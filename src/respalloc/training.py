@@ -7,8 +7,8 @@ its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
 Each chunk of the minibatch is checked once as one batch problem; each of
-its rows is then solved on its own by the closed-form core, and the chunk
-is pulled back through w . du*/dgamma without forming the Jacobians.
+its rows is then solved, and pulled back through w . du*/dgamma without
+forming the Jacobians, as its own one-row problem.
 
 A step runs the minibatch in chunks of whole contexts, at most
 ``CHUNK_ROWS`` network rows each (``net_rows_per_context`` of the model per
