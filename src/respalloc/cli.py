@@ -15,19 +15,18 @@ import json
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
 from . import data as data_mod
-from .data import (WeavingConfig, default_planar_group_config,
+from .data import (SCENE_BUILDERS, WeavingConfig, default_planar_group_config,
                    default_two_agent_config, desired_controls_weaving,
                    generate_synthetic, generate_weaving_trajectories,
-                   load_trajectories, planar_group_scene, read_header,
-                   save_trajectories, two_agent_line_scene, weaving_scene)
+                   load_trajectories, read_header, save_trajectories,
+                   two_agent_line_scene, weaving_scene)
 from .filter_qp import FilterError, solve_filter
 from .models import init_model, load_model, save_model
-from .training import (TrainConfig, batch_loss_and_grad, fit, prepare_batch)
+from .training import TrainConfig, fit, prepare_batch, time_loss_and_grad
 
 
 class UsageError(Exception):
@@ -46,13 +45,10 @@ WEAVING_TRUTH = {"sharpness": 0.5, "span": 0.35}
 
 
 def _scene_for(scenario, beta1, beta2):
-    if scenario == "synthetic-2agent":
-        return two_agent_line_scene(beta1=beta1, beta2=beta2)
-    if scenario == "synthetic-6agent":
-        return planar_group_scene(6, beta1=beta1, beta2=beta2)
-    if scenario in WEAVING_SCENARIOS or scenario == "weaving":
-        return weaving_scene(beta1=beta1, beta2=beta2)
-    raise UsageError(f"unknown scenario {scenario!r}")
+    build = SCENE_BUILDERS.get("weaving" if scenario in WEAVING_SCENARIOS else scenario)
+    if build is None:
+        raise UsageError(f"unknown scenario {scenario!r}")
+    return build(beta1=beta1, beta2=beta2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,8 +229,10 @@ def _parse_gamma(text, n_agents):
     if len(parts) != n_agents:
         raise UsageError(f"--gamma needs {n_agents} entries, got {len(parts)}")
     g = np.asarray(parts, dtype=float)
-    if abs(g.sum() - 1.0) > 1e-6 or np.any(g < 0):
-        raise UsageError("--gamma must be a nonnegative vector summing to 1")
+    # Written so that a NaN entry fails it too.
+    if not (np.all(g >= 0) and abs(g.sum() - 1.0) <= 1e-6):
+        raise UsageError(f"--gamma must be a finite nonnegative vector summing to 1, "
+                         f"got {text!r}")
     return g
 
 
@@ -462,7 +460,10 @@ def cmd_bench(cfg):
         raise UsageError(f"bad --sizes {cfg['sizes']!r}") from exc
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must be positive integers")
-    repeats = cfg["repeats"]
+    if len(set(sizes)) < 2:
+        raise UsageError("--sizes needs at least two distinct batch sizes to fit an exponent")
+    if cfg["repeats"] < 1:
+        raise UsageError("--repeats must be at least 1")
 
     scene = two_agent_line_scene(beta1=cfg["beta1"], beta2=cfg["beta2"])
     sc = default_two_agent_config(max(sizes), noise_variance=0.1,
@@ -472,14 +473,8 @@ def cmd_bench(cfg):
     model = ConstantGamma(2)
     tc = TrainConfig(epochs=1, batch_size=8)
 
-    rows = []
-    for size in sizes:
-        sub = prep.subset(np.arange(size))
-        batch_loss_and_grad(sub, model, tc)      # warm-up
-        best = min(_time_once(sub, model, tc) for _ in range(repeats))
-        rows.append((size, best * 1e3))
-    slope = float(np.polyfit(np.log([r[0] for r in rows]),
-                             np.log([r[1] for r in rows]), 1)[0])
+    times, slope = time_loss_and_grad(prep, model, tc, sizes, cfg["repeats"])
+    rows = [(s, t * 1e3) for s, t in zip(sizes, times)]
 
     if cfg["out"]:
         lines = ["# config: " + json.dumps(cfg),
@@ -490,12 +485,6 @@ def cmd_bench(cfg):
         print(f"batch {s:5d}: {ms:8.2f} ms")
     print(f"fitted scaling exponent: {slope:.3f}")
     return 0
-
-
-def _time_once(prep, model, tc):
-    t0 = time.perf_counter()
-    batch_loss_and_grad(prep, model, tc)
-    return time.perf_counter() - t0
 
 
 COMMANDS = {

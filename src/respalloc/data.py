@@ -393,6 +393,10 @@ class WeavingConfig:
     start_lon_spread: float = 2.0
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         _check_noise(self.noise_variance)
 
 

@@ -231,61 +231,44 @@ def _clip(v, lb, ub):
     return np.minimum(np.maximum(v, lb), ub)
 
 
-def _breakpoints(v0, t, lb, ub):
-    """Every channel's two breakpoints (b, 2m), and which are unused (<= 0 or inf).
+def _root(a, c, phi0, v0, t, lb, ub, beta2):
+    """Root lam > 0 of phi for rows with phi(0) < 0, and the breakpoints passed.
 
     Channel j moves as v0_j + lam t_j and meets a bound at the breakpoint
-    lam = (bound_j - v0_j) / t_j = 2 (h_j bound_j - gamma_j u_des_j) / a_j.
+    lam = (bound_j - v0_j) / t_j = 2 (h_j bound_j - gamma_j u_des_j) / a_j;
+    those <= 0 or infinite are unused. Each pass moves every unfinished row
+    from lo (first 0) to its next breakpoint, or to 2 lo + 1 past its last.
+    A row whose phi is nonnegative there has its root on [lo, end], where
+    phi is linear with slope sum_free a t + 1 / (2 beta2) over the channels
+    free inside the segment, so one Newton step from lo is exact. The other
+    rows pass every breakpoint up to the end (tied ones count once each) and
+    go on.
     """
     gap = np.concatenate([lb, ub]) - v0[:, None]
     bp = np.divide(gap, t[:, None], out=np.zeros_like(gap),
-                   where=t[:, None] != 0.0).reshape(len(v0), -1)
-    return bp, (bp <= 0.0) | (bp == np.inf)
-
-
-def _root(a, c, v0, t, lb, ub, beta2):
-    """Root lam > 0 of phi for rows with phi(0) < 0, and breakpoints passed.
-
-    phi is evaluated at 0 and at the sorted positive breakpoints; on the
-    first segment where it turns nonnegative (or past the last breakpoint)
-    it is linear with slope sum_free a t + 1 / (2 beta2) over the channels
-    free inside the segment, so one Newton step from its left end is exact.
-    """
-    b = len(c)
-    bp, unused = _breakpoints(v0, t, lb, ub)
-    bp[unused] = 0.0
-    bp.sort(axis=1)
-    lams = np.concatenate([np.zeros((b, 1)), bp, 2.0 * bp[:, -1:] + 1.0], axis=1)
-    u = _clip(v0[:, None] + lams[:, :-1, None] * t[:, None], lb, ub)
-    phis = (a[:, None] * u).sum(axis=2) + (c[:, None] + lams[:, :-1] / (2.0 * beta2))
-    # phi is nondecreasing, so the negatives come first.
-    k = np.count_nonzero(phis < 0.0, axis=1)
-    r = np.arange(b)
-    lo, phi_lo = lams[r, k - 1], phis[r, k - 1]
-    v = v0 + (0.5 * (lo + lams[r, k]))[:, None] * t
-    slope = np.where((lb < v) & (v < ub), a * t, 0.0).sum(axis=1) + 0.5 / beta2
-    return lo - phi_lo / slope, k - 1 - np.count_nonzero(unused, axis=1)
-
-
-def _first_segment(a, c, phi0, v0, t, lb, ub, beta2):
-    """``_root``'s lam for the rows whose root lies on their first segment.
-
-    The first segment runs from 0 to the smallest positive breakpoint, or to
-    ``_root``'s end point 1 when there is none. Where phi is nonnegative at
-    that end, ``_root`` stops on this segment; this takes the same Newton
-    step, written as ``_root`` writes it, without sorting. Returns lam (the
-    other rows' entries are meaningless) and which rows it holds for.
-    """
-    bp, unused = _breakpoints(v0, t, lb, ub)
-    bp[unused] = np.inf
-    first = bp.min(axis=1)
-    none = first == np.inf
-    end = np.where(none, 1.0, first)
-    u = _clip(v0 + end[:, None] * t, lb, ub)
-    done = none | ((a * u).sum(axis=1) + (c + end / (2.0 * beta2)) >= 0.0)
-    v = v0 + (0.5 * (0.0 + end))[:, None] * t
-    slope = np.where((lb < v) & (v < ub), a * t, 0.0).sum(axis=1) + 0.5 / beta2
-    return 0.0 - phi0 / slope, done
+                   where=t[:, None] != 0.0).reshape(len(c), -1)
+    bp[bp <= 0.0] = np.inf              # unused; those at inf already are
+    rows = np.arange(len(c))
+    lam, passed = np.empty(len(c)), np.zeros(len(c), dtype=int)
+    lo, phi_lo = 0.0, phi0
+    while True:
+        end = bp.min(axis=1)
+        last = end == np.inf
+        end = np.where(last, 2.0 * lo + 1.0, end)
+        u = _clip(v0 + end[:, None] * t, lb, ub)
+        phi = (a * u).sum(axis=1) + (c + end / (2.0 * beta2))
+        v = v0 + (0.5 * (lo + end))[:, None] * t
+        slope = np.where((lb < v) & (v < ub), a * t, 0.0).sum(axis=1) + 0.5 / beta2
+        lam[rows] = lo - phi_lo / slope
+        stop = last | (phi >= 0.0)
+        if stop.all():
+            return lam, passed
+        go = ~stop
+        rows, a, c, v0, t, bp = rows[go], a[go], c[go], v0[go], t[go], bp[go]
+        lo, phi_lo = end[go], phi[go]
+        behind = bp <= lo[:, None]
+        passed[rows] += np.count_nonzero(behind, axis=1)
+        bp[behind] = np.inf
 
 
 def _solve_core(a, d, g, h, c, lb, ub, beta2):
@@ -302,13 +285,9 @@ def _solve_core(a, d, g, h, c, lb, ub, beta2):
     lam = np.zeros(len(c))
     passed = np.zeros(len(c), dtype=int)
     if tight.any():
-        # Rows slack at lam = 0 keep the shrunk desired control. A tight row
-        # whose root lies past its first breakpoint takes the sorted search.
+        # Rows slack at lam = 0 keep the shrunk desired control.
         i = slice(None) if tight.all() else np.flatnonzero(tight)
-        lam[i], first = _first_segment(a[i], c[i], phi0[i], v[i], t[i], lb, ub, beta2)
-        if not first.all():
-            j = np.flatnonzero(tight)[~first]
-            lam[j], passed[j] = _root(a[j], c[j], v[j], t[j], lb, ub, beta2)
+        lam[i], passed[i] = _root(a[i], c[i], phi0[i], v[i], t[i], lb, ub, beta2)
         v[i] += lam[i, None] * t[i]
         u[i] = _clip(v[i], lb, ub)
     return u, v, lam, passed, phi0

@@ -181,6 +181,23 @@ def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     return _mean_loss(total, n), grad
 
 
+def time_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig, sizes, repeats=5):
+    """Seconds of ``batch_loss_and_grad`` on the first ``size`` rows of ``prep``
+    for each size, best of ``repeats`` after one warm-up call, and the slope of
+    log time against log size."""
+    times = []
+    for size in sizes:
+        sub = prep.subset(np.arange(size))
+        batch_loss_and_grad(sub, model, config)      # warm-up
+        best = math.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            batch_loss_and_grad(sub, model, config)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    return times, float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+
+
 def loss(samples, model, scene: InteractionScene, config: Optional[TrainConfig] = None):
     """Spec-level entry point over raw samples."""
     config = config or TrainConfig()

@@ -22,7 +22,7 @@ from respalloc.filter_qp import (FilterProblem, differentiate_filter,
 from respalloc.models import (ConstantGamma, MlpGamma, RelativeSymmetricGamma,
                               SymmetricGammaN)
 from respalloc.training import (TrainConfig, batch_loss, batch_loss_and_grad,
-                                fit, fit_windows, prepare_batch)
+                                fit, fit_windows, prepare_batch, time_loss_and_grad)
 
 from oracles import fd_jacobian, grid_solve_two_agent
 
@@ -363,18 +363,7 @@ def test_batch_scaling_linear():
     prep = prepare_batch(samples, scene, 0)
     model = ConstantGamma(2)
     tc = TrainConfig(epochs=1, batch_size=8)
-    sizes = [8, 16, 32, 64, 128, 256, 512]
-    times = []
-    for size in sizes:
-        sub = prep.subset(np.arange(size))
-        batch_loss_and_grad(sub, model, tc)
-        best = np.inf
-        for _ in range(5):
-            t0 = time.perf_counter()
-            batch_loss_and_grad(sub, model, tc)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    _, slope = time_loss_and_grad(prep, model, tc, [8, 16, 32, 64, 128, 256, 512], repeats=5)
     assert 0.8 <= slope <= 1.2, f"fitted exponent {slope:.3f}"
     _report(f"batch scaling: loss+gradient runtime exponent {slope:.3f} "
             "in [0.8, 1.2] over batch sizes 8..512")

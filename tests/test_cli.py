@@ -199,7 +199,12 @@ def test_train_rejects_bad_training_numbers(flags, name, small_dataset, tmp_path
     (["--scenario", "synthetic-2agent", "--noise", "inf"], "noise_variance"),
     (["--scenario", "weaving-mixed", "--noise", "nan"], "noise_variance"),
     (["--scenario", "synthetic-2agent", "--beta1=-1"], "beta1"),
-    (["--scenario", "weaving-mixed", "--beta2=-1"], "beta2")])
+    (["--scenario", "weaving-mixed", "--beta2=-1"], "beta2"),
+    (["--scenario", "weaving-single", "--steps", "0"], "steps"),
+    (["--scenario", "weaving-single", "--steps=-3"], "steps"),
+    (["--scenario", "synthetic-2agent", "--gamma", "nan"], "--gamma"),
+    (["--scenario", "synthetic-2agent", "--gamma", "inf"], "--gamma"),
+    (["--scenario", "synthetic-6agent", "--gamma", "nan,0,0,0,0,1"], "--gamma")])
 def test_generate_rejects_bad_noise_and_filter_weights(flags, name, tmp_path, capsys):
     out = tmp_path / "d.ndjson"
     assert run(["generate", *flags, "--out", out]) == 2
@@ -475,3 +480,12 @@ def test_bench_outputs_rows_and_exponent(tmp_path, capsys):
     assert len(lines) == 2 + 3
     captured = capsys.readouterr().out
     assert "fitted scaling exponent" in captured
+
+
+@pytest.mark.parametrize("flags,name", [(["--sizes", "8"], "--sizes"),
+                                        (["--sizes", "8,8"], "--sizes"),
+                                        (["--repeats", "0"], "--repeats")])
+def test_bench_rejects_one_size_and_no_repeats(flags, name, capsys):
+    assert run(["bench", *flags]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err

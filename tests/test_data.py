@@ -165,6 +165,12 @@ def test_scenario_config_validation():
                            noise_variance=bad)
         with pytest.raises(ValueError, match="noise_variance must be nonnegative and finite"):
             WeavingConfig(noise_variance=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            WeavingConfig(steps=bad)
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            WeavingConfig(dt=bad)
     # A point box (low == high) is legal and always draws that point.
     point = ScenarioConfig(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), n_samples=3)
     samples = generate_synthetic(point, two_agent_line_scene(), [0.5, 0.5])

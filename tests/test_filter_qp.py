@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,11 +358,56 @@ def _one_row(problem, i):
                          problem.beta2, problem.lb, problem.ub)
 
 
+ROW_KINDS = ["random", "unbounded", "tied", "tiny box"]
+
+
+def _rows_of_kind(name, batch, kind, seed):
+    """``_random_rows`` shaped into one kind of row set.
+
+    "random" clips channels and has +-inf bounds; "unbounded" rows have no
+    positive breakpoint; "tied" gives two channels the same breakpoints;
+    "tiny box" pushes most roots past one or more breakpoints;
+    "phi0 zero" makes every other row exactly tight at lam = 0; "at bound"
+    puts row 0's channel 0 exactly on its upper bound at lam = 0.
+    """
+    problem = _random_rows(name, batch, np.random.default_rng(seed))
+    a, lb, ub = problem.constraint.a, problem.lb.copy(), problem.ub.copy()
+    offset = problem.constraint.offset.copy()
+    if kind == "unbounded":
+        lb[:], ub[:] = -np.inf, np.inf
+    elif kind == "tied":
+        a[:, 1], problem.u_des[:, 1], lb[1], ub[1] = a[:, 0], problem.u_des[:, 0], lb[0], ub[0]
+        problem.gamma[:, :2] = problem.gamma[:, :2].mean(axis=1, keepdims=True)
+    elif kind == "tiny box":
+        lb, ub = np.maximum(lb, -0.05), np.minimum(ub, 0.05)
+    elif kind in ("phi0 zero", "at bound"):
+        g = problem.gamma_per_channel()
+        v = g * problem.u_des / (g + problem.beta1)
+        if kind == "at bound":
+            ub[0] = max(v[0, 0], lb[0])
+        phi = (a * np.minimum(np.maximum(v, lb), ub)).sum(axis=1)
+        offset[::2] = -phi[::2]
+    return FilterProblem(CbfLinearConstraint(a, offset, problem.constraint.agent_dims),
+                         problem.u_des, problem.gamma, problem.beta1, problem.beta2, lb, ub)
+
+
+def _breakpoints_passed(problem, lam):
+    """Each row's positive finite breakpoints <= lam (B,), counted from the problem data.
+
+    Channel j meets a bound at lam = 2 (h_j bound_j - gamma_j u_des_j) / a_j.
+    """
+    g = problem.gamma_per_channel()
+    h, a, d = g + problem.beta1, problem.constraint.a, problem.u_des
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bp = np.stack([2.0 * (h * bound - g * d) / a for bound in (problem.lb, problem.ub)])
+    return np.count_nonzero(np.isfinite(bp) & (bp > 0.0) & (bp <= lam[:, None]), axis=(0, 2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
-       st.integers(0, 2 ** 32 - 1))
-def test_batched_solve_equals_stacked_one_row_solves(name, batch, seed):
-    problem = _random_rows(name, batch, np.random.default_rng(seed))
+       st.sampled_from(ROW_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_batched_solve_equals_stacked_one_row_solves(name, batch, kind, seed):
+    problem = _rows_of_kind(name, batch, kind, seed)
     sol = solve_filter(problem)
     jac = differentiate_filter(problem, sol)
     m, n_agents = problem.u_des.shape[1], problem.gamma.shape[1]
@@ -372,6 +415,7 @@ def test_batched_solve_equals_stacked_one_row_solves(name, batch, seed):
     assert sol.eps.shape == sol.lam_cbf.shape == sol.n_pivots.shape == (batch,)
     assert jac.du_dgamma.shape == (batch, m, n_agents)
     assert jac.du_dudes.shape == (batch, m, m)
+    np.testing.assert_array_equal(sol.n_pivots, _breakpoints_passed(problem, sol.lam_cbf))
     for i in range(batch):
         single = _one_row(problem, i)
         one = solve_filter(single)
@@ -499,85 +543,18 @@ def test_tied_breakpoints_match_nearly_tied_ones(name, seed):
                                  solve_filter(_one_row(tied_problem, i))).values()) <= 1e-7
 
 
-def _solve_every_tight_row_by_root(problem):
-    """``solve_filter`` with the first-segment exit taking no row."""
-    def no_row(a, c, *rest):
-        return np.zeros(len(c)), np.zeros(len(c), dtype=bool)
-
-    with mock.patch.object(filter_qp, "_first_segment", no_row):
-        return solve_filter(problem)
-
-
-def _assert_same_solution(fast, ref):
-    for name in ("u", "eps", "duals", "n_pivots", "free", "degenerate"):
-        np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name), err_msg=name)
-
-
-ROW_KINDS = ["random", "unbounded", "tied", "tiny box"]
-
-
-def _rows_of_kind(name, batch, kind, seed):
-    """``_random_rows`` shaped into one kind of row set.
-
-    "random" clips channels and has +-inf bounds; "unbounded" rows have no
-    positive breakpoint; "tied" gives two channels the same breakpoints;
-    "tiny box" pushes most roots past the first breakpoint into _root;
-    "phi0 zero" makes every other row exactly tight at lam = 0; "at bound"
-    puts row 0's channel 0 exactly on its upper bound at lam = 0.
-    """
-    problem = _random_rows(name, batch, np.random.default_rng(seed))
-    a, lb, ub = problem.constraint.a, problem.lb.copy(), problem.ub.copy()
-    offset = problem.constraint.offset.copy()
-    if kind == "unbounded":
-        lb[:], ub[:] = -np.inf, np.inf
-    elif kind == "tied":
-        a[:, 1], problem.u_des[:, 1], lb[1], ub[1] = a[:, 0], problem.u_des[:, 0], lb[0], ub[0]
-        problem.gamma[:, :2] = problem.gamma[:, :2].mean(axis=1, keepdims=True)
-    elif kind == "tiny box":
-        lb, ub = np.maximum(lb, -0.05), np.minimum(ub, 0.05)
-    elif kind in ("phi0 zero", "at bound"):
-        g = problem.gamma_per_channel()
-        v = g * problem.u_des / (g + problem.beta1)
-        if kind == "at bound":
-            ub[0] = max(v[0, 0], lb[0])
-        phi = (a * np.minimum(np.maximum(v, lb), ub)).sum(axis=1)
-        offset[::2] = -phi[::2]
-    return FilterProblem(CbfLinearConstraint(a, offset, problem.constraint.agent_dims),
-                         problem.u_des, problem.gamma, problem.beta1, problem.beta2, lb, ub)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
-       st.sampled_from(ROW_KINDS), st.integers(0, 2 ** 32 - 1))
-def test_first_segment_exit_equals_root_on_every_tight_row(name, batch, kind, seed):
-    problem = _rows_of_kind(name, batch, kind, seed)
-    _assert_same_solution(solve_filter(problem), _solve_every_tight_row_by_root(problem))
-    for i in range(min(batch, 3)):
-        one = _one_row(problem, i)
-        _assert_same_solution(solve_filter(one), _solve_every_tight_row_by_root(one))
-
-
-def test_root_exactly_at_the_first_breakpoint_stays_on_the_first_segment():
+def test_root_exactly_at_the_first_breakpoint_passes_no_breakpoint():
     # h = 1, v = lam: channel 0 meets its bound 1/4 where phi(lam) = 8 lam - 2
-    # reaches 0, so the exit takes the row and passes no breakpoint.
+    # reaches 0, so the root ends the first segment and passes no breakpoint.
     problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
                              -1.0, [0.25, np.inf])
-    v = np.zeros((1, 2))
-    t = np.ones((1, 2))
-    lam, first = filter_qp._first_segment(np.array([[2.0, 2.0]]), np.array([-2.0]),
-                                          np.array([-2.0]), v, t, problem.lb[None],
-                                          problem.ub[None], 0.125)
-    assert first.all() and lam[0] == 0.25
     sol = solve_filter(problem)
     assert sol.n_pivots == 0 and sol.lam_cbf == 0.25
-    _assert_same_solution(sol, _solve_every_tight_row_by_root(problem))
     # A looser bound past the root, and one crossed before it.
     for bound, pivots in ((0.5, 0), (0.125, 1)):
         problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
                                  -1.0, [bound, np.inf])
-        sol = solve_filter(problem)
-        assert sol.n_pivots == pivots
-        _assert_same_solution(sol, _solve_every_tight_row_by_root(problem))
+        assert solve_filter(problem).n_pivots == pivots
 
 
 # -- the per-row core and the training pullback ---------------------------------

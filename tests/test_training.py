@@ -13,7 +13,7 @@ from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import (Adam, Sgd, TrainConfig, batch_loss,
                                 batch_loss_and_grad, fit, fit_windows,
                                 gradient_step, loss, prepare_batch,
-                                residual_loss)
+                                residual_loss, time_loss_and_grad)
 
 from oracles import assert_rel_close
 
@@ -406,21 +406,8 @@ def test_report_serialization(tmp_path, line_scene, clean_samples):
 
 
 def test_timing_grows_at_most_linearly(line_scene):
-    import time
     cfg = default_two_agent_config(n_samples=256, noise_variance=0.1, seed=0)
     samples = generate_synthetic(cfg, line_scene, np.array([0.4, 0.6]))
     prep = prepare_batch(samples, line_scene, 0)
-    model = ConstantGamma(2)
-    sizes = [8, 32, 128]
-    times = []
-    for size in sizes:
-        sub = prep.subset(np.arange(size))
-        batch_loss_and_grad(sub, model, CFG)   # warm up
-        reps = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            batch_loss_and_grad(sub, model, CFG)
-            reps.append(time.perf_counter() - t0)
-        times.append(min(reps))
-    slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+    _, slope = time_loss_and_grad(prep, ConstantGamma(2), CFG, [8, 32, 128], repeats=5)
     assert 0.7 <= slope <= 1.3
