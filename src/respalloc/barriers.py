@@ -32,12 +32,26 @@ class Barrier:
     a float or (B,), ``grad`` (n,) or (B, n), ``hess`` (n, n) or (B, n, n).
     ``hess`` is only required for relative-degree-2 constraint assembly.
     The safe set convention is value(x) >= 0.
+
+    ``joint``, if given, maps a batch (B, n) and a flag ``second`` to the
+    value, gradient and (if ``second``, else None) Hessian from one shared
+    evaluation; it must agree with the three evaluators.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "barrier"
+    joint: Optional[Callable[[np.ndarray, bool], tuple]] = None
+
+    def jet(self, X, second=False):
+        """Value (B,), gradient (B, n) and Hessian (B, n, n), or None unless
+        ``second``, at a batch of states (B, n): from ``joint`` when given,
+        else from the three evaluators."""
+        if self.joint is not None:
+            return self.joint(X, second)
+        return (np.asarray(self.value(X), dtype=float), np.asarray(self.grad(X), dtype=float),
+                np.asarray(self.hess(X), dtype=float) if second else None)
 
 
 def _state_or_batch(fn):
@@ -113,8 +127,9 @@ def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
     """Check closed-form derivatives against finite differences.
 
     Gate for user-supplied barriers: raises ValueError on mismatch, or when
-    an evaluator given the probe states as one (B, n) batch disagrees with
-    its per-state outputs. ``states`` is an iterable of probe states.
+    an evaluator given the probe states as one (B, n) batch, or the barrier's
+    ``joint`` evaluation, disagrees with its per-state outputs. ``states`` is
+    an iterable of probe states.
     """
     states = [np.asarray(x, dtype=float) for x in states]
     for x in states:
@@ -134,15 +149,21 @@ def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
     evaluators = [("value", barrier.value), ("gradient", barrier.grad)]
     if barrier.hess is not None:
         evaluators.append(("Hessian", barrier.hess))
-    for what, fn in evaluators:
+    for k, (what, fn) in enumerate(evaluators):
         single = np.array([np.asarray(fn(x), dtype=float) for x in states])
         try:
             batch = np.asarray(fn(np.array(states)), dtype=float)
         except (TypeError, ValueError, IndexError) as exc:
             raise ValueError(f"{barrier.name}: {what} rejects a (B, n) batch of states") from exc
+        outputs = [("batched", batch)]
+        if barrier.joint is not None:
+            jet = barrier.joint(np.array(states), barrier.hess is not None)
+            outputs.append(("joint", np.asarray(jet[k], dtype=float)))
         scale = max(1.0, float(np.max(np.abs(single))))
-        if batch.shape != single.shape or np.max(np.abs(batch - single)) > BATCH_RTOL * scale:
-            raise ValueError(f"{barrier.name}: batched {what} disagrees with the per-state {what}")
+        for how, got in outputs:
+            if got.shape != single.shape or np.max(np.abs(got - single)) > BATCH_RTOL * scale:
+                raise ValueError(f"{barrier.name}: {how} {what} disagrees with the "
+                                 f"per-state {what}")
     return barrier
 
 
@@ -191,25 +212,20 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
 
     if len(hessians) == 1 or temperature is None:
         # The closest pair per state (the only one, for two agents).
-        def closest(X):
+        def closest(X, second):
             values, grads = terms(X)
             k = np.argmin(values, axis=1)
             rows = np.arange(len(X))
-            return k, values[rows, k], grads[rows, k]
+            return values[rows, k], grads[rows, k], hessians[k] if second else None
 
         name = "pairwise_distance" if len(hessians) == 1 else "min_pairwise_distance"
-        return Barrier(
-            value=_state_or_batch(lambda X: closest(X)[1]),
-            grad=_state_or_batch(lambda X: closest(X)[2]),
-            hess=_state_or_batch(lambda X: hessians[closest(X)[0]]),
-            name=f"{name}(margin={margin})",
-        )
+        return _joint_barrier(closest, f"{name}(margin={margin})")
 
     t = float(temperature)
     if t <= 0:
         raise ValueError("temperature must be positive (or None for hard min)")
 
-    def softmin(X):
+    def softmin(X, second):
         # softmin = -logsumexp(-t b) / t, with weights w_k = softmax(-t b)_k
         values, grads = terms(X)
         z = -t * values
@@ -218,20 +234,24 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
         total = np.sum(e, axis=1, keepdims=True)
         value = -(zmax[:, 0] + np.log(total[:, 0])) / t
         w = e / total
-        return value, w, grads, np.matmul(w[:, None, :], grads)[:, 0]
-
-    def hess(X):
+        gbar = np.matmul(w[:, None, :], grads)[:, 0]
+        if not second:
+            return value, gbar, None
         # d^2 softmin = sum w_k H_k + t (g_bar g_bar^T - sum w_k g_k g_k^T)
-        _, w, grads, gbar = softmin(X)
         h = (w @ hessians.reshape(len(hessians), -1)).reshape(len(X), *hessians.shape[1:])
         h -= t * np.matmul((grads * w[:, :, None]).transpose(0, 2, 1), grads)
         h += t * gbar[:, :, None] * gbar[:, None, :]
-        return h
+        return value, gbar, h
 
-    return Barrier(_state_or_batch(lambda X: softmin(X)[0]),
-                   _state_or_batch(lambda X: softmin(X)[3]),
-                   _state_or_batch(hess),
-                   name=f"softmin_pairwise_distance(margin={margin}, t={t})")
+    return _joint_barrier(softmin, f"softmin_pairwise_distance(margin={margin}, t={t})")
+
+
+def _joint_barrier(joint, name):
+    """A barrier whose three evaluators are views of one ``joint`` evaluation."""
+    return Barrier(value=_state_or_batch(lambda X: joint(X, False)[0]),
+                   grad=_state_or_batch(lambda X: joint(X, False)[1]),
+                   hess=_state_or_batch(lambda X: joint(X, True)[2]),
+                   name=name, joint=joint)
 
 
 def make_ellipse_barrier(a1, a2):
@@ -301,8 +321,12 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
         raise ValueError(
             f"alpha_chain must have {degree} element(s) for a relative-degree-{degree} system")
 
-    grad = np.asarray(barrier.grad(X), dtype=float)
-    b = np.asarray(barrier.value(X), dtype=float)
+    if degree not in (1, 2):
+        raise ValueError(f"unsupported relative degree {degree}")
+    if degree == 2 and barrier.hess is None:
+        raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
+
+    b, grad, hess = barrier.jet(X, second=degree == 2)
     f = system.drift(X)
     bdot = _rowdot(grad, f)
 
@@ -310,10 +334,6 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
         a = grad @ system.G
         c = bdot + alpha_chain[0](b)
     else:
-        if degree != 2:
-            raise ValueError(f"unsupported relative degree {degree}")
-        if barrier.hess is None:
-            raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
         scale = np.maximum(1.0, np.max(np.abs(grad), axis=1))
         leak = np.abs(grad @ system.G) > 1e-8 * scale[:, None]
         if np.any(leak):
@@ -323,7 +343,6 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
                 f"{barrier.name}: control enters the first derivative through agent {agent}; "
                 "use a single-gain chain")
         k1, k2 = alpha_chain[0].gain, alpha_chain[1].gain
-        hess = np.asarray(barrier.hess(X), dtype=float)
         w = np.matmul(hess, f[:, :, None])[:, :, 0] + grad @ system.F
         a = w @ system.G
         c = _rowdot(w, f) + (k1 + k2) * bdot + k1 * k2 * b

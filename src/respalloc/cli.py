@@ -39,6 +39,11 @@ WEAVING_SCENARIOS = ("weaving-single", "weaving-side-by-side",
 
 RELATIVE_AXES = {"r_lon": 0, "r_lat": 1, "vr_lon": 2, "vr_lat": 3}
 
+# The generate flags that belong to one scenario family, with their defaults.
+# They parse to None when not given; ``_resolve_scenario_flags`` fills them in.
+SCENARIO_FLAGS = {SYNTHETIC_SCENARIOS: {"n": 128},
+                  WEAVING_SCENARIOS: {"count": 8, "steps": 150}}
+
 # Parameters of the weaving truth used when neither --gamma nor --gamma-model
 # is given; the dataset header records them.
 WEAVING_TRUTH = {"sharpness": 0.5, "span": 0.35}
@@ -89,9 +94,9 @@ def build_parser():
     g = command("generate", "write a synthetic dataset file")
     g.add_argument("--scenario", default="synthetic-2agent",
                    choices=SYNTHETIC_SCENARIOS + WEAVING_SCENARIOS)
-    g.add_argument("--n", type=int, default=128, help="sample count (synthetic scenarios)")
-    g.add_argument("--count", type=int, default=8,
-                   help="trajectory count (weaving scenarios)")
+    g.add_argument("--n", type=int, help="sample count (synthetic scenarios; default 128)")
+    g.add_argument("--count", type=int,
+                   help="trajectory count (weaving scenarios; default 8)")
     g.add_argument("--gamma", help="constant truth allocation, e.g. '0.3' or '0.1,0.9'; a "
                                    "scalar only for two agents (default: 0.3 for two "
                                    "synthetic agents, uniform for more; weaving: the "
@@ -100,7 +105,8 @@ def build_parser():
     g.add_argument("--noise", type=float, default=0.1, help="control noise variance")
     g.add_argument("--seed", type=int, default=0)
     scene_gains(g)
-    g.add_argument("--steps", type=int, default=150, help="steps per weaving trajectory")
+    g.add_argument("--steps", type=int,
+                   help="steps per weaving trajectory (weaving scenarios; default 150)")
     g.add_argument("--out", help="output dataset path (.ndjson)")
 
     t = command("train", "fit an allocation model to a dataset")
@@ -210,7 +216,23 @@ def parse_command(argv):
         except UsageError as exc:
             raise UsageError(f"config file {args.config}: {exc}") from None
     cfg = vars(args)
-    return cfg.pop("command"), {k: v for k, v in cfg.items() if k != "config"}
+    command = cfg.pop("command")
+    cfg = {k: v for k, v in cfg.items() if k != "config"}
+    if command == "generate":
+        _resolve_scenario_flags(cfg)
+    return command, cfg
+
+
+def _resolve_scenario_flags(cfg):
+    """Give the chosen scenario's own flags their defaults where not given;
+    a flag of the other scenario family is a UsageError."""
+    for scenarios, defaults in SCENARIO_FLAGS.items():
+        for key, default in defaults.items():
+            if cfg["scenario"] in scenarios:
+                cfg[key] = default if cfg[key] is None else cfg[key]
+            elif cfg[key] is not None:
+                raise UsageError(f"--{key} does not apply to scenario {cfg['scenario']!r}; "
+                                 f"it sets {' or '.join(scenarios)} only")
 
 
 def _require(cfg, key, what):
@@ -236,6 +258,22 @@ def _parse_gamma(text, n_agents):
     return g
 
 
+def _load_truth_model(path, scenario, scene):
+    """The checkpoint at ``path``; exit 2 unless it allocates over the scene's
+    agents from the scene's filter state (or from no context)."""
+    if not os.path.exists(path):
+        raise UsageError(f"checkpoint not found: {path}")
+    model = load_model(path)
+    n, state_dim = scene.system.n_agents, scene.system.state_dim
+    if model.n_agents != n or model.context_dim not in (0, state_dim):
+        raise UsageError(
+            f"checkpoint {path} holds a {model.kind} model with dims "
+            f"{model.checkpoint_dims()} ({model.n_agents} agents, context size "
+            f"{model.context_dim}); scenario {scenario!r} needs {n} agents and "
+            f"context size {state_dim}, or 0")
+    return model
+
+
 def cmd_generate(cfg):
     out = _require(cfg, "out", "output path")
     scenario = cfg["scenario"]
@@ -244,7 +282,7 @@ def cmd_generate(cfg):
     if cfg["gamma"] is not None and cfg["gamma_model"]:
         raise UsageError("give --gamma or --gamma-model, not both")
     if cfg["gamma_model"]:
-        truth = load_model(cfg["gamma_model"])
+        truth = _load_truth_model(cfg["gamma_model"], scenario, scene)
         truth_doc = {"kind": "model", "checkpoint": cfg["gamma_model"]}
     elif cfg["gamma"] is not None or scenario in SYNTHETIC_SCENARIOS:
         n = scene.system.n_agents

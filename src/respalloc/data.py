@@ -242,14 +242,15 @@ def desired_controls_weaving(x_joint, params: DesiredPolicyParams):
 def resolve_gamma_truth(gamma_truth, ks, states):
     """Allocations (B, N) at filter states (B, n), row b labelled ``ks[b]``.
 
-    ``gamma_truth`` is a fixed vector (broadcast to every row), a callable
-    (k, x) -> vector (called once per row with that row's k and state), or a
-    model (its ``gamma`` called once per state).
+    ``gamma_truth`` is a fixed vector (broadcast to every row), anything with
+    a ``gamma_batch`` (a model, or ``speed_advantage_gamma``; called once on
+    the whole state array), or a callable (k, x) -> vector (called once per
+    row with that row's k and state).
     """
+    if hasattr(gamma_truth, "gamma_batch"):
+        return np.asarray(gamma_truth.gamma_batch(states), dtype=float)
     if callable(gamma_truth):
         return np.array([gamma_truth(k, x) for k, x in zip(ks, states)], dtype=float)
-    if hasattr(gamma_truth, "gamma"):
-        return np.array([gamma_truth.gamma(x) for x in states], dtype=float)
     gamma = np.asarray(gamma_truth, dtype=float)
     return np.broadcast_to(gamma, (len(states),) + gamma.shape)
 
@@ -262,14 +263,21 @@ def speed_advantage_gamma(sharpness=0.5, span=0.35):
     while the swap identity gamma1(r) + gamma1(-r) = 1 holds exactly. The
     span keeps allocations away from 0/1 so the ridge term does not dominate
     either agent during closed-loop generation.
+
+    The truth is called as ``truth(k, r)`` on one relative state (k is
+    unused); ``truth.gamma_batch(R)`` maps relative states (B, 4) to (B, 2).
     """
     if not 0 < span <= 0.5:
         raise ValueError("span must lie in (0, 0.5]")
 
-    def truth(k, r):
-        g1 = 0.5 - span * np.tanh(sharpness * np.asarray(r, dtype=float)[2])
-        return np.array([g1, 1.0 - g1])
+    def gamma_batch(R):
+        g1 = 0.5 - span * np.tanh(sharpness * np.asarray(R, dtype=float)[:, 2])
+        return np.stack([g1, 1.0 - g1], axis=1)
 
+    def truth(k, r):
+        return gamma_batch(np.asarray(r, dtype=float)[None])[0]
+
+    truth.gamma_batch = gamma_batch
     return truth
 
 

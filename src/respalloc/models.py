@@ -14,9 +14,12 @@ evaluation, batched parameter VJP):
   gamma1 = (1 + tanh(phi(r) - phi(-r))) / 2.
 
 Each family's ``gamma_and_pullback`` runs one forward pass and returns the
-allocation with a pullback to the parameter gradient. Gradients are
-accumulated by hand over the fixed primitive set (affine, tanh, softmax,
-permutation sums); there is no general tape.
+allocation with a pullback to the parameter gradient. Batches of contexts
+run in chunks of whole contexts, at most ``CHUNK_ROWS`` network rows each
+(``chunk_slices``): the network families' ``gamma_batch`` and the training
+step share that split. Gradients are accumulated by hand over the fixed
+primitive set (affine, tanh, softmax, permutation sums); there is no
+general tape.
 """
 
 from __future__ import annotations
@@ -25,12 +28,19 @@ import functools
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 
 from .data import atomic_write
 
 SYMMETRIC_N_CAP = 6
+
+# Network rows (contexts times rows per context) per forward chunk: four
+# 6-agent contexts. At 16 hidden units each (hidden, rows) activation is
+# 0.37 MB, so a chunk's three activations and their temporaries stay in a
+# 2 MB L2 cache from the forward to the pullback.
+CHUNK_ROWS = 2880
 
 _CHECKPOINT_FORMAT = "respalloc-model"
 _CHECKPOINT_VERSION = 1
@@ -123,15 +133,17 @@ class Mlp:
         return _flatten([(dpre @ x, dpre.sum(axis=1))] + grads)
 
 
-def _tanh_stack(layers, pre):
+def _tanh_stack(layers, pre, block=None):
     """Every layer after the first, feature-major: from the first layer's
     pre-activation ``pre`` (hidden, rows), overwritten, the head output
-    (out_dim, rows) and the hidden tanh activations, each (hidden, rows)."""
+    (out_dim, rows) and the hidden tanh activations, each (hidden, rows).
+    The activations go to the slices of ``block`` (hidden layers, hidden,
+    rows) when one is given."""
     # In place where possible: at N! rows per context, each large temporary
     # costs more in allocation than in arithmetic.
-    acts = [np.tanh(pre, out=pre)]
-    for w, b in layers[1:-1]:
-        h = w @ acts[-1]
+    acts = [np.tanh(pre, out=pre if block is None else block[0])]
+    for i, (w, b) in enumerate(layers[1:-1], 1):
+        h = np.matmul(w, acts[-1], out=None if block is None else block[i])
         h += b[:, None]
         acts.append(np.tanh(h, out=h))
     w, b = layers[-1]
@@ -140,18 +152,30 @@ def _tanh_stack(layers, pre):
     return out, acts
 
 
-def _tanh_stack_vjp(layers, acts, dout):
+def _tanh_stack_vjp(layers, acts, dout, work=None):
     """Pull an (out_dim, rows) cotangent back through ``_tanh_stack``: the
     (hidden, rows) cotangent of the first layer's pre-activation, and the
     (weight, bias) gradients of every later layer (the caller forms the
-    first layer's own)."""
+    first layer's own). With ``work`` (2, hidden, rows) the temporaries go
+    there, and the returned cotangent is a view of it."""
     grads = []
-    for li in range(len(layers) - 1, 0, -1):
+    for k, li in enumerate(range(len(layers) - 1, 0, -1)):
         grads.append((dout @ acts[li - 1].T, dout.sum(axis=1)))
-        dout = layers[li][0].T @ dout
-        slope = np.square(acts[li - 1])
+        # The two work slices alternate: the slope overwrites the cotangent
+        # the product has just consumed.
+        dout = np.matmul(layers[li][0].T, dout, out=None if work is None else work[k % 2])
+        slope = np.square(acts[li - 1], out=None if work is None else work[1 - k % 2])
         dout *= np.subtract(1.0, slope, out=slope)      # tanh' = 1 - tanh^2
     return dout, grads[::-1]
+
+
+def chunk_slices(model, n):
+    """Slices that split ``n`` contexts into chunks of whole contexts, at
+    least one each, of at most ``CHUNK_ROWS`` network rows of ``model``.
+    A model that sends no rows through a network takes one chunk."""
+    rows = model.net_rows_per_context
+    per_chunk = max(1, CHUNK_ROWS // rows) if rows else max(1, n)
+    return [slice(start, start + per_chunk) for start in range(0, max(1, n), per_chunk)]
 
 
 def _flatten(grads):
@@ -163,7 +187,8 @@ class ResponsibilityModel:
     """Common surface: flat params, batched gamma, batched parameter VJP.
 
     Each family implements ``gamma_and_pullback`` and defines
-    ``gamma_batch`` and ``vjp_params_batch`` on itself as views of it.
+    ``gamma_batch`` and ``vjp_params_batch`` on itself as views of it
+    (network families run ``gamma_batch`` in ``chunk_slices`` chunks).
     """
 
     kind = "base"
@@ -210,7 +235,17 @@ class ResponsibilityModel:
 
 
 class _NetworkModel(ResponsibilityModel):
-    """A family whose parameters are those of its network ``self.net``."""
+    """A family whose parameters are those of its network ``self.net``.
+
+    Its ``gamma_batch`` runs the forward pass once per chunk of
+    ``chunk_slices``, so a pass over many contexts holds the activations of
+    one chunk at a time.
+    """
+
+    def _gamma_in_chunks(self, contexts):
+        x = np.atleast_2d(np.asarray(contexts, dtype=float))
+        parts = [self.gamma_and_pullback(x[part])[0] for part in chunk_slices(self, len(x))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     @property
     def params(self):
@@ -289,7 +324,7 @@ class MlpGamma(_NetworkModel):
             tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
 
     def gamma_batch(self, contexts):
-        return self.gamma_and_pullback(contexts)[0]
+        return self._gamma_in_chunks(contexts)
 
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
@@ -329,6 +364,13 @@ class SymmetricGammaN(_NetworkModel):
     block with each agent's block are formed once per context, and the 0/1
     incidence matrix of the orderings sums them into every ordering's
     pre-activation in one matrix product.
+
+    A forward pass keeps its activations, and its pullback its temporaries,
+    in one block that the model reuses for its next pass once that pullback
+    is gone. Chunked passes then run in the same memory instead of paging in
+    a fresh block per chunk, which the allocator hands back to the system
+    between chunks. Because of that shared block, one model must not run
+    forward passes from two threads at once.
     """
 
     kind = "symmetric"
@@ -347,6 +389,16 @@ class SymmetricGammaN(_NetworkModel):
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
         self._incidence = _ordering_incidence(n_agents)
         self.net_rows_per_context = len(self._incidence)
+        self._block = None      # [block, weak reference to the pullback using it]
+
+    def _free_block(self, shape):
+        """The model's block if it has ``shape`` and its pullback is gone,
+        else a new block of ``shape``, which becomes the model's."""
+        held = self._block
+        in_use = held is not None and held[1] is not None and held[1]() is not None
+        if held is None or in_use or held[0].shape != shape:
+            held = self._block = [np.empty(shape), None]
+        return held
 
     def gamma_and_pullback(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -361,23 +413,28 @@ class SymmetricGammaN(_NetworkModel):
         agents = x.reshape(b * n, d)
         blocks = w1.reshape(hid * n, d) @ agents.T
         blocks = blocks.reshape(hid, n, b, n).transpose(0, 2, 1, 3).reshape(hid * b, n * n)
-        pre = (blocks @ incidence.T).reshape(hid, b * orderings)
+        depth = len(layers) - 1
+        held = self._free_block((depth + 2, hid, b * orderings))
+        block = held[0]
+        pre = block[0]
+        np.matmul(blocks, incidence.T, out=pre.reshape(hid * b, orderings))
         pre += b1[:, None]
-        vals, acts = _tanh_stack(layers, pre)
+        vals, acts = _tanh_stack(layers, pre, block[:depth])
         gamma = softmax(vals.reshape(b, n, per_agent).sum(axis=2))
 
         def pullback(dgamma):
             dlogits = softmax_vjp(gamma, np.atleast_2d(dgamma))
             seeds = np.repeat(dlogits, per_agent, axis=1).reshape(1, -1)
-            dpre, grads = _tanh_stack_vjp(layers, acts, seeds)
+            dpre, grads = _tanh_stack_vjp(layers, acts, seeds, block[depth:])
             dblocks = dpre.reshape(hid * b, orderings) @ incidence
             dblocks = dblocks.reshape(hid, b, n, n).transpose(0, 2, 1, 3).reshape(hid * n, b * n)
             dw1 = (dblocks @ agents).reshape(hid, n * d)
             return _flatten([(dw1, dpre.sum(axis=1))] + grads)
+        held[1] = weakref.ref(pullback)
         return gamma, pullback
 
     def gamma_batch(self, contexts):
-        return self.gamma_and_pullback(contexts)[0]
+        return self._gamma_in_chunks(contexts)
 
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)
@@ -413,7 +470,7 @@ class RelativeSymmetricGamma(_NetworkModel):
         return np.stack([g1, 1.0 - g1], axis=1), pullback
 
     def gamma_batch(self, contexts):
-        return self.gamma_and_pullback(contexts)[0]
+        return self._gamma_in_chunks(contexts)
 
     def vjp_params_batch(self, contexts, dgamma):
         return self.gamma_and_pullback(contexts)[1](dgamma)

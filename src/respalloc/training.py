@@ -10,11 +10,12 @@ Each chunk of the minibatch is checked once as one batch problem; each of
 its rows is then solved, and pulled back through w . du*/dgamma without
 forming the Jacobians, as its own one-row problem.
 
-A step runs the minibatch in chunks of whole contexts, at most
-``CHUNK_ROWS`` network rows each (``net_rows_per_context`` of the model per
-context). Each chunk goes forward through the model, through its filter
-solves and their pullback, and back through the model before the next starts,
-so the activations the pullback reads are still in L2 cache. Models with
+A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
+contexts, at most ``CHUNK_ROWS`` network rows each (``net_rows_per_context``
+of the model per context), the split a network model's ``gamma_batch`` also
+uses. Each chunk goes forward through the model, through its filter solves
+and their pullback, and back through the model before the next starts, so
+the activations the pullback reads are still in L2 cache. Models with
 few rows per context (constant, MLP, relative) take the whole minibatch as
 one chunk; the 6-agent symmetric model, at 720 rows per context, takes four
 contexts per chunk.
@@ -38,15 +39,10 @@ from .data import InteractionSample, InteractionScene, atomic_write
 # solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
 from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
                         solve_rows_and_pullback)
-from .models import ConstantGamma
+# CHUNK_ROWS stays importable here for callers that read training.CHUNK_ROWS.
+from .models import CHUNK_ROWS, ConstantGamma, chunk_slices  # noqa: F401
 
 LOSS_METRICS = ("huber", "l2", "l1")
-
-# Network rows (contexts times rows per context) per training chunk: four
-# 6-agent contexts. At 16 hidden units each (hidden, rows) activation is
-# 0.37 MB, so a chunk's three activations and their temporaries stay in a
-# 2 MB L2 cache from the forward to the pullback.
-CHUNK_ROWS = 2880
 
 
 @dataclass
@@ -160,24 +156,26 @@ def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
 def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     """Loss plus its gradient in the model's flat parameters.
 
-    The minibatch runs in chunks of at most ``CHUNK_ROWS`` network rows
-    (whole contexts, at least one): each chunk's forward, filter solves and
-    the two pullbacks run back to back, while its activations
+    The minibatch runs in the chunks of ``chunk_slices`` (whole contexts,
+    at most ``CHUNK_ROWS`` network rows each): each chunk's forward, filter
+    solves and the two pullbacks run back to back, while its activations
     are still in cache. Every row is in exactly one chunk, so each runs one
     model forward; the loss is the sum of the chunks' row losses over the
     batch size, and the gradient the sum of their pullbacks.
     """
-    n, rows = len(prep), model.net_rows_per_context
-    per_chunk = max(1, CHUNK_ROWS // rows) if rows else n
+    n = len(prep)
+    parts = chunk_slices(model, n)
     total, grad = 0.0, 0.0
-    for start in range(0, n, per_chunk):
-        chunk = prep if per_chunk >= n else prep.subset(
-            np.arange(start, min(n, start + per_chunk)))
+    for part in parts:
+        chunk = prep if len(parts) == 1 else prep.subset(part)
         gamma, pullback = model.gamma_and_pullback(chunk.contexts)
         u, filter_pullback = _solve(chunk, gamma)
         chunk_total, dval_du = _residual_loss(chunk, u, config)
         total += chunk_total
         grad = grad + pullback(filter_pullback(dval_du) / n)
+        # Dropped before the next chunk's forward, which can then reuse the
+        # model's activation block (SymmetricGammaN).
+        del pullback, filter_pullback
     return _mean_loss(total, n), grad
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from respalloc import barriers
 from respalloc.barriers import (Barrier, ClassKappaLinear, assemble_constraint,
                                 make_ellipse_barrier,
                                 make_pairwise_distance_barrier, validate_barrier)
@@ -262,3 +265,50 @@ def test_softmin_evaluators_match_per_pair_loop_reference(seed):
         assert_rel_close(v, v_ref)
         assert_rel_close(g, g_ref)
         assert_rel_close(h, h_ref)
+
+
+# -- one evaluation of the pair terms per assembly ---------------------------------
+
+PAIR_SCENES = [(agents, temperature) for agents in (4, 6) for temperature in (10.0, None)]
+
+
+@pytest.mark.parametrize("agents,temperature", PAIR_SCENES)
+@pytest.mark.parametrize("seed", range(3))
+def test_joint_rows_equal_rows_from_the_three_evaluators(agents, temperature, seed):
+    scene = planar_group_scene(agents, temperature=temperature)
+    separate = dataclasses.replace(scene.barrier, joint=None)
+    states = np.random.default_rng(seed).normal(size=(40, scene.system.state_dim), scale=1.2)
+    for x in (states, states[0]):
+        rows = scene.assemble(x)
+        ref = assemble_constraint(scene.system, separate, scene.alpha_chain, x)
+        assert np.array_equal(rows.a, ref.a) and np.array_equal(rows.offset, ref.offset)
+    assert validate_barrier(scene.barrier, states[:3], require_hess=True) is scene.barrier
+
+
+@pytest.mark.parametrize("agents,temperature", PAIR_SCENES + [(2, 10.0)])
+def test_pair_terms_run_once_per_assembly(agents, temperature, monkeypatch):
+    calls, pair_terms = [], barriers._pair_terms
+
+    def counted_pair_terms(system, margin):
+        hessians, terms = pair_terms(system, margin)
+        return hessians, lambda X: calls.append(len(X)) or terms(X)
+
+    monkeypatch.setattr(barriers, "_pair_terms", counted_pair_terms)
+    scene = (planar_group_scene(agents, temperature=temperature) if agents > 2
+             else two_agent_line_scene())
+    states = np.random.default_rng(1).normal(size=(7, scene.system.state_dim))
+    scene.assemble(states)
+    scene.assemble(states[0])
+    assert calls == [7, 1]
+
+
+def test_validate_barrier_rejects_a_joint_evaluation_that_disagrees():
+    good = make_pairwise_distance_barrier(make_double_integrator_2d(3), 1.0)
+
+    def off(X, second):
+        value, grad, hess = good.joint(X, second)
+        return value + 1e-6, grad, hess
+
+    states = np.random.default_rng(0).normal(size=(3, 12))
+    with pytest.raises(ValueError, match="joint value"):
+        validate_barrier(dataclasses.replace(good, joint=off), states)

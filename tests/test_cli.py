@@ -8,7 +8,7 @@ from respalloc.cli import main
 from respalloc.data import (active_fraction, load_trajectories, read_header,
                             two_agent_line_scene, weaving_scene)
 from respalloc.filter_qp import solve_filter
-from respalloc.models import ConstantGamma, load_model, save_model
+from respalloc.models import ConstantGamma, init_model, load_model, save_model
 
 
 def run(argv):
@@ -212,6 +212,68 @@ def test_generate_rejects_bad_noise_and_filter_weights(flags, name, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,dims,scenario,have,need", [
+    ("constant", {"n_agents": 3}, "synthetic-2agent", "3 agents, context size 0",
+     "2 agents and context size 2"),
+    ("relative", {"context_dim": 4}, "synthetic-6agent", "2 agents, context size 4",
+     "6 agents and context size 24"),
+    ("symmetric", {"n_agents": 6, "agent_dim": 4}, "weaving-mixed",
+     "6 agents, context size 24", "2 agents and context size 4")])
+def test_generate_rejects_a_truth_checkpoint_that_does_not_fit(kind, dims, scenario, have,
+                                                               need, tmp_path, capsys):
+    ckpt, out = tmp_path / "truth.json", tmp_path / "d.ndjson"
+    model = init_model(kind, seed=0, **dims)
+    save_model(model, ckpt)
+    assert run(["generate", "--scenario", scenario, "--gamma-model", ckpt,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt} holds a {kind} model" in err
+    assert str(model.checkpoint_dims()) in err and have in err
+    assert f"scenario {scenario!r} needs {need}" in err
+    assert not out.exists()
+
+
+def test_generate_names_a_missing_truth_checkpoint(tmp_path, capsys):
+    missing = tmp_path / "none.json"
+    assert run(["generate", "--gamma-model", missing, "--out", tmp_path / "d.ndjson"]) == 2
+    assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,flag,value", [
+    ("weaving-single", "n", 4), ("weaving-mixed", "n", 128),
+    ("synthetic-2agent", "count", 2), ("synthetic-6agent", "steps", 3),
+    ("synthetic-2agent", "steps", 150)])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_generate_rejects_flags_of_the_other_scenario_family(scenario, flag, value,
+                                                             via_config, tmp_path, capsys):
+    out, cfgfile = tmp_path / "d.ndjson", tmp_path / "cfg.json"
+    if via_config:
+        cfgfile.write_text(json.dumps({"scenario": scenario, flag: value}))
+        argv = ["generate", "--config", cfgfile, "--out", out]
+    else:
+        argv = ["generate", "--scenario", scenario, f"--{flag}", value, "--out", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--{flag} does not apply to scenario {scenario!r}" in err
+    assert not out.exists()
+
+
+def test_generate_echoes_the_scenario_flags_it_used(weaving_dataset, tmp_path):
+    echo = read_header(weaving_dataset)["config"]
+    assert (echo["n"], echo["count"], echo["steps"]) == (None, 2, 40)
+    path = tmp_path / "defaults.ndjson"
+    assert run(["generate", "--scenario", "weaving-single", "--noise", 0,
+                "--out", path]) == 0
+    echo = read_header(path)["config"]
+    assert (echo["n"], echo["count"], echo["steps"]) == (None, 8, 150)
+    assert len(load_trajectories(path)) == 8 * 150
+    # An echoed configuration reads back as a --config file.
+    cfgfile, again = tmp_path / "cfg.json", tmp_path / "again.ndjson"
+    cfgfile.write_text(json.dumps({**echo, "out": str(again)}))
+    assert run(["generate", "--config", cfgfile]) == 0
+    assert load_trajectories(again)[-1].u.tolist() == load_trajectories(path)[-1].u.tolist()
+
+
 def test_config_file_merging(small_dataset, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"epochs": 2, "batch": 16}))
@@ -284,9 +346,9 @@ def test_usage_errors_return_2_and_help_exits_0(small_dataset, capsys):
 # echoes into its artifact.
 README_ECHOES = [
     ("generate --scenario synthetic-2agent --n 128 --gamma 0.3 --seed 1 --out data.ndjson",
-     {"scenario": "synthetic-2agent", "n": 128, "count": 8, "gamma": "0.3",
+     {"scenario": "synthetic-2agent", "n": 128, "count": None, "gamma": "0.3",
       "gamma_model": None, "noise": 0.1, "seed": 1, "beta1": 0.1, "beta2": 600.0,
-      "steps": 150, "out": "data.ndjson"}),
+      "steps": None, "out": "data.ndjson"}),
     ("train --dataset data.ndjson --model constant --epochs 200 --batch 8 --lr 0.005 "
      "--optimizer sgd --checkpoint-out model.json --report-out report.json",
      {"dataset": "data.ndjson", "model": "constant", "scene": None, "epochs": 200,
@@ -295,7 +357,7 @@ README_ECHOES = [
       "report_out": "report.json", "trace_csv": None, "hidden": 16, "n_hidden": 3}),
     ("generate --scenario weaving-rear-overtake --count 6 --noise 0.05 --seed 5 "
      "--out weave.ndjson",
-     {"scenario": "weaving-rear-overtake", "n": 128, "count": 6, "gamma": None,
+     {"scenario": "weaving-rear-overtake", "n": None, "count": 6, "gamma": None,
       "gamma_model": None, "noise": 0.05, "seed": 5, "beta1": 0.1, "beta2": 600.0,
       "steps": 150, "out": "weave.ndjson"}),
     ("train --dataset weave.ndjson --model relative --epochs 80 --batch 256 --lr 3e-3 "

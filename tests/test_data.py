@@ -12,7 +12,8 @@ from respalloc.data import (DesiredPolicyParams, ScenarioConfig,
                             generate_synthetic, generate_weaving_trajectories,
                             load_trajectories, planar_group_scene, read_header,
                             resolve_gamma_truth, save_trajectories,
-                            two_agent_line_scene, weaving_scene)
+                            speed_advantage_gamma, two_agent_line_scene,
+                            weaving_scene)
 from respalloc.filter_qp import solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import TrainConfig, loss
@@ -238,12 +239,25 @@ def test_truths_resolve_on_arrays_as_per_row_calls():
     np.testing.assert_array_equal(const, resolve_gamma_truth(lambda k, x: gamma,
                                                              range(9), states))
     np.testing.assert_array_equal(const, np.tile(gamma, (9, 1)))
-    # A callable sees each row's own k and state; a model each state.
+    # A callable sees each row's own k and state; a model all states at once.
     seen = resolve_gamma_truth(lambda k, x: [k, x[0]], [5] * 4 + list(range(5)), states)
     np.testing.assert_array_equal(seen, np.c_[[5] * 4 + list(range(5)), states[:, 0]])
     model = init_model("relative", seed=0, context_dim=4)
-    np.testing.assert_array_equal(resolve_gamma_truth(model, range(9), states),
-                                  [model.gamma(x) for x in states])
+    batched = resolve_gamma_truth(model, range(9), states)
+    np.testing.assert_array_equal(batched, model.gamma_batch(states))
+    # BLAS rounds a batched forward apart from per-state ones by an ulp or so.
+    np.testing.assert_allclose(batched, [model.gamma(x) for x in states], rtol=0, atol=1e-15)
+
+
+def test_speed_advantage_truth_on_arrays_equals_per_row_calls():
+    R = np.random.default_rng(3).normal(size=(200, 4), scale=3.0)
+    truth = speed_advantage_gamma(0.7, 0.3)
+    rows = np.array([truth(k, r) for k, r in enumerate(R)])
+    np.testing.assert_array_equal(truth.gamma_batch(R), rows)
+    np.testing.assert_array_equal(resolve_gamma_truth(truth, range(len(R)), R), rows)
+    # The per-row formula on scalars.
+    g1 = np.array([0.5 - 0.3 * np.tanh(0.7 * r[2]) for r in R])
+    np.testing.assert_array_equal(rows, np.c_[g1, 1.0 - g1])
 
 
 # -- weaving rollouts -----------------------------------------------------------

@@ -160,6 +160,50 @@ def test_pullback_is_the_batched_vjp_and_repeatable(kind, kwargs):
     np.testing.assert_array_equal(pullback(dg), first)
 
 
+def test_chunked_forward_equals_one_unchunked_forward(monkeypatch):
+    from respalloc import models
+    model = init_model("symmetric", seed=5, n_agents=6, agent_dim=4)
+    ctx = np.random.default_rng(6).normal(size=(9, model.context_dim))
+    whole = model.gamma_and_pullback(ctx)[0]
+    columns, stack = [], models._tanh_stack
+
+    def counted(layers, pre, *block):
+        columns.append(pre.shape[1])
+        return stack(layers, pre, *block)
+
+    monkeypatch.setattr(models, "_tanh_stack", counted)
+    np.testing.assert_array_equal(model.gamma_batch(ctx), whole)
+    assert models.CHUNK_ROWS // model.net_rows_per_context == 4
+    assert columns == [4 * 720, 4 * 720, 720]
+
+
+def test_live_pullbacks_keep_their_activations_across_later_passes():
+    model = init_model("symmetric", seed=2, n_agents=4, agent_dim=3)
+    twin = init_model("symmetric", seed=2, n_agents=4, agent_dim=3)
+    rng = np.random.default_rng(9)
+    ctx = [rng.normal(size=(5, 12)) for _ in range(3)]
+    dg = [rng.normal(size=(5, 4)) for _ in range(3)]
+    first = model.gamma_and_pullback(ctx[0])[1]
+    second = model.gamma_and_pullback(ctx[1])[1]
+    model.vjp_params_batch(ctx[2], dg[2])
+    model.gamma_batch(ctx[2])
+    for c, g, pullback in zip(ctx, dg, (first, second)):
+        np.testing.assert_array_equal(pullback(g), twin.gamma_and_pullback(c)[1](g))
+    np.testing.assert_array_equal(model.gamma_batch(ctx[0]), twin.gamma_batch(ctx[0]))
+
+
+def test_chunked_passes_reuse_one_activation_block():
+    from respalloc import models
+    model = init_model("symmetric", seed=5, n_agents=6, agent_dim=4)
+    ctx = np.random.default_rng(6).normal(size=(8, model.context_dim))
+    model.gamma_batch(ctx)
+    block = model._block[0]
+    assert block.shape == (5, 16, models.CHUNK_ROWS)
+    model.gamma_batch(ctx)
+    model.vjp_params_batch(ctx[:4], np.ones((4, 6)))
+    assert model._block[0] is block
+
+
 def test_symmetric_cap():
     with pytest.raises(ValueError, match="capped"):
         SymmetricGammaN(7, 2)

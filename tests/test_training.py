@@ -236,9 +236,9 @@ def test_each_ordering_row_runs_once_per_step(planar6_prep, size, monkeypatch):
     prep, model = planar6_prep
     columns, stack = [], models._tanh_stack
 
-    def counted(layers, pre):
+    def counted(layers, pre, *block):
         columns.append(pre.shape[1])
-        return stack(layers, pre)
+        return stack(layers, pre, *block)
 
     monkeypatch.setattr(models, "_tanh_stack", counted)
     batch_loss_and_grad(prep.subset(np.arange(size)), model, CFG)
