@@ -271,8 +271,10 @@ def speed_advantage_gamma(sharpness=0.5, span=0.35):
         raise ValueError("span must lie in (0, 0.5]")
 
     def gamma_batch(R):
-        g1 = 0.5 - span * np.tanh(sharpness * np.asarray(R, dtype=float)[:, 2])
-        return np.stack([g1, 1.0 - g1], axis=1)
+        gamma = np.empty((len(R), 2))
+        gamma[:, 0] = 0.5 - span * np.tanh(sharpness * np.asarray(R, dtype=float)[:, 2])
+        gamma[:, 1] = 1.0 - gamma[:, 0]
+        return gamma
 
     def truth(k, r):
         return gamma_batch(np.asarray(r, dtype=float)[None])[0]

@@ -244,8 +244,10 @@ class _NetworkModel(ResponsibilityModel):
 
     def _gamma_in_chunks(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
-        parts = [self.gamma_and_pullback(x[part])[0] for part in chunk_slices(self, len(x))]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts = chunk_slices(self, len(x))
+        if len(parts) == 1:
+            return self.gamma_and_pullback(x)[0]
+        return np.concatenate([self.gamma_and_pullback(x[part])[0] for part in parts])
 
     @property
     def params(self):
@@ -389,16 +391,17 @@ class SymmetricGammaN(_NetworkModel):
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
         self._incidence = _ordering_incidence(n_agents)
         self.net_rows_per_context = len(self._incidence)
-        self._block = None      # [block, weak reference to the pullback using it]
+        self._block = None      # [flat buffer, weak reference to the pullback using it]
 
     def _free_block(self, shape):
-        """The model's block if it has ``shape`` and its pullback is gone,
-        else a new block of ``shape``, which becomes the model's."""
-        held = self._block
+        """The model's buffer if its pullback is gone and it holds ``shape``,
+        else a new buffer of that size, which becomes the model's; and the
+        buffer's leading entries as a contiguous array of ``shape``."""
+        held, size = self._block, math.prod(shape)
         in_use = held is not None and held[1] is not None and held[1]() is not None
-        if held is None or in_use or held[0].shape != shape:
-            held = self._block = [np.empty(shape), None]
-        return held
+        if held is None or in_use or held[0].size < size:
+            held = self._block = [np.empty(size), None]
+        return held, held[0][:size].reshape(shape)
 
     def gamma_and_pullback(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -414,8 +417,7 @@ class SymmetricGammaN(_NetworkModel):
         blocks = w1.reshape(hid * n, d) @ agents.T
         blocks = blocks.reshape(hid, n, b, n).transpose(0, 2, 1, 3).reshape(hid * b, n * n)
         depth = len(layers) - 1
-        held = self._free_block((depth + 2, hid, b * orderings))
-        block = held[0]
+        held, block = self._free_block((depth + 2, hid, b * orderings))
         pre = block[0]
         np.matmul(blocks, incidence.T, out=pre.reshape(hid * b, orderings))
         pre += b1[:, None]

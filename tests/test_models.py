@@ -195,12 +195,14 @@ def test_live_pullbacks_keep_their_activations_across_later_passes():
 def test_chunked_passes_reuse_one_activation_block():
     from respalloc import models
     model = init_model("symmetric", seed=5, n_agents=6, agent_dim=4)
-    ctx = np.random.default_rng(6).normal(size=(8, model.context_dim))
+    ctx = np.random.default_rng(6).normal(size=(9, model.context_dim))
     model.gamma_batch(ctx)
     block = model._block[0]
-    assert block.shape == (5, 16, models.CHUNK_ROWS)
+    assert block.size == 5 * 16 * models.CHUNK_ROWS
+    # Shorter chunks (the last one of 9 contexts, or 2 contexts) run in it too.
     model.gamma_batch(ctx)
-    model.vjp_params_batch(ctx[:4], np.ones((4, 6)))
+    model.vjp_params_batch(ctx[:2], np.ones((2, 6)))
+    model.gamma_batch(ctx[:4])
     assert model._block[0] is block
 
 
