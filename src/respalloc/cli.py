@@ -446,8 +446,8 @@ def cmd_landscape(cfg):
 
     lines = ["# config: " + json.dumps(cfg),
              f"{axes[0]},{axes[1]},gamma1,filter_inactive"]
-    lines += [f"{float(v1)!r},{float(v2)!r},{float(g1)!r},{int(flag)}"
-              for v1, v2, g1, flag in zip(v1s, v2s, gammas[:, 0], inactive)]
+    lines += [f"{v1!r},{v2!r},{g1!r},{int(flag)}" for v1, v2, g1, flag in
+              zip(v1s.tolist(), v2s.tolist(), gammas[:, 0].tolist(), inactive.tolist())]
     data_mod.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {res * res} grid cells to {out}")
     return 0

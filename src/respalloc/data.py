@@ -32,7 +32,7 @@ from .barriers import (Barrier, ClassKappaLinear, assemble_constraint,
 from .dynamics import (ControlAffineSystem, make_double_integrator_2d,
                        make_relative_double_integrator,
                        make_single_integrator_1d, relative_state)
-from .filter_qp import FilterProblem, solve_filter
+from .filter_qp import FilterProblem, filtered_controls, solve_filter
 
 TRAJECTORY_FORMAT_VERSION = 1
 
@@ -367,7 +367,7 @@ def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
     gammas = resolve_gamma_truth(gamma_truth, range(B), states)
     problem = scene.problem(scene.assemble(states), U_des, gammas)
     problem.validate_allocation(tol=1e-6)
-    U_obs = solve_filter(problem).u + float(np.sqrt(config.noise_variance)) * noise
+    U_obs = filtered_controls(problem) + float(np.sqrt(config.noise_variance)) * noise
     shape = (B, len(dims), dims[0])
     return [InteractionSample(x=x, u=u_obs, u_des=u_des, t=0.0, trajectory_id=k)
             for k, (x, u_obs, u_des) in enumerate(zip(X, U_obs.reshape(shape),
@@ -444,8 +444,9 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     yields-less rule. Samples from trajectory j carry trajectory_id j and
     come out grouped by trajectory. Trajectory j draws its initial state and
     then, if the noise is nonzero, a (steps, 4) block of control noise; all
-    trajectories then advance in lockstep, with one filter solve over every
-    trajectory's safety row per step.
+    trajectories then advance in lockstep, with one u*-only filter solve
+    over every trajectory's safety row per step. Each sample's ``x``, ``u``
+    and ``u_des`` are row views of one (count, steps, ...) array per field.
     """
     if kind not in WEAVING_KINDS:
         raise ValueError(f"unknown weaving kind {kind!r}; expected one of {WEAVING_KINDS}")
@@ -469,23 +470,27 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
         if std > 0:
             noise[traj] = std * rng.standard_normal((cfg.steps, 4))
 
-    per_traj = [[] for _ in range(count)]
+    # Step k of trajectory j writes row [j, k] of each array.
+    states = np.empty((count, cfg.steps, 8))
+    executed = np.empty((count, cfg.steps, 2, 2))
+    desired = np.empty((count, cfg.steps, 2, 2))
+    cars = X.reshape(count, 2, 4)
     for step in range(cfg.steps):
+        states[:, step] = X
         R = scene.filter_state(X)
-        U_des = desired_controls_weaving(X, policy)
+        desired[:, step] = U_des = desired_controls_weaving(X, policy)
         gammas = resolve_gamma_truth(gamma_truth, [step] * count, R)
-        sol = solve_filter(scene.problem(scene.assemble(R), U_des, gammas))
-        U = (sol.u + noise[:, step]).reshape(count, 2, 2)
-        for traj, x in enumerate(X):
-            per_traj[traj].append(InteractionSample(
-                x=x.copy(), u=U[traj], u_des=U_des[traj],
-                t=step * cfg.dt, trajectory_id=traj))
+        U = (filtered_controls(scene.problem(scene.assemble(R), U_des, gammas))
+             + noise[:, step]).reshape(count, 2, 2)
+        executed[:, step] = U
         # The noisy executed control drives the cars (process noise); it
         # also breaks the side-by-side tie so either car may end up ahead.
-        cars = X.reshape(count, 2, 4)
         cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
         cars[:, :, 2:] += cfg.dt * U
-    return [s for samples in per_traj for s in samples]
+    return [InteractionSample(x=states[traj, step], u=executed[traj, step],
+                              u_des=desired[traj, step], t=step * cfg.dt,
+                              trajectory_id=traj)
+            for traj in range(count) for step in range(cfg.steps)]
 
 
 # -- augmentations --------------------------------------------------------------
@@ -496,33 +501,32 @@ def augment(samples: Sequence[InteractionSample], kind: str) -> list:
 
     ``mirror_lateral`` flips every lateral state and control across the lane
     divider; ``swap_agents`` exchanges the two agents (negating the relative
-    state). Both are involutions on the transformed copies.
+    state). Both are involutions on the transformed copies. The inputs are
+    stacked once and transformed as whole arrays; each copy's ``x``, ``u``
+    and ``u_des`` are row views of the transformed arrays.
     """
     if kind not in ("mirror_lateral", "swap_agents"):
         raise ValueError(f"unknown augmentation {kind!r}")
-    out = list(samples)
-    for s in samples:
-        if s.x.shape != (8,) or s.u.shape != (2, 2):
-            raise ValueError(
-                "augmentations require two-agent [lon, lat, vlon, vlat] samples")
-        x = s.x.copy()
-        u = s.u.copy()
-        u_des = None if s.u_des is None else s.u_des.copy()
-        if kind == "mirror_lateral":
-            for i in range(2):
-                x[4 * i + X_LAT] *= -1.0
-                x[4 * i + X_VLAT] *= -1.0
-            u[:, 1] *= -1.0
-            if u_des is not None:
-                u_des[:, 1] *= -1.0
-        else:
-            x = np.concatenate([x[4:], x[:4]])
-            u = u[::-1].copy()
-            if u_des is not None:
-                u_des = u_des[::-1].copy()
-        out.append(InteractionSample(x=x, u=u, u_des=u_des, t=s.t,
-                                     trajectory_id=s.trajectory_id))
-    return out
+    if any(s.x.shape != (8,) or s.u.shape != (2, 2) for s in samples):
+        raise ValueError("augmentations require two-agent [lon, lat, vlon, vlat] samples")
+    if not samples:
+        return []
+    X = np.array([s.x for s in samples])
+    U = np.array([s.u for s in samples])
+    has_des = [s.u_des is not None for s in samples]
+    U_des = np.array([s.u_des for s in samples if s.u_des is not None]).reshape(-1, 2, 2)
+    if kind == "mirror_lateral":
+        X[:, [X_LAT, X_VLAT, 4 + X_LAT, 4 + X_VLAT]] *= -1.0
+        U[:, :, 1] *= -1.0
+        U_des[:, :, 1] *= -1.0
+    else:
+        X = np.concatenate([X[:, 4:], X[:, :4]], axis=1)
+        U, U_des = U[:, ::-1], U_des[:, ::-1]
+    rows_des = iter(U_des)
+    return list(samples) + [
+        InteractionSample(x=x, u=u, u_des=next(rows_des) if des else None,
+                          t=s.t, trajectory_id=s.trajectory_id)
+        for s, x, u, des in zip(samples, X, U, has_des)]
 
 
 # -- trajectory files ------------------------------------------------------------
@@ -562,10 +566,9 @@ def save_trajectories(samples: Sequence[InteractionSample], path, scenario="cust
     lines = [json.dumps(header)]
     for s in samples:
         rec = {"trajectory_id": int(s.trajectory_id), "t": float(s.t),
-               "x": [float(v) for v in s.x],
-               "u": [[float(v) for v in row] for row in s.u]}
+               "x": s.x.tolist(), "u": s.u.tolist()}
         if s.u_des is not None:
-            rec["u_des"] = [[float(v) for v in row] for row in s.u_des]
+            rec["u_des"] = s.u_des.tolist()
         lines.append(json.dumps(rec))
     atomic_write(path, "\n".join(lines) + "\n")
 
@@ -646,10 +649,10 @@ def export_csv(samples: Sequence[InteractionSample], path, header_comment=None):
         lines.append(",".join(cols))
         for s in samples:
             row = [str(int(s.trajectory_id)), repr(float(s.t))]
-            row += [repr(float(v)) for v in s.x]
-            row += [repr(float(v)) for v in s.u.ravel()]
+            row += map(repr, s.x.tolist())
+            row += map(repr, s.u.ravel().tolist())
             if s.u_des is not None:
-                row += [repr(float(v)) for v in s.u_des.ravel()]
+                row += map(repr, s.u_des.ravel().tolist())
             else:
                 row += [""] * (n * m)
             lines.append(",".join(row))

@@ -17,9 +17,10 @@ h_j = gamma_j + beta1 the optimum is u_j(lam) = clip((gamma_j u_des_j +
 lam a_j / 2) / h_j, lb_j, ub_j), eps = lam / (2 beta2), where lam >= 0 is the
 root of the nondecreasing piecewise-linear phi(lam) = a . u(lam) + c +
 lam / (2 beta2), or 0 when phi(0) >= 0 (README: "The safety filter in closed
-form"). ``FilterProblem``, ``solve_filter`` and ``differentiate_filter`` take
-one row (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the
-problem's dense pieces are one-row references. ``solve_rows_and_pullback``,
+form"). ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its u*
+alone, the generators' entry) and ``differentiate_filter`` take one row
+(``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the problem's
+dense pieces are one-row references. ``solve_rows_and_pullback``,
 the training step's entry, solves a batch one row at a time and pulls a
 cotangent on u* back to gamma without forming the Jacobians.
 """
@@ -293,16 +294,33 @@ def _solve_core(a, d, g, h, c, lb, ub, beta2):
     return u, v, lam, passed, phi0
 
 
-def solve_filter(problem: FilterProblem) -> FilterSolution:
-    """Solve the projection QP in closed form; deterministic for fixed inputs."""
+def _solve_rows(problem):
+    """The closed-form core over every row of a checked problem, with h, lb, ub."""
     a, d, g, h = _rows(problem)
     c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
     m = a.shape[1]
     lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
-    u, v, lam, passed, phi0 = _solve_core(a, d, g, h, c, lb, ub, problem.beta2)
+    return h, lb, ub, _solve_core(a, d, g, h, c, lb, ub, problem.beta2)
+
+
+def filtered_controls(problem: FilterProblem) -> np.ndarray:
+    """The optimum u* alone: (m,) for one row, (B, m) for a batch.
+
+    The same closed form as ``solve_filter`` without its duals, flags and
+    ``FilterSolution``; the result equals that function's ``u`` bit for bit.
+    Generation, which keeps nothing but u*, calls this.
+    """
+    u = _solve_rows(problem)[3][0]
+    return u[0] if problem.u_des.ndim == 1 else u
+
+
+def solve_filter(problem: FilterProblem) -> FilterSolution:
+    """Solve the projection QP in closed form; deterministic for fixed inputs."""
+    h, lb, ub, (u, v, lam, passed, phi0) = _solve_rows(problem)
+    m = u.shape[1]
     # Box multipliers from stationarity: 2 h (u - v) = mu_lb - mu_ub.
     gap = (u - v) * (2.0 * h)
-    duals = np.zeros((len(c), 2 * m + 2))
+    duals = np.zeros((len(lam), 2 * m + 2))
     duals[:, 0] = lam
     np.maximum(gap, 0.0, out=duals[:, 1:m + 1])
     np.maximum(-gap, 0.0, out=duals[:, m + 1:-1])

@@ -5,12 +5,19 @@ paths: the QP oracle is a dense grid search with the slack eliminated in
 closed form, and the derivative oracles are central finite differences.
 The symmetric-model reference runs the package's plain dense MLP on
 explicitly gathered inputs: the construction the incidence-matrix first
-layer replaced.
+layer replaced. The weaving-rollout reference is the per-step loop that the
+array rollout replaced.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
+
+from respalloc.data import (InteractionSample, WeavingConfig, _weaving_initial_state,
+                            desired_controls_weaving, resolve_gamma_truth,
+                            speed_advantage_gamma, weaving_scene)
+from respalloc.filter_qp import solve_filter
 
 
 def grid_objective(u1, u2, a, c, u_des, gamma, beta1, beta2):
@@ -170,3 +177,43 @@ def synthetic_draws_reference(config, n_controls):
               rng.standard_normal(n_controls))
              for _ in range(config.n_samples)]
     return tuple(np.array(column) for column in zip(*draws))
+
+
+def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
+                              config=None):
+    """``generate_weaving_trajectories`` as a per-step loop over sample objects.
+
+    Each step calls ``solve_filter`` on every trajectory's safety row, builds
+    one ``InteractionSample`` per trajectory with a copy of its state, and
+    the samples are regrouped by trajectory at the end.
+    """
+    scene = scene or weaving_scene()
+    cfg = config or WeavingConfig()
+    gamma_truth = gamma_truth if gamma_truth is not None else speed_advantage_gamma()
+    rng = np.random.default_rng(seed)
+    std = float(np.sqrt(cfg.noise_variance))
+    lower, upper = cfg.lane_centers
+    policy = replace(cfg.policy, lat_targets=(upper, lower))
+    sub_kinds = ("side_by_side", "rear_overtake")
+    X = np.empty((count, 8))
+    noise = np.zeros((count, cfg.steps, 4))
+    for traj in range(count):
+        k_traj = kind if kind != "mixed" else sub_kinds[traj % len(sub_kinds)]
+        X[traj] = _weaving_initial_state(k_traj, rng, cfg)
+        if std > 0:
+            noise[traj] = std * rng.standard_normal((cfg.steps, 4))
+    per_traj = [[] for _ in range(count)]
+    for step in range(cfg.steps):
+        R = scene.filter_state(X)
+        U_des = desired_controls_weaving(X, policy)
+        gammas = resolve_gamma_truth(gamma_truth, [step] * count, R)
+        sol = solve_filter(scene.problem(scene.assemble(R), U_des, gammas))
+        U = (sol.u + noise[:, step]).reshape(count, 2, 2)
+        for traj, x in enumerate(X):
+            per_traj[traj].append(InteractionSample(
+                x=x.copy(), u=U[traj], u_des=U_des[traj],
+                t=step * cfg.dt, trajectory_id=traj))
+        cars = X.reshape(count, 2, 4)
+        cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
+        cars[:, :, 2:] += cfg.dt * U
+    return [s for samples in per_traj for s in samples]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from respalloc.data import (DesiredPolicyParams, ScenarioConfig,
-                            TrajectoryFormatError, WeavingConfig,
+from respalloc.data import (WEAVING_KINDS, DesiredPolicyParams, InteractionSample,
+                            ScenarioConfig, TrajectoryFormatError, WeavingConfig,
                             active_fraction, augment,
                             default_planar_group_config,
                             default_two_agent_config, desired_controls_weaving,
@@ -18,7 +18,7 @@ from respalloc.filter_qp import solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import TrainConfig, loss
 
-from oracles import synthetic_draws_reference
+from oracles import synthetic_draws_reference, weaving_rollout_reference
 
 PARAMS = DesiredPolicyParams()
 
@@ -307,6 +307,22 @@ def test_mixed_kind_alternates_and_groups_ids():
     assert len(w) == 40
 
 
+@pytest.mark.parametrize("kind", WEAVING_KINDS)
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("count", [1, 3])
+def test_rollout_equals_the_per_step_reference(kind, noise, count):
+    config = WeavingConfig(noise_variance=noise)
+    for seed in (0, 4, 11):
+        fast = generate_weaving_trajectories(kind, count, seed=seed, config=config)
+        slow = weaving_rollout_reference(kind, count, seed=seed, config=config)
+        assert len(fast) == len(slow) == count * config.steps
+        for f, s in zip(fast, slow):
+            np.testing.assert_array_equal(f.x, s.x)
+            np.testing.assert_array_equal(f.u, s.u)
+            np.testing.assert_array_equal(f.u_des, s.u_des)
+            assert f.t == s.t and f.trajectory_id == s.trajectory_id
+
+
 # -- augmentations ----------------------------------------------------------------
 
 
@@ -315,27 +331,60 @@ def _tiny_weaving(n=12):
         "single", 1, seed=1, config=WeavingConfig(steps=n, noise_variance=0.05))
 
 
+def _partly_desired(samples):
+    """Copies of ``samples`` in which every third one lacks desired controls."""
+    return [InteractionSample(x=s.x.copy(), u=s.u.copy(),
+                              u_des=None if k % 3 == 0 else s.u_des.copy(),
+                              t=s.t, trajectory_id=s.trajectory_id)
+            for k, s in enumerate(samples)]
+
+
+def _assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.x, w.x)
+        np.testing.assert_array_equal(g.u, w.u)
+        assert (g.u_des is None) == (w.u_des is None)
+        if w.u_des is not None:
+            np.testing.assert_array_equal(g.u_des, w.u_des)
+        assert g.t == w.t and g.trajectory_id == w.trajectory_id
+
+
 def test_mirror_augmentation_is_involutive_and_doubles():
-    base = _tiny_weaving()
-    once = augment(base, "mirror_lateral")
-    assert len(once) == 2 * len(base)
-    twice = augment(once[len(base):], "mirror_lateral")
-    for orig, back in zip(base, twice[len(base):]):
-        np.testing.assert_array_equal(orig.x, back.x)
-        np.testing.assert_array_equal(orig.u, back.u)
-        np.testing.assert_array_equal(orig.u_des, back.u_des)
+    assert augment([], "mirror_lateral") == []
+    for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
+        once = augment(base, "mirror_lateral")
+        assert len(once) == 2 * len(base)
+        assert all(a is b for a, b in zip(once, base))
+        for orig, copy in zip(base, once[len(base):]):
+            assert not np.shares_memory(orig.x, copy.x)
+            np.testing.assert_array_equal(copy.x[[0, 2, 4, 6]], orig.x[[0, 2, 4, 6]])
+            np.testing.assert_array_equal(copy.x[[1, 3, 5, 7]], -orig.x[[1, 3, 5, 7]])
+            np.testing.assert_array_equal(copy.u, orig.u * [1.0, -1.0])
+            assert (copy.u_des is None) == (orig.u_des is None)
+            if orig.u_des is not None:
+                np.testing.assert_array_equal(copy.u_des, orig.u_des * [1.0, -1.0])
+        twice = augment(once[len(base):], "mirror_lateral")
+        _assert_same_samples(twice[len(base):], base)
 
 
 def test_swap_augmentation_negates_relative_state():
-    base = _tiny_weaving()
+    assert augment([], "swap_agents") == []
     scene = weaving_scene()
-    out = augment(base, "swap_agents")
-    for orig, swapped in zip(base, out[len(base):]):
-        np.testing.assert_allclose(scene.filter_state(swapped.x),
-                                   -scene.filter_state(orig.x), atol=1e-12)
-        np.testing.assert_array_equal(swapped.u[0], orig.u[1])
-        np.testing.assert_array_equal(swapped.u[1], orig.u[0])
-        np.testing.assert_array_equal(swapped.u_des[0], orig.u_des[1])
+    for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
+        out = augment(base, "swap_agents")
+        assert len(out) == 2 * len(base)
+        for orig, swapped in zip(base, out[len(base):]):
+            np.testing.assert_allclose(scene.filter_state(swapped.x),
+                                       -scene.filter_state(orig.x), atol=1e-12)
+            np.testing.assert_array_equal(swapped.u[0], orig.u[1])
+            np.testing.assert_array_equal(swapped.u[1], orig.u[0])
+            assert (swapped.u_des is None) == (orig.u_des is None)
+            if orig.u_des is not None:
+                np.testing.assert_array_equal(swapped.u_des[0], orig.u_des[1])
+                np.testing.assert_array_equal(swapped.u_des[1], orig.u_des[0])
+            assert swapped.t == orig.t and swapped.trajectory_id == orig.trajectory_id
+        _assert_same_samples(augment(out[len(base):], "swap_agents")[len(base):], base)
 
 
 def test_augment_rejects_incompatible_layouts():

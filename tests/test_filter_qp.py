@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from respalloc.barriers import CbfLinearConstraint, ClassKappaLinear, \
     assemble_constraint, make_pairwise_distance_barrier
@@ -8,8 +8,8 @@ from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_sce
 from respalloc import filter_qp
 from respalloc.dynamics import make_single_integrator_1d
 from respalloc.filter_qp import (FilterError, FilterProblem,
-                                 differentiate_filter, kkt_residuals,
-                                 solve_filter)
+                                 differentiate_filter, filtered_controls,
+                                 kkt_residuals, solve_filter)
 
 from oracles import assert_rel_close, fd_jacobian, grid_solve_two_agent
 
@@ -403,13 +403,24 @@ def _breakpoints_passed(problem, lam):
     return np.count_nonzero(np.isfinite(bp) & (bp > 0.0) & (bp <= lam[:, None]), axis=(0, 2))
 
 
+def _with_every_kind_at_sizes_1_and_40(test):
+    for name in sorted(ARRAY_SCENES):
+        for kind in ROW_KINDS:
+            for batch in (1, 40):
+                test = example(name, batch, kind, batch)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
        st.sampled_from(ROW_KINDS), st.integers(0, 2 ** 32 - 1))
+@_with_every_kind_at_sizes_1_and_40
 def test_batched_solve_equals_stacked_one_row_solves(name, batch, kind, seed):
     problem = _rows_of_kind(name, batch, kind, seed)
     sol = solve_filter(problem)
     jac = differentiate_filter(problem, sol)
+    # The u*-only entry runs the same closed form: equal bit for bit.
+    np.testing.assert_array_equal(filtered_controls(problem), sol.u)
     m, n_agents = problem.u_des.shape[1], problem.gamma.shape[1]
     assert sol.u.shape == (batch, m) and sol.duals.shape == (batch, 2 * m + 2)
     assert sol.eps.shape == sol.lam_cbf.shape == sol.n_pivots.shape == (batch,)
@@ -420,6 +431,7 @@ def test_batched_solve_equals_stacked_one_row_solves(name, batch, kind, seed):
         single = _one_row(problem, i)
         one = solve_filter(single)
         one_jac = differentiate_filter(single, one)
+        np.testing.assert_array_equal(filtered_controls(single), one.u)
         assert isinstance(one.eps, float) and isinstance(one.lam_cbf, float)
         assert isinstance(one.n_pivots, int) and isinstance(one_jac.degenerate, bool)
         assert_rel_close(sol.u[i], one.u)
