@@ -363,18 +363,32 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
     Jacobian is a diagonal term there plus t d lam with t = a / (2h) on the
     free channels; clipped channels do not move. d lam follows from
     phi(lam) = 0 while the row binds (lam > 0) and is zero otherwise.
+
+    Channel j's own entries hold its diagonal term times 1 + a_j t_j scale,
+    which cancels when that channel carries most of the row (a small h_j).
+    For a binding row that factor equals the leave-one-out ratio
+    (1 / (2 beta2) + sum_{l != j} a_l t_l) / (1 / (2 beta2) + sum_l a_l t_l),
+    whose sums have terms of one sign, so those entries are formed from it
+    and from the other channels of the same agent.
     """
     a, d, g, h = _rows(problem)
     b, m = a.shape
-    onehot = _channel_agent(problem.constraint.agent_dims)[1]
+    owner, onehot = _channel_agent(problem.constraint.agent_dims)
+    binds = solution.duals.reshape(b, -1)[:, 0] > 0.0
     on, own, t, scale = _sensitivities(
-        a, d, h, solution.u.reshape(b, m), solution.free.reshape(b, m),
-        solution.duals.reshape(b, -1)[:, 0] > 0.0, problem.beta2)
+        a, d, h, solution.u.reshape(b, m), solution.free.reshape(b, m), binds,
+        problem.beta2)
+    at, floor = a * t, 0.5 / problem.beta2
+    keep = np.where(binds[:, None], (floor + at @ (1.0 - np.eye(m)))
+                    / (floor + _rowsum(at))[:, None], 1.0)
     shrink = g * on                                 # d u_j / d u_des_j at fixed lam
-    dlam_dgamma = ((a * own) * scale[:, None]) @ onehot
-    du_dgamma = own[:, :, None] * onehot + t[:, :, None] * dlam_dgamma[:, None, :]
+    pull = (a * own) * scale[:, None]
+    dlam_dgamma = pull @ onehot
+    du_dgamma = t[:, :, None] * dlam_dgamma[:, None, :]
+    du_dgamma[:, np.arange(m), owner] = (own * keep
+                                         + t * (pull @ (onehot @ onehot.T - np.eye(m))))
     du_dudes = t[:, :, None] * ((a * shrink) * scale[:, None])[:, None, :]
-    du_dudes.reshape(b, -1)[:, ::m + 1] += shrink
+    du_dudes.reshape(b, -1)[:, ::m + 1] = shrink * keep
     deps_dgamma = dlam_dgamma / (2.0 * problem.beta2)
     if problem.u_des.ndim == 1:
         return FilterJacobians(du_dgamma=du_dgamma[0], deps_dgamma=deps_dgamma[0],

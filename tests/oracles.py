@@ -6,11 +6,13 @@ closed form, and the derivative oracles are central finite differences.
 The symmetric-model reference runs the package's plain dense MLP on
 explicitly gathered inputs: the construction the incidence-matrix first
 layer replaced. The weaving-rollout reference is the per-step loop that the
-array rollout replaced.
+array rollout replaced. The exact filter Jacobians evaluate the closed form
+in rational arithmetic, so they show rounding and nothing else.
 """
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -217,3 +219,35 @@ def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
         cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
         cars[:, :, 2:] += cfg.dt * U
     return [s for samples in per_traj for s in samples]
+
+
+def exact_filter_jacobians(problem, solution, i):
+    """Row i's (du*/dgamma, du*/du_des) from the closed form in exact rationals.
+
+    At the solution's u*, free channels and binding flag (all taken as
+    exact): on the free channels own_j = (u_des_j - u_j) / h_j,
+    t_j = a_j / (2 h_j) and shrink_j = gamma_j / h_j; while the row binds,
+    d lam = -(a . du at fixed lam) / (1 / (2 beta2) + sum_j a_j t_j). Each
+    entry is rounded to a float once, at the end.
+    """
+    a = [Fraction(x) for x in np.atleast_2d(problem.constraint.a)[i]]
+    d = [Fraction(x) for x in np.atleast_2d(problem.u_des)[i]]
+    g = [Fraction(x) for x in np.atleast_2d(problem.gamma_per_channel())[i]]
+    u = [Fraction(x) for x in np.atleast_2d(solution.u)[i]]
+    free = np.atleast_2d(solution.free)[i]
+    binds = np.atleast_2d(solution.duals)[i, 0] > 0.0
+    owner = np.repeat(np.arange(len(problem.constraint.agent_dims)),
+                      problem.constraint.agent_dims)
+    m, n = len(a), len(problem.constraint.agent_dims)
+    on = [1 / (g[j] + Fraction(problem.beta1)) if free[j] else Fraction(0) for j in range(m)]
+    t = [a[j] * on[j] / 2 for j in range(m)]
+    slope = 1 / (2 * Fraction(problem.beta2)) + sum(a[j] * t[j] for j in range(m))
+    scale = -1 / slope if binds else Fraction(0)
+    own = [(d[j] - u[j]) * on[j] for j in range(m)]
+    shrink = [g[j] * on[j] for j in range(m)]
+    dlam = [scale * sum(a[j] * own[j] for j in range(m) if owner[j] == k) for k in range(n)]
+    du_dgamma = [[float((own[j] if owner[j] == k else 0) + t[j] * dlam[k]) for k in range(n)]
+                 for j in range(m)]
+    du_dudes = [[float((shrink[j] if q == j else 0) + t[j] * scale * a[q] * shrink[q])
+                 for q in range(m)] for j in range(m)]
+    return np.array(du_dgamma), np.array(du_dudes)

@@ -11,7 +11,8 @@ from respalloc.filter_qp import (FilterError, FilterProblem,
                                  differentiate_filter, filtered_controls,
                                  kkt_residuals, solve_filter)
 
-from oracles import assert_rel_close, fd_jacobian, grid_solve_two_agent
+from oracles import (assert_rel_close, exact_filter_jacobians, fd_jacobian,
+                     grid_solve_two_agent)
 
 
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
@@ -567,6 +568,27 @@ def test_root_exactly_at_the_first_breakpoint_passes_no_breakpoint():
         problem = _exact_problem([0.0, 0.0], [0.5, 0.5], [2.0, 2.0], -2.0, 0.5, 0.125,
                                  -1.0, [bound, np.inf])
         assert solve_filter(problem).n_pivots == pivots
+
+
+@pytest.mark.parametrize("name,batch,kind,seed", [
+    ("planar6", 6, "random", 22143),
+    ("planar6", 26, "random", 2 ** 32 - 1),
+    ("weaving", 40, "tiny box", 5),
+    ("line", 40, "unbounded", 9),
+])
+def test_jacobians_equal_the_exact_closed_form_where_one_channel_carries_the_row(
+        name, batch, kind, seed):
+    # In the first two batches a row has an agent with a small gamma whose
+    # free channel carries most of the row. Its own term and its t d lam
+    # term nearly cancel there (-12725.1 + 12723.7 in the first), and
+    # forming their sum left relative errors of 1.5e-12 and 6e-13.
+    problem = _rows_of_kind(name, batch, kind, seed)
+    sol = solve_filter(problem)
+    jac = differentiate_filter(problem, sol)
+    for i in range(batch):
+        du_dgamma, du_dudes = exact_filter_jacobians(problem, sol, i)
+        assert_rel_close(jac.du_dgamma[i], du_dgamma, rtol=1e-14)
+        assert_rel_close(jac.du_dudes[i], du_dudes, rtol=1e-14)
 
 
 # -- the per-row core and the training pullback ---------------------------------
