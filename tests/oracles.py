@@ -6,8 +6,8 @@ closed form, and the derivative oracles are central finite differences.
 The symmetric-model reference runs the package's plain dense MLP on
 explicitly gathered inputs: the construction the incidence-matrix first
 layer replaced. The weaving-rollout reference is the per-step loop that the
-array rollout replaced. The exact filter Jacobians evaluate the closed form
-in rational arithmetic, so they show rounding and nothing else.
+array rollout replaced. The exact filter root and Jacobians evaluate the
+closed form in rational arithmetic, so they show rounding and nothing else.
 """
 
 import itertools
@@ -219,6 +219,51 @@ def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
         cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
         cars[:, :, 2:] += cfg.dt * U
     return [s for samples in per_traj for s in samples]
+
+
+def exact_filter_root(problem, i):
+    """Row i's multiplier lam, rounded once from exact rationals.
+
+    phi(lam) = a . clip(v0 + lam t, lb, ub) + c + lam / (2 beta2), with
+    v0_j = gamma_j u_des_j / h_j and t_j = a_j / (2 h_j), is linear between
+    the breakpoints where a channel meets a bound. The root is 0 when
+    phi(0) >= 0; otherwise it is interpolated on the first segment whose end
+    has phi >= 0, past the last breakpoint with the slope of the channels
+    free there.
+    """
+    a = [Fraction(x) for x in np.atleast_2d(problem.constraint.a)[i]]
+    d = [Fraction(x) for x in np.atleast_2d(problem.u_des)[i]]
+    g = [Fraction(x) for x in np.atleast_2d(problem.gamma_per_channel())[i]]
+    c = Fraction(float(np.atleast_1d(problem.constraint.offset)[i]))
+    lb, ub = problem.lb, problem.ub
+    h = [gj + Fraction(problem.beta1) for gj in g]
+    v0 = [g[j] * d[j] / h[j] for j in range(len(a))]
+    t = [a[j] / (2 * h[j]) for j in range(len(a))]
+    floor = 1 / (2 * Fraction(problem.beta2))
+
+    def phi(lam):
+        total = c + lam * floor
+        for j in range(len(a)):
+            v = v0[j] + lam * t[j]
+            if np.isfinite(lb[j]):
+                v = max(v, Fraction(lb[j]))
+            if np.isfinite(ub[j]):
+                v = min(v, Fraction(ub[j]))
+            total += a[j] * v
+        return total
+
+    lo, phi_lo = Fraction(0), phi(Fraction(0))
+    if phi_lo >= 0:
+        return 0.0
+    ends = sorted({(Fraction(bound) - v0[j]) / t[j] for j in range(len(a)) if t[j] != 0
+                   for bound in (lb[j], ub[j]) if np.isfinite(bound)
+                   and (Fraction(bound) - v0[j]) / t[j] > 0})
+    for end in ends:
+        phi_end = phi(end)
+        if phi_end >= 0:
+            return float(lo - phi_lo * (end - lo) / (phi_end - phi_lo))
+        lo, phi_lo = end, phi_end
+    return float(lo - phi_lo / (phi(lo + 1) - phi_lo))
 
 
 def exact_filter_jacobians(problem, solution, i):

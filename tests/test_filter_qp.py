@@ -11,8 +11,8 @@ from respalloc.filter_qp import (FilterError, FilterProblem,
                                  differentiate_filter, filtered_controls,
                                  kkt_residuals, solve_filter)
 
-from oracles import (assert_rel_close, exact_filter_jacobians, fd_jacobian,
-                     grid_solve_two_agent)
+from oracles import (assert_rel_close, exact_filter_jacobians, exact_filter_root,
+                     fd_jacobian, grid_solve_two_agent)
 
 
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
@@ -519,11 +519,15 @@ def test_channel_exactly_at_its_bound_with_zero_multiplier_counts_as_free():
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(0, 2 ** 32 - 1))
+@example("line", 111)       # row 3: both channels clipped at the root
 def test_tied_breakpoints_match_nearly_tied_ones(name, seed):
     # Channel 1 copies channel 0 (same row entry, desired control, weight and
     # box), so both meet their bounds at the same lam; nudging channel 1's
-    # bounds by 1e-10 separates the breakpoints and moves the optimum by
-    # about as much.
+    # bounds by 1e-10 separates the breakpoints and moves u* by about as
+    # much. It shifts phi by at most |a_1| 1e-10, and phi rises with slope
+    # at least 1 / (2 beta2), so lam moves by at most 2 beta2 |a_1| 1e-10:
+    # about 1e-7 where every channel is clipped at the root. Both lams are
+    # also held to the exact root.
     rng = np.random.default_rng(seed)
     problem = _random_rows(name, 16, rng)
     problem.gamma[:, 1] = problem.gamma[:, 0]
@@ -547,10 +551,15 @@ def test_tied_breakpoints_match_nearly_tied_ones(name, seed):
     nudged_lb, nudged_ub = lb.copy(), ub.copy()
     nudged_lb[j1] -= 1e-10
     nudged_ub[j1] += 1e-10
-    _, nudged = solve(nudged_lb, nudged_ub)
+    nudged_problem, nudged = solve(nudged_lb, nudged_ub)
     scale = 1.0 + np.max(np.abs(tied.u))
     assert np.max(np.abs(nudged.u - tied.u)) <= 1e-8 * scale
-    assert np.max(np.abs(nudged.lam_cbf - tied.lam_cbf)) <= 1e-8 * (1.0 + np.max(tied.lam_cbf))
+    lam_tol = 1e-8 * (1.0 + np.max(tied.lam_cbf))
+    shift = 2.0 * problem.beta2 * np.abs(a[:, j1]) * 1e-10
+    assert np.all(np.abs(nudged.lam_cbf - tied.lam_cbf) <= shift + lam_tol)
+    for p, sol in ((tied_problem, tied), (nudged_problem, nudged)):
+        exact = [exact_filter_root(p, i) for i in range(16)]
+        assert np.max(np.abs(sol.lam_cbf - exact)) <= lam_tol
     for i in range(16):
         assert max(kkt_residuals(_one_row(tied_problem, i),
                                  solve_filter(_one_row(tied_problem, i))).values()) <= 1e-7
