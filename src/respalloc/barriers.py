@@ -14,6 +14,7 @@ condition  b'' + (k1 + k2) b' + k1 k2 b >= -eps  with two linear gains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -257,35 +258,29 @@ def _joint_barrier(joint, name):
 def make_ellipse_barrier(a1, a2):
     """Elliptical keep-out region in relative coordinates.
 
-    b(r) = r_lon^2 / a1^2 + r_lat^2 / a2^2 - 1 over a state whose two leading
-    entries are the relative position; trailing entries (velocities) do not
-    enter the barrier.
+    b(r) = r_lon^2 / a1^2 + r_lat^2 / a2^2 - 1 over a relative state
+    [r_lon, r_lat, vr_lon, vr_lat]; the velocities do not enter the barrier,
+    and the Hessian is one constant (4, 4) matrix.
     """
     if a1 <= 0 or a2 <= 0:
         raise ValueError("ellipse semi-axes must be positive")
-    inv1, inv2 = 1.0 / a1 ** 2, 1.0 / a2 ** 2
+    inv = np.array([1.0 / a1 ** 2, 1.0 / a2 ** 2])
+    hessian = np.diag(np.concatenate([2.0 * inv, [0.0, 0.0]]))
+    hessian.setflags(write=False)
+    # Read-only views of the one constant, per batch size.
+    hessians = lru_cache(maxsize=8)(lambda b: np.broadcast_to(hessian, (b, 4, 4)))
 
-    def value(R):
+    def ellipse(R, second):
         # Square through C pow on each entry, as the scalar arithmetic of the
         # per-state evaluator did: numpy's array square rounds about 1 value
         # in 1000 differently, and rollouts would not repeat bit for bit.
-        sq = np.power(R[:, :2].astype(object), 2).astype(float)
-        return sq[:, 0] * inv1 + sq[:, 1] * inv2 - 1.0
+        scaled = np.power(R[:, :2].astype(object), 2).astype(float) * inv
+        grad = np.zeros(R.shape)
+        grad[:, :2] = 2.0 * R[:, :2] * inv
+        return (scaled[:, 0] + scaled[:, 1] - 1.0, grad,
+                hessians(len(R)) if second else None)
 
-    def grad(R):
-        g = np.zeros_like(R)
-        g[:, 0] = 2.0 * R[:, 0] * inv1
-        g[:, 1] = 2.0 * R[:, 1] * inv2
-        return g
-
-    def hess(R):
-        h = np.zeros((len(R), R.shape[1], R.shape[1]))
-        h[:, 0, 0] = 2.0 * inv1
-        h[:, 1, 1] = 2.0 * inv2
-        return h
-
-    return Barrier(_state_or_batch(value), _state_or_batch(grad), _state_or_batch(hess),
-                   name=f"ellipse(a1={a1}, a2={a2})")
+    return _joint_barrier(ellipse, f"ellipse(a1={a1}, a2={a2})")
 
 
 def _rowdot(u, v):
@@ -315,7 +310,7 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
     derivative), which is checked.
     """
     x = system.check_state(x)
-    X = np.atleast_2d(x)
+    X = x if x.ndim == 2 else x[None]
     degree = system.relative_degree
     if len(alpha_chain) != degree:
         raise ValueError(
@@ -334,14 +329,16 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
         a = grad @ system.G
         c = bdot + alpha_chain[0](b)
     else:
-        scale = np.maximum(1.0, np.max(np.abs(grad), axis=1))
-        leak = np.abs(grad @ system.G) > 1e-8 * scale[:, None]
-        if np.any(leak):
-            channel = int(np.argmax(leak[np.argmax(np.any(leak, axis=1))]))
-            agent = int(np.searchsorted(np.cumsum(system.control_dims), channel, side="right"))
-            raise ValueError(
-                f"{barrier.name}: control enters the first derivative through agent {agent}; "
-                "use a single-gain chain")
+        leak = grad @ system.G
+        if leak.any():              # exact zeros, the usual case, need no scaled test
+            scale = np.maximum(1.0, np.max(np.abs(grad), axis=1))
+            leak = np.abs(leak) > 1e-8 * scale[:, None]
+            if leak.any():
+                channel = int(np.argmax(leak[np.argmax(np.any(leak, axis=1))]))
+                agent = int(np.searchsorted(np.cumsum(system.control_dims), channel,
+                                            side="right"))
+                raise ValueError(f"{barrier.name}: control enters the first derivative "
+                                 f"through agent {agent}; use a single-gain chain")
         k1, k2 = alpha_chain[0].gain, alpha_chain[1].gain
         w = np.matmul(hess, f[:, :, None])[:, :, 0] + grad @ system.F
         a = w @ system.G

@@ -114,8 +114,7 @@ class InteractionScene:
         """
         lb, ub = self.system.control_bounds()
         return FilterProblem(constraint=constraint,
-                             u_des=np.reshape(np.asarray(u_des, dtype=float),
-                                              np.shape(constraint.a)),
+                             u_des=np.asarray(u_des, dtype=float).reshape(np.shape(constraint.a)),
                              gamma=gamma, beta1=self.beta1, beta2=self.beta2,
                              lb=lb, ub=ub)
 
@@ -197,7 +196,8 @@ class DesiredPolicyParams:
 def desired_lateral_control(x, params: DesiredPolicyParams, lat_target):
     """-(x_lon + lon_offset) * lat_gain * tanh(lat_rate * (x_lat - target)).
 
-    ``x`` is one agent state (4,), giving a float, or a batch (B, 4), giving (B,).
+    ``x`` is one agent state (4,), giving a float, or an array of them (..., 4),
+    giving (...); ``lat_target`` broadcasts against (...).
     """
     x = np.asarray(x, dtype=float)
     err = x[..., X_LAT] - lat_target
@@ -211,8 +211,8 @@ def desired_longitudinal_control(r, params: DesiredPolicyParams = DesiredPolicyP
 
     Zero when the other car is ahead (r_lon > 0); otherwise
     -(limit/2) * (tanh(r_lon * vr_lon) - 1), which saturates at the limit.
-    ``r`` is one relative state (4,), giving a float, or a batch (B, 4),
-    giving (B,).
+    ``r`` is one relative state (4,), giving a float, or an array of them
+    (..., 4), giving (...).
     """
     r = np.asarray(r, dtype=float)
     out = np.where(r[..., 0] > 0, 0.0,
@@ -224,15 +224,13 @@ def desired_controls_weaving(x_joint, params: DesiredPolicyParams):
     """Per-agent desired (lon, lat) controls for the two-car scenario.
 
     ``x_joint`` is one joint state (8,), giving (2, 2), or a batch (B, 8),
-    giving (B, 2, 2).
+    giving (B, 2, 2). Both cars go through the per-car policies at once, on
+    (..., 2, 4) views with relative states other minus self.
     """
-    x = np.asarray(x_joint, dtype=float)
-    x1, x2 = x[..., :4], x[..., 4:]
-    out = np.zeros(x.shape[:-1] + (2, 2))
-    out[..., 0, 0] = desired_longitudinal_control(relative_state(x1, x2), params)
-    out[..., 1, 0] = desired_longitudinal_control(relative_state(x2, x1), params)
-    out[..., 0, 1] = desired_lateral_control(x1, params, params.lat_targets[0])
-    out[..., 1, 1] = desired_lateral_control(x2, params, params.lat_targets[1])
+    cars = np.asarray(x_joint, dtype=float).reshape(np.shape(x_joint)[:-1] + (2, 4))
+    out = np.empty(cars.shape[:-1] + (2,))
+    out[..., 0] = desired_longitudinal_control(cars[..., ::-1, :] - cars, params)
+    out[..., 1] = desired_lateral_control(cars, params, params.lat_targets)
     return out
 
 
@@ -474,7 +472,7 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     states = np.empty((count, cfg.steps, 8))
     executed = np.empty((count, cfg.steps, 2, 2))
     desired = np.empty((count, cfg.steps, 2, 2))
-    cars = X.reshape(count, 2, 4)
+    positions, velocities = np.split(X.reshape(count, 2, 4), 2, axis=2)   # views of X
     for step in range(cfg.steps):
         states[:, step] = X
         R = scene.filter_state(X)
@@ -485,8 +483,8 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
         executed[:, step] = U
         # The noisy executed control drives the cars (process noise); it
         # also breaks the side-by-side tie so either car may end up ahead.
-        cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
-        cars[:, :, 2:] += cfg.dt * U
+        positions += cfg.dt * velocities
+        velocities += cfg.dt * U
     return [InteractionSample(x=states[traj, step], u=executed[traj, step],
                               u_des=desired[traj, step], t=step * cfg.dt,
                               trajectory_id=traj)

@@ -13,7 +13,9 @@ Systems are immutable; each holds its constant (F, G) matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,8 +82,11 @@ class ControlAffineSystem:
         n = self.F.shape[0]
         if self.F.shape != (n, n) or self.G.shape != (n, self.control_dim_total):
             raise ValueError(f"{self.name}: F must be (n, n) and G (n, {self.control_dim_total})")
-        for mat in (self.F, self.G):
-            mat.setflags(write=False)
+        bounds = (np.concatenate([a.control_lower for a in self.agents]),
+                  np.concatenate([a.control_upper for a in self.agents]))
+        for arr in (self.F, self.G) + bounds:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_bounds", bounds)
 
     @property
     def state_dim(self) -> int:
@@ -91,7 +96,7 @@ class ControlAffineSystem:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def control_dims(self):
         return tuple(a.control_dim for a in self.agents)
 
@@ -100,10 +105,8 @@ class ControlAffineSystem:
         return sum(self.control_dims)
 
     def control_bounds(self):
-        """Stacked (lower, upper) arrays over all agents' control channels."""
-        lo = np.concatenate([a.control_lower for a in self.agents])
-        hi = np.concatenate([a.control_upper for a in self.agents])
-        return lo, hi
+        """Stacked (lower, upper) arrays over all channels, formed once, read-only."""
+        return self._bounds
 
     def drift(self, x):
         return np.asarray(x, dtype=float) @ self.F.T
@@ -118,7 +121,8 @@ class ControlAffineSystem:
         if x.ndim not in (1, 2) or x.shape[-1] != self.state_dim:
             raise ValueError(f"{self.name}: expected state of shape ({self.state_dim},) "
                              f"or (B, {self.state_dim}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        # A sum of squares is finite unless an entry is NaN or inf (or it overflows).
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise ValueError(f"{self.name}: non-finite state")
         return x
 

@@ -74,16 +74,23 @@ class FilterProblem:
         if a.ndim not in (1, 2):
             raise FilterError(f"safety row a must have shape (m,) or (B, m), got {a.shape}")
         m = a.shape[-1]
+        dims = self.constraint.agent_dims
+        if sum(dims) != m or min(dims, default=0) < 1:
+            raise FilterError(f"agent_dims {dims} must be positive and sum to m = {m}")
         self.u_des = np.asarray(self.u_des, dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
         if self.lb.shape != (m,) or self.ub.shape != (m,):
-            self.lb = np.broadcast_to(self.lb, (m,))
-            self.ub = np.broadcast_to(self.ub, (m,))
+            for name in ("lb", "ub"):
+                bound = getattr(self, name)
+                if bound.shape not in ((), (1,), (m,)):
+                    raise FilterError(f"{name} must be a scalar or have shape ({m},), "
+                                      f"got {bound.shape}")
+                setattr(self, name, np.broadcast_to(bound, (m,)))
         if self.u_des.shape != a.shape:
             raise FilterError(f"u_des must have shape {a.shape}")
-        if self.gamma.shape != a.shape[:-1] + (len(self.constraint.agent_dims),):
+        if self.gamma.shape != a.shape[:-1] + (len(dims),):
             raise FilterError("gamma length must equal the number of agents")
         if offset.shape != a.shape[:-1]:
             raise FilterError(f"offset must have shape {a.shape[:-1]}")
@@ -119,7 +126,7 @@ class FilterProblem:
                 raise FilterError(f"gamma {what}{where}")
 
     def gamma_per_channel(self):
-        return self.gamma[..., _channel_agent(self.constraint.agent_dims)[0]]
+        return self.gamma.take(_channel_agent(self.constraint.agent_dims)[0], axis=-1)
 
     # -- one-row reference pieces (KKT certificates, tests) --------------------
 

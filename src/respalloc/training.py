@@ -366,9 +366,9 @@ def fit_windows(samples, scene: InteractionScene, config: TrainConfig,
     Used to track schedules that change over the course of a dataset.
     Returns an (n_windows, N) array of per-window estimates.
     """
-    if n_windows <= 0:
-        raise ValueError("n_windows must be positive")
     n = len(samples)
+    if not 0 < n_windows <= n:
+        raise ValueError(f"n_windows must lie in [1, {n}] for {n} samples, got {n_windows}")
     bounds = np.linspace(0, n, n_windows + 1).astype(int)
     out = []
     for w in range(n_windows):

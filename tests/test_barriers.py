@@ -312,3 +312,85 @@ def test_validate_barrier_rejects_a_joint_evaluation_that_disagrees():
     states = np.random.default_rng(0).normal(size=(3, 12))
     with pytest.raises(ValueError, match="joint value"):
         validate_barrier(dataclasses.replace(good, joint=off), states)
+
+
+# -- the ellipse's one evaluation and the degree-2 leak check ----------------------
+
+
+def test_ellipse_equals_its_closed_form_per_entry():
+    a1, a2 = 9.22, 1.76
+    barrier = make_ellipse_barrier(a1, a2)
+    inv1, inv2 = 1.0 / a1 ** 2, 1.0 / a2 ** 2
+    hessian = [[2.0 * inv1, 0.0, 0.0, 0.0], [0.0, 2.0 * inv2, 0.0, 0.0],
+               [0.0] * 4, [0.0] * 4]
+    states = np.random.default_rng(3).normal(size=(3000, 4), scale=6.0)
+    # Python's r ** 2 (C pow) rounds differently from r * r on some of these.
+    assert any(r * r != r ** 2 for r in states[:, :2].ravel().tolist())
+    values, grads, hessians = barrier.jet(states, second=True)
+    assert not hessians.flags.writeable
+    for x, v, g, h in zip(states, values, grads, hessians):
+        r = x.tolist()
+        closed = (r[0] ** 2 * inv1 + r[1] ** 2 * inv2 - 1.0,
+                  [2.0 * r[0] * inv1, 2.0 * r[1] * inv2, 0.0, 0.0])
+        assert v == closed[0] and g.tolist() == closed[1] and h.tolist() == hessian
+    for x in states[:20]:
+        r = x.tolist()
+        assert barrier.value(x) == r[0] ** 2 * inv1 + r[1] ** 2 * inv2 - 1.0
+        assert barrier.grad(x).tolist() == [2.0 * r[0] * inv1, 2.0 * r[1] * inv2, 0.0, 0.0]
+        assert barrier.hess(x).tolist() == hessian
+    assert validate_barrier(barrier, states[:5], require_hess=True) is barrier
+
+
+def _leaky_barrier(index, weight):
+    """b = (p1x - p2x)^2 + weight * v^2 / 2 over the velocity entry ``index`` of
+    two planar double integrators: that velocity lets its agent's control into b'."""
+    def value(X):
+        return (X[:, 0] - X[:, 4]) ** 2 + 0.5 * weight * X[:, index] ** 2
+
+    def grad(X):
+        g = np.zeros_like(X)
+        g[:, 0] = 2.0 * (X[:, 0] - X[:, 4])
+        g[:, 4] = -g[:, 0]
+        g[:, index] = weight * X[:, index]
+        return g
+
+    def hess(X):
+        h = np.zeros(X.shape + X.shape[-1:])
+        h[:, [0, 4], [0, 4]] = 2.0
+        h[:, [0, 4], [4, 0]] = -2.0
+        h[:, index, index] = weight
+        return h
+
+    return Barrier(value, grad, hess, name="leaky")
+
+
+@pytest.mark.parametrize("index,agent", [(2, 0), (7, 1)])
+def test_degree2_leak_is_rejected_naming_the_agent(index, agent):
+    system = make_double_integrator_2d(2)
+    chain = (ClassKappaLinear(1.0), ClassKappaLinear(1.0))
+    barrier = _leaky_barrier(index, 1.0)
+    states = np.random.default_rng(0).normal(size=(5, 8))
+    states[:, index] = 0.0
+    rows = assemble_constraint(system, barrier, chain, states)   # no row leaks
+    assert np.all(np.isfinite(rows.a))
+    states[3, index] = 0.5                                       # one row leaks
+    match = f"leaky: control enters the first derivative through agent {agent}"
+    for x in (states, states[3]):
+        with pytest.raises(ValueError, match=match):
+            assemble_constraint(system, barrier, chain, x)
+    # A leak below 1e-8 of the gradient's scale passes the scaled test.
+    tiny = _leaky_barrier(index, 1e-10)
+    assert np.any(tiny.grad(states) @ system.G != 0.0)
+    rows = assemble_constraint(system, tiny, chain, states)
+    assert np.all(np.isfinite(rows.a)) and np.all(np.isfinite(rows.offset))
+
+
+@pytest.mark.parametrize("scene", [weaving_scene(), planar_group_scene(3),
+                                   planar_group_scene(3, temperature=None)],
+                         ids=["ellipse", "planar_softmin", "planar_hard_min"])
+def test_position_barriers_pass_the_leak_check_with_exact_zeros(scene):
+    states = np.random.default_rng(1).normal(size=(30, scene.system.state_dim), scale=3.0)
+    grads = scene.barrier.jet(states)[1]
+    assert not (grads @ scene.system.G).any()
+    rows = scene.assemble(states)
+    assert rows.a.shape == (30, scene.system.control_dim_total)

@@ -83,6 +83,26 @@ def test_policies_on_a_batch_equal_per_state_calls():
     assert isinstance(desired_longitudinal_control(X[0, :4], PARAMS), float)
 
 
+@pytest.mark.parametrize("params", [PARAMS, DesiredPolicyParams(lat_targets=(1.85, -1.85)),
+                                    DesiredPolicyParams(lon_offset=-2.0, lat_targets=(0.3, 4.0))])
+@pytest.mark.parametrize("seed", range(3))
+def test_both_cars_in_one_pass_equal_the_per_car_policies(params, seed):
+    def per_car(x):
+        x1, x2 = x[:4], x[4:]
+        return [[desired_longitudinal_control(x2 - x1, params),
+                 desired_lateral_control(x1, params, params.lat_targets[0])],
+                [desired_longitudinal_control(x1 - x2, params),
+                 desired_lateral_control(x2, params, params.lat_targets[1])]]
+
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(300, 8)) * np.array([20.0, 2.0, 10.0, 1.0] * 2)
+    X[:5, 4] = X[:5, 0]                         # r_lon = 0 on the boundary branch
+    reference = np.array([per_car(x) for x in X])
+    np.testing.assert_array_equal(desired_controls_weaving(X, params), reference)
+    for x, ref in zip(X[:20], reference):
+        np.testing.assert_array_equal(desired_controls_weaving(x, params), ref)
+
+
 # -- i.i.d. synthetic -----------------------------------------------------------
 
 

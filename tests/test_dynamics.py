@@ -94,6 +94,18 @@ def test_agent_spec_validation():
     assert np.allclose(spec.control_lower, [-5.0, -5.0])
 
 
+def test_control_bounds_are_formed_once_and_read_only():
+    system = make_double_integrator_2d(3, control_bound=4.0)
+    lb, ub = system.control_bounds()
+    assert system.control_bounds()[0] is lb and system.control_bounds()[1] is ub
+    np.testing.assert_array_equal(lb, np.full(6, -4.0))
+    np.testing.assert_array_equal(ub, np.full(6, 4.0))
+    for bound in (lb, ub):
+        assert not bound.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 0.0
+
+
 def test_euler_rollout_shapes_and_drift():
     sys = make_double_integrator_2d(1)
     x0 = np.array([0.0, 0.0, 1.0, 0.0])

@@ -183,6 +183,26 @@ def test_problem_validation():
         FilterProblem(rows, np.zeros((3, 2)), gammas, 0.1, 1.0, -1.0, 1.0).validate_allocation()
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+def test_agent_dims_and_bound_lengths_are_checked(batch):
+    shape = () if batch is None else (batch,)
+    offset = 0.0 if batch is None else np.zeros(batch)
+    args = (np.zeros(shape + (4,)), 0.1, 1.0)
+    for dims in ((1, 2), (2, 2, 0), (5, -1), ()):
+        con = CbfLinearConstraint(np.ones(shape + (4,)), offset, dims)
+        gamma = np.full(shape + (len(dims),), 1.0 / max(len(dims), 1))
+        with pytest.raises(FilterError, match=rf"agent_dims \({', '.join(map(str, dims))}"):
+            FilterProblem(con, args[0], gamma, *args[1:], -1.0, 1.0)
+    con = CbfLinearConstraint(np.ones(shape + (4,)), offset, (2, 2))
+    gamma = np.full(shape + (2,), 0.5)
+    for lb, ub, name in ((np.full(3, -1.0), 1.0, "lb"), (-1.0, np.ones(5), "ub"),
+                         (np.full((2, 4), -1.0), 1.0, "lb")):
+        with pytest.raises(FilterError, match=rf"{name} must be a scalar or have shape \(4,\)"):
+            FilterProblem(con, args[0], gamma, *args[1:], lb, ub)
+    problem = FilterProblem(con, args[0], gamma, *args[1:], [-1.0], np.ones(4))
+    assert problem.lb.shape == problem.ub.shape == (4,)
+
+
 @pytest.mark.parametrize("field", ["a", "offset", "u_des", "gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("batch", [None, 3])

@@ -379,6 +379,19 @@ def test_windowed_fits_track_schedule(line_scene):
     assert abs(estimates[1][0] - 0.8) <= 0.1
 
 
+def test_fit_windows_equal_fits_on_each_slice(line_scene, clean_samples):
+    tc = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=4)
+    estimates = fit_windows(clean_samples, line_scene, tc, n_windows=4)
+    assert estimates.shape == (4, 2)
+    for w, estimate in enumerate(estimates):
+        model = ConstantGamma(2)
+        fit(clean_samples[16 * w:16 * (w + 1)], model, line_scene, tc)
+        np.testing.assert_array_equal(estimate, model.gamma())
+    for n_windows in (0, 3):
+        with pytest.raises(ValueError, match=rf"\[1, 2\] for 2 samples, got {n_windows}"):
+            fit_windows(clean_samples[:2], line_scene, tc, n_windows=n_windows)
+
+
 def test_divergence_aborts_with_partial_report(line_scene, clean_samples):
     model = ConstantGamma(2)
     tc = TrainConfig(epochs=50, batch_size=64, learning_rate=0.01,
