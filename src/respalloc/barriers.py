@@ -271,6 +271,8 @@ def make_ellipse_barrier(a1, a2):
     hessians = lru_cache(maxsize=8)(lambda b: np.broadcast_to(hessian, (b, 4, 4)))
 
     def ellipse(R, second):
+        if R.shape[1] != 4:
+            raise ValueError(f"ellipse: expected relative states (B, 4), got {R.shape}")
         # Square through C pow on each entry, as the scalar arithmetic of the
         # per-state evaluator did: numpy's array square rounds about 1 value
         # in 1000 differently, and rollouts would not repeat bit for bit.

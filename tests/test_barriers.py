@@ -339,6 +339,9 @@ def test_ellipse_equals_its_closed_form_per_entry():
         assert barrier.grad(x).tolist() == [2.0 * r[0] * inv1, 2.0 * r[1] * inv2, 0.0, 0.0]
         assert barrier.hess(x).tolist() == hessian
     assert validate_barrier(barrier, states[:5], require_hess=True) is barrier
+    for width in (2, 6):
+        with pytest.raises(ValueError, match=r"relative states \(B, 4\), got \(1, %d\)" % width):
+            barrier.hess(np.zeros(width))
 
 
 def _leaky_barrier(index, weight):
