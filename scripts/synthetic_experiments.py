@@ -17,9 +17,10 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from respalloc import cli  # noqa: E402
-from respalloc.data import (default_planar_group_config,  # noqa: E402
-                            default_two_agent_config, generate_synthetic,
-                            planar_group_scene, two_agent_line_scene)
+from respalloc.data import (atomic_write,  # noqa: E402
+                            default_planar_group_config, default_two_agent_config,
+                            generate_synthetic, planar_group_scene,
+                            two_agent_line_scene)
 from respalloc.models import ConstantGamma  # noqa: E402
 from respalloc.training import TrainConfig, fit, fit_windows  # noqa: E402
 
@@ -48,9 +49,8 @@ def six_agent_study(out_dir, seed=0):
     report = fit(samples, model, scene, tc)
     report.save_trace_csv(os.path.join(out_dir, "six_agent_trace.csv"))
     err = np.max(np.abs(model.gamma() - truth))
-    with open(os.path.join(out_dir, "six_agent_truth.json"), "w") as fh:
-        json.dump({"truth": truth.tolist(),
-                   "estimate": model.gamma().tolist()}, fh)
+    atomic_write(os.path.join(out_dir, "six_agent_truth.json"),
+                 json.dumps({"truth": truth.tolist(), "estimate": model.gamma().tolist()}))
     print(f"six-agent max per-agent error {err:.4f}")
 
 
@@ -69,10 +69,9 @@ def time_varying_study(out_dir, seed=0):
     estimates = fit_windows(samples, scene, tc, n_windows=3)
     rows = ["window,truth,estimate"]
     for w, level in enumerate(levels):
-        rows.append(f"{w},{level},{estimates[w][0]!r}")
+        rows.append(f"{w},{level},{float(estimates[w][0])!r}")
         print(f"window {w}: truth {level:.2f} estimate {estimates[w][0]:.3f}")
-    with open(os.path.join(out_dir, "time_varying.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    atomic_write(os.path.join(out_dir, "time_varying.csv"), "\n".join(rows) + "\n")
 
 
 def timing_sweep(out_dir, seed=0):

@@ -17,15 +17,15 @@ from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
                    generate_weaving_trajectories, load_trajectories,
                    planar_group_scene, save_trajectories, two_agent_line_scene,
                    weaving_scene)
-from .dynamics import (AgentSpec, ControlAffineSystem, euler_rollout,
-                       make_double_integrator_2d, make_relative_double_integrator,
-                       make_single_integrator_1d, relative_state)
+from .dynamics import (AgentSpec, ControlAffineSystem, make_double_integrator_2d,
+                       make_relative_double_integrator, make_single_integrator_1d,
+                       relative_state)
 from .filter_qp import (FilterError, FilterJacobians, FilterProblem,
                         FilterSolution, differentiate_filter, kkt_residuals,
                         solve_filter)
 from .models import (ConstantGamma, Mlp, MlpGamma, RelativeSymmetricGamma,
-                     SymmetricGammaN, eval_gamma, grad_gamma, init_model,
-                     load_model, save_model)
+                     SymmetricGammaN, grad_gamma, init_model, load_model,
+                     save_model)
 from .training import (TrainConfig, TrainReport, batch_loss,
                        batch_loss_and_grad, fit, fit_windows, gradient_step,
                        loss, prepare_batch)

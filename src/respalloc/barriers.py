@@ -101,19 +101,8 @@ class CbfLinearConstraint:
         return float(self.a @ np.asarray(u, dtype=float)) + self.offset
 
 
-def finite_difference_grad(f, x, step=1e-6):
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        g[j] = (f(x + e) - f(x - e)) / (2 * step)
-    return g
-
-
 def finite_difference_jacobian(f, x, step=1e-6):
-    """Central-difference Jacobian of a vector function."""
+    """Central-difference Jacobian of a vector function; (1, n) for a scalar one."""
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(f(x), dtype=float)
     jac = np.zeros((f0.size, x.size))
@@ -135,7 +124,7 @@ def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
     states = [np.asarray(x, dtype=float) for x in states]
     for x in states:
         g = np.asarray(barrier.grad(x), dtype=float)
-        g_fd = finite_difference_grad(barrier.value, x, step)
+        g_fd = finite_difference_jacobian(barrier.value, x, step)[0]
         scale = max(1.0, float(np.max(np.abs(g_fd))))
         if np.max(np.abs(g - g_fd)) > rtol * scale:
             raise ValueError(f"{barrier.name}: gradient disagrees with finite differences")

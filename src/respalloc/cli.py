@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -241,6 +242,32 @@ def _require(cfg, key, what):
     return cfg[key]
 
 
+def _require_file(cfg, key, what):
+    """The path given by flag ``key``; exit 2 unless it is given and exists."""
+    path = _require(cfg, key, what)
+    if not os.path.exists(path):
+        raise UsageError(f"{what} not found: {path}")
+    return path
+
+
+def _relative_model(cfg):
+    """The ``--checkpoint`` model; exit 2 unless it allocates from the weaving
+    relative state (context dim 4) or from no context."""
+    model = load_model(_require_file(cfg, "checkpoint", "model checkpoint"))
+    if model.context_dim not in (0, 4):
+        raise UsageError(f"checkpoint {cfg['checkpoint']} has context dim {model.context_dim}; "
+                         "this export needs the relative state's (4) or none (0)")
+    return model
+
+
+def _write_csv(path, cfg, columns, rows):
+    """``# config:`` echo line, ``columns`` header line, then ``rows``: tuples of
+    Python numbers, written by repr."""
+    fmt = ",".join(["%r"] * (columns.count(",") + 1))
+    lines = ["# config: " + json.dumps(cfg), columns] + [fmt % row for row in rows]
+    data_mod.atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _parse_gamma(text, n_agents):
     try:
         parts = [float(v) for v in text.split(",")]
@@ -261,8 +288,6 @@ def _parse_gamma(text, n_agents):
 def _load_truth_model(path, scenario, scene):
     """The checkpoint at ``path``; exit 2 unless it allocates over the scene's
     agents from the scene's filter state (or from no context)."""
-    if not os.path.exists(path):
-        raise UsageError(f"checkpoint not found: {path}")
     model = load_model(path)
     n, state_dim = scene.system.n_agents, scene.system.state_dim
     if model.n_agents != n or model.context_dim not in (0, state_dim):
@@ -282,7 +307,8 @@ def cmd_generate(cfg):
     if cfg["gamma"] is not None and cfg["gamma_model"]:
         raise UsageError("give --gamma or --gamma-model, not both")
     if cfg["gamma_model"]:
-        truth = _load_truth_model(cfg["gamma_model"], scenario, scene)
+        truth = _load_truth_model(_require_file(cfg, "gamma_model", "truth checkpoint"),
+                                  scenario, scene)
         truth_doc = {"kind": "model", "checkpoint": cfg["gamma_model"]}
     elif cfg["gamma"] is not None or scenario in SYNTHETIC_SCENARIOS:
         n = scene.system.n_agents
@@ -339,9 +365,7 @@ def _check_dims(path, header, scenario, scene):
 
 
 def cmd_train(cfg):
-    path = _require(cfg, "dataset", "input dataset")
-    if not os.path.exists(path):
-        raise UsageError(f"dataset not found: {path}")
+    path = _require_file(cfg, "dataset", "input dataset")
     header = read_header(path)
     samples = load_trajectories(path)
     if not samples:
@@ -401,18 +425,14 @@ def _parse_fixed(text):
             fixed[name.strip()] = float(val)
         except ValueError as exc:
             raise UsageError(f"bad --fixed value {part!r}") from exc
+        if not math.isfinite(fixed[name.strip()]):
+            raise UsageError(f"bad --fixed value {part!r}; it must be finite")
     return fixed
 
 
 def cmd_landscape(cfg):
-    ckpt = _require(cfg, "checkpoint", "model checkpoint")
+    model = _relative_model(cfg)
     out = _require(cfg, "out", "output CSV")
-    if not os.path.exists(ckpt):
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    model = load_model(ckpt)
-    if model.context_dim not in (0, 4):
-        raise UsageError("landscape export needs a relative-state model "
-                         f"(context dim 4); checkpoint has {model.context_dim}")
 
     axes = [a.strip() for a in cfg["axes"].split(",")]
     if len(axes) != 2 or any(a not in RELATIVE_AXES for a in axes):
@@ -421,6 +441,9 @@ def cmd_landscape(cfg):
     res = cfg["res"]
     if res < 2:
         raise UsageError("--res must be at least 2")
+    for key in ("range1", "range2", "ref_lon", "ref_lat", "ref_speed"):
+        if not all(map(math.isfinite, cfg[key] if key.startswith("range") else [cfg[key]])):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
 
     scene = weaving_scene(beta1=cfg["beta1"], beta2=cfg["beta2"])
     grid1 = np.linspace(cfg["range1"][0], cfg["range1"][1], res)
@@ -444,23 +467,17 @@ def cmd_landscape(cfg):
     inactive = (sol.eps <= 1e-9) & np.all(
         np.abs(sol.u - problem.shrunk_desired()) <= 1e-7, axis=1)
 
-    lines = ["# config: " + json.dumps(cfg),
-             f"{axes[0]},{axes[1]},gamma1,filter_inactive"]
-    lines += [f"{v1!r},{v2!r},{g1!r},{int(flag)}" for v1, v2, g1, flag in
-              zip(v1s.tolist(), v2s.tolist(), gammas[:, 0].tolist(), inactive.tolist())]
-    data_mod.atomic_write(out, "\n".join(lines) + "\n")
+    _write_csv(out, cfg, f"{axes[0]},{axes[1]},gamma1,filter_inactive",
+               zip(v1s.tolist(), v2s.tolist(), gammas[:, 0].tolist(),
+                   inactive.astype(int).tolist()))
     print(f"wrote {res * res} grid cells to {out}")
     return 0
 
 
 def cmd_trace(cfg):
-    ckpt = _require(cfg, "checkpoint", "model checkpoint")
-    path = _require(cfg, "dataset", "trajectory file")
+    model = _relative_model(cfg)
+    path = _require_file(cfg, "dataset", "trajectory file")
     out = _require(cfg, "out", "output CSV")
-    for p in (ckpt, path):
-        if not os.path.exists(p):
-            raise UsageError(f"file not found: {p}")
-    model = load_model(ckpt)
     header = read_header(path)
     samples = [s for s in load_trajectories(path)
                if s.trajectory_id == cfg["traj_id"]]
@@ -469,13 +486,8 @@ def cmd_trace(cfg):
     if header["n_agents"] != 2 or header["state_dim"] != 8:
         raise UsageError("trace export expects two-agent weaving trajectories")
     scene = weaving_scene(beta1=cfg["beta1"], beta2=cfg["beta2"])
-    if model.context_dim not in (0, 4):
-        raise UsageError(f"model context dim {model.context_dim} does not "
-                         "match the relative state (4)")
 
-    lines = ["# config: " + json.dumps(cfg),
-             "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
-             "u1_lon,u1_lat,u2_lon,u2_lat,b"]
+    rows = []
     for s in samples:
         r = scene.filter_state(s.x)
         gamma = model.gamma(r if model.context_dim else None)
@@ -483,8 +495,9 @@ def cmd_trace(cfg):
         if s.u_des is None:
             raise UsageError("trajectory lacks desired controls")
         vals = [s.t, gamma[0], *s.u_des.ravel(), *s.u.ravel(), b]
-        lines.append(",".join(repr(float(v)) for v in vals))
-    data_mod.atomic_write(out, "\n".join(lines) + "\n")
+        rows.append(tuple(float(v) for v in vals))
+    _write_csv(out, cfg, "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
+                         "u1_lon,u1_lat,u2_lon,u2_lat,b", rows)
     print(f"wrote {len(samples)} timesteps to {out}")
     return 0
 
@@ -515,10 +528,7 @@ def cmd_bench(cfg):
     rows = [(s, t * 1e3) for s, t in zip(sizes, times)]
 
     if cfg["out"]:
-        lines = ["# config: " + json.dumps(cfg),
-                 "batch_size,loss_grad_ms"]
-        lines += [f"{s},{ms!r}" for s, ms in rows]
-        data_mod.atomic_write(cfg["out"], "\n".join(lines) + "\n")
+        _write_csv(cfg["out"], cfg, "batch_size,loss_grad_ms", rows)
     for s, ms in rows:
         print(f"batch {s:5d}: {ms:8.2f} ms")
     print(f"fitted scaling exponent: {slope:.3f}")

@@ -609,26 +609,31 @@ def load_trajectories(path) -> list:
             for key in ("trajectory_id", "t", "x", "u"):
                 if key not in rec:
                     raise TrajectoryFormatError(f"{where}: missing field {key!r}")
-            x = np.asarray(rec["x"], dtype=float)
-            u = np.asarray(rec["u"], dtype=float)
-            if x.shape != (state_dim,):
+            t, tid = rec["t"], rec["trajectory_id"]
+            # bool is an int subclass; JSON true is not a number here.
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+                raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
+            if isinstance(tid, bool) or not isinstance(tid, int):
                 raise TrajectoryFormatError(
-                    f"{where}: state has shape {x.shape}, header says ({state_dim},)")
-            if u.shape != (n_agents, control_dim):
-                raise TrajectoryFormatError(
-                    f"{where}: controls have shape {u.shape}, header says "
-                    f"({n_agents}, {control_dim})")
-            u_des = None
-            if "u_des" in rec:
-                u_des = np.asarray(rec["u_des"], dtype=float)
-                if u_des.shape != (n_agents, control_dim):
-                    raise TrajectoryFormatError(f"{where}: u_des shape mismatch")
-            arrays = [x, u] + ([u_des] if u_des is not None else [])
-            if not all(np.all(np.isfinite(a)) for a in arrays):
-                raise TrajectoryFormatError(f"{where}: non-finite value")
-            samples.append(InteractionSample(x=x, u=u, u_des=u_des,
-                                             t=float(rec["t"]),
-                                             trajectory_id=int(rec["trajectory_id"])))
+                    f"{where}: trajectory_id must be an integer, got {tid!r}")
+            arrays = {}
+            for key, shape in (("x", (state_dim,)), ("u", (n_agents, control_dim)),
+                               ("u_des", (n_agents, control_dim))):
+                if key not in rec:      # only u_des is optional
+                    continue
+                try:
+                    value = arrays[key] = np.asarray(rec[key], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise TrajectoryFormatError(f"{where}: {key} is not an array of "
+                                                "numbers") from exc
+                if value.shape != shape:
+                    raise TrajectoryFormatError(
+                        f"{where}: {key} has shape {value.shape}, header says {shape}")
+                if not np.all(np.isfinite(value)):
+                    raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
+            samples.append(InteractionSample(x=arrays["x"], u=arrays["u"],
+                                             u_des=arrays.get("u_des"), t=float(t),
+                                             trajectory_id=tid))
     return samples
 
 

@@ -178,22 +178,3 @@ def make_relative_double_integrator(control_bound=DEFAULT_CONTROL_BOUND):
 def relative_state(x1, x2):
     """Relative coordinate r = x2 - x1 for per-agent states [lon, lat, vlon, vlat]."""
     return np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)
-
-
-def euler_rollout(system, x0, policy, dt=0.1, steps=100):
-    """Explicit-Euler closed-loop rollout.
-
-    ``policy(k, x)`` returns the stacked control at step k. Returns
-    (states, controls) with shapes (steps+1, state_dim) and
-    (steps, control_dim_total).
-    """
-    x = system.check_state(x0).copy()
-    states = np.empty((steps + 1, system.state_dim))
-    controls = np.empty((steps, system.control_dim_total))
-    states[0] = x
-    for k in range(steps):
-        u = np.asarray(policy(k, x), dtype=float)
-        controls[k] = u
-        x = x + dt * system.xdot(x, u)
-        states[k + 1] = x
-    return states, controls

@@ -42,12 +42,13 @@ class FilterError(RuntimeError):
 
 @lru_cache(maxsize=64)
 def _channel_agent(dims):
-    """Agent index of every stacked channel, and the (m, N) channel-to-agent map."""
+    """Agent index of every stacked channel, the (m, N) channel-to-agent map and
+    the (m, m) ``others``, ones off the diagonal: x @ others sums x over l != j."""
     owner = np.repeat(np.arange(len(dims)), dims)
-    owner.setflags(write=False)
-    onehot = np.eye(len(dims))[owner]
-    onehot.setflags(write=False)
-    return owner, onehot
+    onehot, others = np.eye(len(dims))[owner], 1.0 - np.eye(len(owner))
+    for array in (owner, onehot, others):
+        array.setflags(write=False)
+    return owner, onehot, others
 
 
 @dataclass
@@ -349,18 +350,23 @@ def _rowsum(x):
     return np.add.reduce(x, axis=1)
 
 
-def _sensitivities(a, d, h, u, free, binds, beta2):
+def _sensitivities(a, d, h, u, free, beta2, others):
     """The closed form's pieces of du*/dgamma over rows (B, m).
 
-    ``own`` is d u_j / d gamma_j at fixed lam, ``t`` = d u / d lam (zero on
-    clipped channels) and ``scale`` = binds / -phi'(lam), so that, while the
-    row binds, d lam = scale * (a . du at fixed lam). Also returns free / h.
+    ``own`` is d u_j / d gamma_j at fixed lam and ``t`` = d u / d lam (zero on
+    clipped channels). While a row binds, d lam = (a . du at fixed lam) / -total
+    with ``total`` = -phi'(lam) = 1 / (2 beta2) + sum_l a_l t_l, and channel j's
+    own term is kept times ``keep`` = 1 - a_j t_j / total, formed as
+    (1 / (2 beta2) + sum_{l != j} a_l t_l) / total: its sums have terms of one
+    sign, where 1 - a_j t_j / total cancels when channel j carries most of the
+    row (a small h_j). Also returns free / h.
     """
     on = free / h
     own = (d - u) * on
     t = (0.5 * a) * on
-    scale = binds / (-0.5 / beta2 - _rowsum(a * t))
-    return on, own, t, scale
+    at, floor = a * t, 0.5 / beta2
+    total = floor + _rowsum(at)
+    return on, own, t, total, (floor + at @ others) / total[:, None]
 
 
 def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> FilterJacobians:
@@ -370,24 +376,15 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
     Jacobian is a diagonal term there plus t d lam with t = a / (2h) on the
     free channels; clipped channels do not move. d lam follows from
     phi(lam) = 0 while the row binds (lam > 0) and is zero otherwise.
-
-    Channel j's own entries hold its diagonal term times 1 + a_j t_j scale,
-    which cancels when that channel carries most of the row (a small h_j).
-    For a binding row that factor equals the leave-one-out ratio
-    (1 / (2 beta2) + sum_{l != j} a_l t_l) / (1 / (2 beta2) + sum_l a_l t_l),
-    whose sums have terms of one sign, so those entries are formed from it
-    and from the other channels of the same agent.
+    Channel j's own entries are formed from ``_sensitivities``' ``keep``.
     """
     a, d, g, h = _rows(problem)
     b, m = a.shape
-    owner, onehot = _channel_agent(problem.constraint.agent_dims)
+    owner, onehot, others = _channel_agent(problem.constraint.agent_dims)
     binds = solution.duals.reshape(b, -1)[:, 0] > 0.0
-    on, own, t, scale = _sensitivities(
-        a, d, h, solution.u.reshape(b, m), solution.free.reshape(b, m), binds,
-        problem.beta2)
-    at, floor = a * t, 0.5 / problem.beta2
-    keep = np.where(binds[:, None], (floor + at @ (1.0 - np.eye(m)))
-                    / (floor + _rowsum(at))[:, None], 1.0)
+    on, own, t, total, keep = _sensitivities(
+        a, d, h, solution.u.reshape(b, m), solution.free.reshape(b, m), problem.beta2, others)
+    scale, keep = binds / -total, np.where(binds[:, None], keep, 1.0)     # d lam = 0 if slack
     shrink = g * on                                 # d u_j / d u_des_j at fixed lam
     pull = (a * own) * scale[:, None]
     dlam_dgamma = pull @ onehot
@@ -412,15 +409,14 @@ def solve_rows_and_pullback(problem: FilterProblem):
     ``solve_filter``; u* equals that function's bit for bit. ``pullback(w)``
     maps a cotangent w (B, m) on u* to w . du*/dgamma (B, N), again one row
     at a time: each row of ``differentiate_filter``'s Jacobian contracted
-    with that row of w, without forming it:
-
-        (own (w + (w . t) scale a)) @ onehot
+    with that row of w, without forming it: (own w) @ onehot on a slack row,
+    (own (w keep - a sum_{l != j} w_l t_l / total)) @ onehot on a binding one.
     """
     a, d, g, h = _rows(problem)
     c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
     b, m = a.shape
     lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
-    beta2, onehot = problem.beta2, _channel_agent(problem.constraint.agent_dims)[1]
+    beta2, (_, onehot, others) = problem.beta2, _channel_agent(problem.constraint.agent_dims)
     u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
     for i in range(b):
         r = slice(i, i + 1)
@@ -430,11 +426,14 @@ def solve_rows_and_pullback(problem: FilterProblem):
     def pullback(w):
         dgamma = np.empty((b, onehot.shape[1]))
         for i in range(b):
-            r = slice(i, i + 1)
-            wr, ar = w[r], a[r]
-            _, own, t, scale = _sensitivities(ar, d[r], h[r], u[r], free[r], binds[r], beta2)
-            scale *= _rowsum(wr * t)
-            dgamma[r] = (own * (wr + scale[:, None] * ar)) @ onehot
+            r, wr = slice(i, i + 1), w[i:i + 1]
+            if binds[i]:
+                _, own, t, total, keep = _sensitivities(a[r], d[r], h[r], u[r], free[r],
+                                                        beta2, others)
+                wr = wr * keep - a[r] * ((wr * t) @ others) / total[:, None]
+            else:               # d lam = 0
+                own = (d[r] - u[r]) * (free[r] / h[r])
+            dgamma[r] = (own * wr) @ onehot
         return dgamma
 
     return u, pullback

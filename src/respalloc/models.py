@@ -478,11 +478,6 @@ class RelativeSymmetricGamma(_NetworkModel):
         return self.gamma_and_pullback(contexts)[1](dgamma)
 
 
-def eval_gamma(model, context=None):
-    """Allocation vector at one context: sums to 1, entries in [0, 1]."""
-    return model.gamma(context)
-
-
 def grad_gamma(model, context=None):
     """Full Jacobian d gamma / d params, shape (n_agents, n_params)."""
     _, pullback = model.gamma_and_pullback(model._as_batch(context))
@@ -514,12 +509,18 @@ def init_model(kind, seed=0, *, n_agents=2, context_dim=4, agent_dim=None,
     return model
 
 
+def _finite_params(params, action):
+    """``params``; a ValueError naming the first non-finite entry if any."""
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ValueError(f"parameter {bad[0]} is {params[bad[0]]}; "
+                         f"refusing to {action} a non-finite model")
+    return params
+
+
 def save_model(model, path):
     """Write a JSON checkpoint that round-trips the parameters bit-exactly."""
-    bad = np.flatnonzero(~np.isfinite(model.params))
-    if bad.size:
-        raise ValueError(f"parameter {bad[0]} is {model.params[bad[0]]}; "
-                         "refusing to save a non-finite model")
+    _finite_params(model.params, "save")
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
@@ -552,7 +553,7 @@ def load_model(path):
         raise ValueError(f"{path}: checkpoint has no params")
     try:
         model = init_model(kind, seed=doc.get("seed"), **dims)
-        model.params = np.array(doc["params"], dtype=float)
+        model.params = _finite_params(np.array(doc["params"], dtype=float), "load")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -347,16 +347,10 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
 
     return TrainReport(
         losses=np.asarray(losses), step_ms=np.asarray(wall),
-        final_params=model.params.copy(), config=_config_dict(config),
+        final_params=model.params.copy(), config=asdict(config),
         gamma_trace=np.asarray(gtrace) if gtrace else None,
         probe_trace=np.asarray(ptrace) if ptrace else None,
         probe_contexts=probe, diverged=diverged)
-
-
-def _config_dict(config: TrainConfig):
-    return {k: getattr(config, k) for k in (
-        "epochs", "batch_size", "learning_rate", "optimizer", "loss_metric",
-        "huber_delta", "seed", "probe_count", "divergence_limit")}
 
 
 def fit_windows(samples, scene: InteractionScene, config: TrainConfig,

@@ -8,8 +8,7 @@ from respalloc import barriers
 from respalloc.barriers import (Barrier, ClassKappaLinear, assemble_constraint,
                                 make_ellipse_barrier,
                                 make_pairwise_distance_barrier, validate_barrier)
-from respalloc.dynamics import (euler_rollout, make_double_integrator_2d,
-                                make_relative_double_integrator,
+from respalloc.dynamics import (make_double_integrator_2d, make_relative_double_integrator,
                                 make_single_integrator_1d)
 from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc.filter_qp import FilterProblem, solve_filter
@@ -64,6 +63,14 @@ def test_validate_barrier_gate_rejects_wrong_gradient():
         validate_barrier(bad, [np.array([1.3])])
     good = Barrier(value=lambda x: x[..., 0] ** 2, grad=lambda x: 2.0 * x)
     validate_barrier(good, [np.array([1.3]), np.array([-0.4])])
+    wrong_hess = dataclasses.replace(good, hess=lambda x: np.ones(np.shape(x) + (1,)),
+                                     name="wrong_hess")
+    with pytest.raises(ValueError, match="wrong_hess: Hessian disagrees with finite"):
+        validate_barrier(wrong_hess, [np.array([1.3])])
+    with pytest.raises(ValueError, match="Hessian evaluator is required"):
+        validate_barrier(good, [np.array([1.3])], require_hess=True)
+    validate_barrier(dataclasses.replace(good, hess=lambda x: np.full(np.shape(x) + (1,), 2.0)),
+                     [np.array([1.3]), np.array([-0.4])], require_hess=True)
 
 
 def test_validate_barrier_gate_rejects_batch_disagreement():
@@ -192,15 +199,14 @@ def test_closed_loop_forward_invariance(line_pair):
     chain = (ClassKappaLinear(1.0),)
     u_des = np.array([1.0, -1.0])     # head-on desired controls
 
-    def policy(k, x):
+    states = [np.array([0.0, 1.6])]
+    for _ in range(400):
+        x = states[-1]
         con = assemble_constraint(line_pair, barrier, chain, x)
         problem = FilterProblem(constraint=con, u_des=u_des,
                                 gamma=np.array([0.5, 0.5]), beta1=0.0,
                                 beta2=1e6, lb=-10.0, ub=10.0)
-        return solve_filter(problem).u
-
-    states, _ = euler_rollout(line_pair, np.array([0.0, 1.6]), policy,
-                              dt=0.005, steps=400)
+        states.append(x + 0.005 * line_pair.xdot(x, solve_filter(problem).u))
     b_along = np.array([barrier.value(x) for x in states])
     assert b_along.min() >= min(0.0, b_along[0]) - 1e-3
 

@@ -496,12 +496,35 @@ def test_malformed_checkpoint_exits_2(weaving_dataset, tmp_path, capsys):
         assert str(ckpt) in err and "n_agents" in err
 
 
+def test_non_finite_checkpoint_exits_2_and_writes_nothing(relative_checkpoint,
+                                                          weaving_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "nan.json"
+    doc = json.loads(relative_checkpoint.read_text())
+    doc["params"][3] = float("nan")
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    for argv in (["landscape", "--checkpoint", ckpt, "--out", out],
+                 ["trace", "--checkpoint", ckpt, "--dataset", weaving_dataset, "--out", out]):
+        assert run(argv) == 2
+        assert f"{ckpt}: parameter 3 is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path, capsys):
     assert run(["landscape", "--checkpoint", relative_checkpoint,
                 "--out", tmp_path / "x.csv", "--axes", "r_lon,theta"]) == 2
     assert run(["landscape", "--checkpoint", relative_checkpoint,
                 "--out", tmp_path / "x.csv", "--fixed", "vr_lon=fast"]) == 2
     assert "bad --fixed value 'vr_lon=fast'" in capsys.readouterr().err
+    # Non-finite values name their flag, not the dynamics that would reject them.
+    for flags, name in ((["--fixed", "vr_lon=nan"], "bad --fixed value 'vr_lon=nan'"),
+                        (["--range1", "nan", "1"], "--range1 must be finite"),
+                        (["--ref-speed", "nan"], "--ref-speed must be finite")):
+        assert run(["landscape", "--checkpoint", relative_checkpoint,
+                    "--out", tmp_path / "x.csv", *flags]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "non-finite state" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_trace_rows_and_self_consistency(relative_checkpoint, weaving_dataset,

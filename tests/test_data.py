@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -471,6 +473,31 @@ def test_loader_rejects_shape_mismatch_with_position(tmp_path):
     lines[2] = _json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TrajectoryFormatError, match=r"record 1 \(line 3\)"):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("t", float("nan"), "t must be a finite number, got nan"),
+    ("t", float("inf"), "t must be a finite number, got inf"),
+    ("t", "0.5", "t must be a finite number, got '0.5'"),
+    ("t", "x", "t must be a finite number, got 'x'"),
+    ("t", True, "t must be a finite number, got True"),
+    ("trajectory_id", 1.7, "trajectory_id must be an integer, got 1.7"),
+    ("trajectory_id", True, "trajectory_id must be an integer, got True"),
+    ("trajectory_id", "x", "trajectory_id must be an integer, got 'x'"),
+    ("u_des", [[0.0, 0.0]], r"u_des has shape \(1, 2\), header says \(2, 2\)"),
+    ("x", "x", "x is not an array of numbers"),
+], ids=["t-nan", "t-inf", "t-str", "t-x", "t-true", "id-float", "id-true", "id-x",
+        "u_des-shape", "x-str"])
+def test_loader_requires_json_numbers_naming_the_record(key, value, message, tmp_path):
+    path = tmp_path / "bad.ndjson"
+    save_trajectories(_tiny_weaving(3), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key] = value
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match=r"record 1 \(line 3\): " + message):
         load_trajectories(path)
 
 

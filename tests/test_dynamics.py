@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from respalloc.dynamics import (agent_spec, AgentSpec, euler_rollout,
-                                make_double_integrator_2d,
+from respalloc.dynamics import (agent_spec, AgentSpec, make_double_integrator_2d,
                                 make_relative_double_integrator,
                                 make_single_integrator_1d, relative_state)
 
@@ -104,13 +103,3 @@ def test_control_bounds_are_formed_once_and_read_only():
         assert not bound.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             bound[0] = 0.0
-
-
-def test_euler_rollout_shapes_and_drift():
-    sys = make_double_integrator_2d(1)
-    x0 = np.array([0.0, 0.0, 1.0, 0.0])
-    states, controls = euler_rollout(sys, x0, lambda k, x: np.zeros(2),
-                                     dt=0.1, steps=10)
-    assert states.shape == (11, 4)
-    assert controls.shape == (10, 2)
-    np.testing.assert_allclose(states[-1, 0], 1.0, atol=1e-12)

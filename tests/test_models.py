@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from respalloc.models import (ConstantGamma, Mlp, MlpGamma,
                               RelativeSymmetricGamma, SymmetricGammaN,
-                              eval_gamma, grad_gamma, init_model, load_model,
-                              save_model)
+                              grad_gamma, init_model, load_model, save_model)
 
 from oracles import assert_rel_close, symmetric_gamma_reference
 
@@ -305,7 +304,7 @@ def test_checkpoint_roundtrip_is_bit_exact(kind, kwargs, tmp_path):
     assert loaded.kind == model.kind
     assert np.array_equal(loaded.params, model.params)
     ctx = np.linspace(-1, 1, model.context_dim) if model.context_dim else None
-    np.testing.assert_array_equal(eval_gamma(loaded, ctx), eval_gamma(model, ctx))
+    np.testing.assert_array_equal(loaded.gamma(ctx), model.gamma(ctx))
 
 
 def test_checkpoint_refuses_non_finite_parameters(tmp_path):
@@ -317,6 +316,15 @@ def test_checkpoint_refuses_non_finite_parameters(tmp_path):
     with pytest.raises(ValueError, match="parameter 7 is nan"):
         save_model(model, path)
     assert not path.exists()
+    # A checkpoint written by other means is refused on loading, naming the file.
+    model.params = np.where(np.isfinite(params), params, 0.0)
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["params"][30] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as raised:
+        load_model(path)
+    assert str(raised.value) == f"{path}: parameter 30 is inf; refusing to load a non-finite model"
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

@@ -424,3 +424,22 @@ def test_timing_grows_at_most_linearly(line_scene):
     prep = prepare_batch(samples, line_scene, 0)
     _, slope = time_loss_and_grad(prep, ConstantGamma(2), CFG, [8, 32, 128], repeats=5)
     assert 0.7 <= slope <= 1.3
+
+
+def test_every_benchmark_tracer_target_is_defined_on_its_owner():
+    # The benchmark rebinds these attributes in every run, traced or not, so a
+    # deleted or moved one would crash it. Each must be the owner's own
+    # attribute (a module global or a method defined on that class).
+    import importlib.util
+    import pathlib
+
+    import respalloc.cli        # layer_targets reads respalloc.cli, not imported by respalloc
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.layer_targets(respalloc)
+    assert targets
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in targets
+               if attr not in vars(owner)]
+    assert not missing
