@@ -17,11 +17,13 @@ h_j = gamma_j + beta1 the optimum is u_j(lam) = clip((gamma_j u_des_j +
 lam a_j / 2) / h_j, lb_j, ub_j), eps = lam / (2 beta2), where lam >= 0 is the
 root of the nondecreasing piecewise-linear phi(lam) = a . u(lam) + c +
 lam / (2 beta2), or 0 when phi(0) >= 0 (README: "The safety filter in closed
-form"). ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its u*
-alone, the generators' entry) and ``differentiate_filter`` take one row
+form"). A tight row takes one Newton step from lam = 0 and keeps it when no
+channel changes side of its box on the way; otherwise it walks its
+breakpoints. ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its
+u* alone, the generators' entry) and ``differentiate_filter`` take one row
 (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the problem's
-dense pieces are one-row references. ``solve_rows_and_pullback``,
-the training step's entry, solves a batch one row at a time and pulls a
+dense pieces are one-row references. ``solve_rows_and_pullback``, the
+training step's entry, solves a batch one row at a time and pulls a
 cotangent on u* back to gamma without forming the Jacobians.
 """
 
@@ -240,8 +242,16 @@ def _clip(v, lb, ub):
     return np.minimum(np.maximum(v, lb), ub)
 
 
+def _rowsum(x):
+    # The ufunc reduction that ``x.sum(axis=1)`` calls, without its wrapper.
+    return np.add.reduce(x, axis=1)
+
+
 def _root(a, c, phi0, v0, t, lb, ub, beta2):
     """Root lam > 0 of phi for rows with phi(0) < 0, and the breakpoints passed.
+
+    ``_solve_core`` runs this walk only when its one-step certificate fails
+    on a tight row, and the walk starts from lam = 0 whatever that step found.
 
     Channel j moves as v0_j + lam t_j and meets a bound at the breakpoint
     lam = (bound_j - v0_j) / t_j = 2 (h_j bound_j - gamma_j u_des_j) / a_j;
@@ -285,6 +295,14 @@ def _solve_core(a, d, g, h, c, lb, ub, beta2):
 
     Returns u, the unclipped v = v0 + lam t, lam, the breakpoints passed and
     phi(0). Each row's result depends on that row alone, bit for bit.
+
+    A tight row first takes one Newton step from lam = 0 with the slope of
+    the channels strictly inside their box there. If no channel changed side
+    of a bound or landed on one, phi is linear up to that lam, which is the
+    root and what ``_root`` gives, bit for bit. Otherwise every tight row of
+    the call walks from lam = 0: a walk's pass costs numpy dispatch, the same
+    for one row as for all, so taking out the certified rows would cost more
+    than it saves.
     """
     v = g * d / h                   # unclipped optimum, v0 + lam t once lam is known
     t = (0.5 * a) / h
@@ -296,9 +314,17 @@ def _solve_core(a, d, g, h, c, lb, ub, beta2):
     if tight.any():
         # Rows slack at lam = 0 keep the shrunk desired control.
         i = slice(None) if tight.all() else np.flatnonzero(tight)
-        lam[i], passed[i] = _root(a[i], c[i], phi0[i], v[i], t[i], lb, ub, beta2)
-        v[i] += lam[i, None] * t[i]
-        u[i] = _clip(v[i], lb, ub)
+        v0, t, a, phi0_i = v[i], t[i], a[i], phi0[i]
+        above, below = v0 > lb, v0 < ub
+        slope = _rowsum(np.where(above & below, a * t, 0.0)) + 0.5 / beta2
+        lam_i = 0.0 - phi0_i / slope
+        v_i = v0 + lam_i[:, None] * t
+        same = ((v_i > lb) == above) & ((v_i < ub) == below)
+        if not same.all():
+            lam_i, passed[i] = _root(a, c[i], phi0_i, v0, t, lb, ub, beta2)
+            v_i = v0 + lam_i[:, None] * t
+        lam[i], v[i] = lam_i, v_i
+        u[i] = _clip(v_i, lb, ub)
     return u, v, lam, passed, phi0
 
 
@@ -343,11 +369,6 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
                               degenerate=bool(degenerate[0]))
     return FilterSolution(u=u, eps=eps, duals=duals, n_pivots=passed, free=free,
                           degenerate=degenerate)
-
-
-def _rowsum(x):
-    # The ufunc reduction that ``x.sum(axis=1)`` calls, without its wrapper.
-    return np.add.reduce(x, axis=1)
 
 
 def _sensitivities(a, d, h, u, free, beta2, others):

@@ -266,14 +266,13 @@ def exact_filter_root(problem, i):
     return float(lo - phi_lo / (phi(lo + 1) - phi_lo))
 
 
-def exact_filter_jacobians(problem, solution, i):
-    """Row i's (du*/dgamma, du*/du_des) from the closed form in exact rationals.
+def _exact_filter_sensitivities(problem, solution, i):
+    """Row i's (du*/dgamma, du*/du_des) as nested lists of exact rationals.
 
     At the solution's u*, free channels and binding flag (all taken as
     exact): on the free channels own_j = (u_des_j - u_j) / h_j,
     t_j = a_j / (2 h_j) and shrink_j = gamma_j / h_j; while the row binds,
-    d lam = -(a . du at fixed lam) / (1 / (2 beta2) + sum_j a_j t_j). Each
-    entry is rounded to a float once, at the end.
+    d lam = -(a . du at fixed lam) / (1 / (2 beta2) + sum_j a_j t_j).
     """
     a = [Fraction(x) for x in np.atleast_2d(problem.constraint.a)[i]]
     d = [Fraction(x) for x in np.atleast_2d(problem.u_des)[i]]
@@ -291,8 +290,24 @@ def exact_filter_jacobians(problem, solution, i):
     own = [(d[j] - u[j]) * on[j] for j in range(m)]
     shrink = [g[j] * on[j] for j in range(m)]
     dlam = [scale * sum(a[j] * own[j] for j in range(m) if owner[j] == k) for k in range(n)]
-    du_dgamma = [[float((own[j] if owner[j] == k else 0) + t[j] * dlam[k]) for k in range(n)]
+    du_dgamma = [[(own[j] if owner[j] == k else 0) + t[j] * dlam[k] for k in range(n)]
                  for j in range(m)]
-    du_dudes = [[float((shrink[j] if q == j else 0) + t[j] * scale * a[q] * shrink[q])
+    du_dudes = [[(shrink[j] if q == j else 0) + t[j] * scale * a[q] * shrink[q]
                  for q in range(m)] for j in range(m)]
-    return np.array(du_dgamma), np.array(du_dudes)
+    return du_dgamma, du_dudes
+
+
+def exact_filter_jacobians(problem, solution, i):
+    """Row i's (du*/dgamma, du*/du_des) from the closed form in exact rationals,
+    each entry rounded to a float once, at the end."""
+    return tuple(np.array([[float(x) for x in row] for row in jac])
+                 for jac in _exact_filter_sensitivities(problem, solution, i))
+
+
+def exact_filter_pullback(problem, solution, w, i):
+    """Row i's pullback w . du*/dgamma (N,) for a cotangent w (m,), from the
+    exact du*/dgamma and the exact value of each float w_j, rounded once."""
+    du_dgamma = _exact_filter_sensitivities(problem, solution, i)[0]
+    w = [Fraction(x) for x in np.asarray(w, dtype=float)]
+    return np.array([float(sum(w[j] * du_dgamma[j][k] for j in range(len(w))))
+                     for k in range(len(du_dgamma[0]))])

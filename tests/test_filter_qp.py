@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +13,8 @@ from respalloc.filter_qp import (FilterError, FilterProblem,
                                  differentiate_filter, filtered_controls,
                                  kkt_residuals, solve_filter)
 
-from oracles import (assert_rel_close, exact_filter_jacobians, exact_filter_root,
-                     fd_jacobian, grid_solve_two_agent)
+from oracles import (assert_rel_close, exact_filter_jacobians, exact_filter_pullback,
+                     exact_filter_root, fd_jacobian, grid_solve_two_agent)
 
 
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
@@ -380,6 +382,7 @@ def _one_row(problem, i):
 
 
 ROW_KINDS = ["random", "unbounded", "tied", "tiny box"]
+ALL_KINDS = ROW_KINDS + ["phi0 zero", "at bound"]
 
 
 def _rows_of_kind(name, batch, kind, seed):
@@ -599,6 +602,109 @@ def test_root_exactly_at_the_first_breakpoint_passes_no_breakpoint():
         assert solve_filter(problem).n_pivots == pivots
 
 
+def _bits(x):
+    """Float entries as bit patterns: equal only if equal bit for bit, signed zeros too."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _certificate_equals_walk(problem):
+    """``_solve_core`` against ``_root`` run alone on each tight row.
+
+    The core runs on the whole batch and on each row alone, as (1, m) views.
+    Asserts that both runs' lam, breakpoints passed, v and u equal the
+    walk's bit for bit, and that lam of each row the one-step certificate
+    settles equals the exact root. A row run alone shows whether the
+    certificate settles it (no walk) or rejects it (one walk); the batch
+    walks once, all its tight rows, when any is rejected. Returns the
+    numbers of tight rows settled and rejected.
+    """
+    a, d, g, h = filter_qp._rows(problem)
+    c, beta2, m = problem.constraint.offset, problem.beta2, a.shape[1]
+    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
+    with mock.patch.object(filter_qp, "_root", wraps=filter_qp._root) as walk:
+        batch = filter_qp._solve_core(a, d, g, h, c, lb, ub, beta2)
+        batch_walks = [len(call.args[1]) for call in walk.call_args_list]
+        alone, rejected = [], []
+        for i in range(len(c)):
+            walk.reset_mock()
+            r = slice(i, i + 1)
+            alone.append(filter_qp._solve_core(a[r], d[r], g[r], h[r], c[r], lb, ub, beta2))
+            rejected.append(walk.call_count == 1)
+    phi0 = batch[4]
+    tight = phi0 < 0.0
+    assert not np.any(rejected & ~tight)
+    assert batch_walks == ([np.count_nonzero(tight)] if any(rejected) else [])
+    v0, t = g * d / h, (0.5 * a) / h
+    lam, passed, v = np.zeros(len(c)), np.zeros(len(c), dtype=int), v0.copy()
+    for i in np.flatnonzero(tight):
+        r = slice(i, i + 1)
+        lam[r], passed[r] = filter_qp._root(a[r], c[r], phi0[r], v0[r], t[r], lb, ub, beta2)
+        v[r] = v0[r] + lam[r, None] * t[r]
+    for core in (batch, [np.concatenate(x) for x in zip(*alone)]):
+        np.testing.assert_array_equal(_bits(core[2]), _bits(lam))
+        np.testing.assert_array_equal(core[3], passed)
+        np.testing.assert_array_equal(_bits(core[1]), _bits(v))
+        np.testing.assert_array_equal(_bits(core[0]), _bits(np.minimum(np.maximum(v, lb), ub)))
+    settled = np.flatnonzero(tight & ~np.array(rejected, dtype=bool))
+    lam_tol = 1e-8 * (1.0 + np.max(lam))
+    for i in settled:
+        assert passed[i] == 0 and abs(lam[i] - exact_filter_root(problem, i)) <= lam_tol
+    return len(settled), np.count_nonzero(rejected)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SCENES))
+def test_one_step_certificate_equals_the_walk_on_every_kind(name):
+    counts = {}
+    for kind in ALL_KINDS:
+        for batch in (1, 40):
+            settled, rejected = _certificate_equals_walk(_rows_of_kind(name, batch, kind, batch))
+            counts[kind] = np.add(counts.get(kind, 0), (settled, rejected))
+    # Both branches are reached: rows the step settles, and rows that walk.
+    assert sum(counts.values()).min() > 0 and counts["tiny box"][1] > 0
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SCENES))
+def test_one_step_certificate_where_the_root_lands_on_a_bound(name):
+    # Each channel of a binding unbounded row in turn gets the bound it moves
+    # towards at its value at the root, so the root lands exactly on that
+    # breakpoint. The step then reaches the bound, and the row must walk:
+    # the walk's phi there can round below 0, so it passes the breakpoint.
+    walked = 0
+    for seed in range(12):
+        p = _rows_of_kind(name, 1, "unbounded", seed)
+        sol = solve_filter(p)
+        for j in np.flatnonzero(p.constraint.a[0] * (sol.lam_cbf[0] > 0.0)):
+            lb, ub = p.lb.copy(), p.ub.copy()
+            (ub if p.constraint.a[0, j] > 0.0 else lb)[j] = sol.u[0, j]
+            walked += _certificate_equals_walk(FilterProblem(
+                p.constraint, p.u_des, p.gamma, p.beta1, p.beta2, lb, ub))[1]
+    assert walked > 0
+
+
+def test_one_step_certificate_with_a_tight_row_channel_exactly_at_its_bound():
+    # h = 1, t = a / 2, 1 / (2 beta2) = 2, and channel 0 starts exactly on
+    # its lower bound -1. Row 0 pulls it further out (t_0 = -1): it stays
+    # clipped, phi(lam) = 4 lam - 4, and the step settles lam = 1 with the
+    # slope of channel 1 alone. Row 1 pulls it in (t_0 = 1): it frees at
+    # once, phi(lam) = 6 lam - 6, and the row walks.
+    problem = FilterProblem(
+        CbfLinearConstraint(np.array([[-2.0, 2.0], [2.0, 2.0]]), np.array([-6.0, -4.0]),
+                            (1, 1)),
+        np.array([[-2.0, 0.0], [-2.0, 0.0]]), np.full((2, 2), 0.5), 0.5, 0.25,
+        [-1.0, -1.0], [1.0, np.inf])
+    assert _certificate_equals_walk(problem) == (1, 1)
+    sol = solve_filter(problem)
+    np.testing.assert_array_equal(sol.lam_cbf, [1.0, 1.0])
+    np.testing.assert_array_equal(sol.u, [[-1.0, 1.0], [0.0, 1.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_one_step_certificate_equals_the_walk(name, batch, kind, seed):
+    _certificate_equals_walk(_rows_of_kind(name, batch, kind, seed))
+
+
 @pytest.mark.parametrize("name,batch,kind,seed", [
     ("planar6", 6, "random", 22143),
     ("planar6", 26, "random", 2 ** 32 - 1),
@@ -633,21 +739,21 @@ def _core_on_row(problem, i):
 
 
 def _assert_pullback_matches_jacobian(problem, rng):
-    """Per-row u* equals ``solve_filter``'s; the pullback equals w @ du*/dgamma."""
+    """Per-row u* equals ``solve_filter``'s; the pullback equals w @ du*/dgamma,
+    contracted in exact rationals."""
     sol = solve_filter(problem)
     u, pullback = filter_qp.solve_rows_and_pullback(problem)
     np.testing.assert_array_equal(u, sol.u)
     w = rng.normal(size=u.shape)
-    expected = np.einsum("bm,bmn->bn", w, differentiate_filter(problem, sol).du_dgamma)
     got = pullback(w)
     for i in range(len(u)):
-        assert_rel_close(got[i], expected[i])
+        assert_rel_close(got[i], exact_filter_pullback(problem, sol, w[i], i))
     return sol
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
-       st.sampled_from(ROW_KINDS + ["phi0 zero", "at bound"]), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
 @example("line", 37, "random", 5368)    # a pullback formed as w + (w . t) scale a cancels
 def test_per_row_core_equals_solve_filter_and_pullback_equals_jacobian(name, batch, kind,
                                                                       seed):
