@@ -667,8 +667,9 @@ def test_one_step_certificate_equals_the_walk_on_every_kind(name):
 def test_one_step_certificate_where_the_root_lands_on_a_bound(name):
     # Each channel of a binding unbounded row in turn gets the bound it moves
     # towards at its value at the root, so the root lands exactly on that
-    # breakpoint. The step then reaches the bound, and the row must walk:
-    # the walk's phi there can round below 0, so it passes the breakpoint.
+    # breakpoint. The step then reaches the bound, so the row walks; keeping
+    # the step would differ from the walk wherever the walk's phi at that
+    # breakpoint rounds below 0 and it passes the breakpoint.
     walked = 0
     for seed in range(12):
         p = _rows_of_kind(name, 1, "unbounded", seed)
