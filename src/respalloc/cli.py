@@ -38,12 +38,18 @@ SYNTHETIC_SCENARIOS = ("synthetic-2agent", "synthetic-6agent")
 WEAVING_SCENARIOS = ("weaving-single", "weaving-side-by-side",
                      "weaving-rear-overtake", "weaving-mixed")
 
+NETWORK_MODELS = ("mlp", "symmetric", "relative")
+
 RELATIVE_AXES = {"r_lon": 0, "r_lat": 1, "vr_lon": 2, "vr_lat": 3}
 
-# The generate flags that belong to one scenario family, with their defaults.
-# They parse to None when not given; ``_resolve_scenario_flags`` fills them in.
-SCENARIO_FLAGS = {SYNTHETIC_SCENARIOS: {"n": 128},
-                  WEAVING_SCENARIOS: {"count": 8, "steps": 150}}
+# Per command, the option that picks a family and the flags that belong to
+# some of its values, with their defaults. They parse to None when not
+# given; ``_resolve_family_flags`` fills them in.
+FAMILY_FLAGS = {
+    "generate": ("scenario", {SYNTHETIC_SCENARIOS: {"n": 128},
+                              WEAVING_SCENARIOS: {"count": 8, "steps": 150}}),
+    "train": ("model", {NETWORK_MODELS: {"hidden": 16, "n_hidden": 3}}),
+}
 
 # Parameters of the weaving truth used when neither --gamma nor --gamma-model
 # is given; the dataset header records them.
@@ -112,8 +118,7 @@ def build_parser():
 
     t = command("train", "fit an allocation model to a dataset")
     t.add_argument("--dataset")
-    t.add_argument("--model", default="constant",
-                   choices=("constant", "mlp", "symmetric", "relative"))
+    t.add_argument("--model", default="constant", choices=("constant",) + NETWORK_MODELS)
     t.add_argument("--scene", help="override the scene implied by the dataset header")
     t.add_argument("--epochs", type=int, default=200)
     t.add_argument("--batch", type=int, default=16)
@@ -126,8 +131,8 @@ def build_parser():
     t.add_argument("--checkpoint-out")
     t.add_argument("--report-out")
     t.add_argument("--trace-csv")
-    t.add_argument("--hidden", type=int, default=16)
-    t.add_argument("--n-hidden", type=int, default=3)
+    t.add_argument("--hidden", type=int, help="hidden units per layer (network models; default 16)")
+    t.add_argument("--n-hidden", type=int, help="hidden layers (network models; default 3)")
 
     l = command("landscape", "export an allocation grid to CSV")
     l.add_argument("--checkpoint")
@@ -149,7 +154,6 @@ def build_parser():
     r.add_argument("--dataset")
     r.add_argument("--traj-id", type=int, default=0)
     r.add_argument("--out")
-    scene_gains(r)
 
     b = command("bench", "time loss+gradient over batch sizes")
     b.add_argument("--sizes", default="8,16,32,64,128,256,512")
@@ -219,21 +223,21 @@ def parse_command(argv):
     cfg = vars(args)
     command = cfg.pop("command")
     cfg = {k: v for k, v in cfg.items() if k != "config"}
-    if command == "generate":
-        _resolve_scenario_flags(cfg)
+    if command in FAMILY_FLAGS:
+        _resolve_family_flags(cfg, *FAMILY_FLAGS[command])
     return command, cfg
 
 
-def _resolve_scenario_flags(cfg):
-    """Give the chosen scenario's own flags their defaults where not given;
-    a flag of the other scenario family is a UsageError."""
-    for scenarios, defaults in SCENARIO_FLAGS.items():
+def _resolve_family_flags(cfg, choice, families):
+    """Give the chosen family's own flags their defaults where not given; a
+    flag of a family that ``cfg[choice]`` is not in is a UsageError."""
+    for members, defaults in families.items():
         for key, default in defaults.items():
-            if cfg["scenario"] in scenarios:
+            if cfg[choice] in members:
                 cfg[key] = default if cfg[key] is None else cfg[key]
             elif cfg[key] is not None:
-                raise UsageError(f"--{key} does not apply to scenario {cfg['scenario']!r}; "
-                                 f"it sets {' or '.join(scenarios)} only")
+                raise UsageError(f"--{key.replace('_', '-')} does not apply to {choice} "
+                                 f"{cfg[choice]!r}; it sets {' or '.join(members)} only")
 
 
 def _require(cfg, key, what):
@@ -435,9 +439,13 @@ def cmd_landscape(cfg):
     out = _require(cfg, "out", "output CSV")
 
     axes = [a.strip() for a in cfg["axes"].split(",")]
-    if len(axes) != 2 or any(a not in RELATIVE_AXES for a in axes):
-        raise UsageError(f"--axes must name two of {sorted(RELATIVE_AXES)}")
+    if len(axes) != 2 or axes[0] == axes[1] or any(a not in RELATIVE_AXES for a in axes):
+        raise UsageError(f"--axes must name two different axes of {sorted(RELATIVE_AXES)}, "
+                         f"got {cfg['axes']!r}")
     fixed = _parse_fixed(cfg["fixed"])
+    plotted = [a for a in axes if a in fixed]
+    if plotted:
+        raise UsageError(f"--fixed sets {plotted[0]!r}, an axis that --axes plots")
     res = cfg["res"]
     if res < 2:
         raise UsageError("--res must be at least 2")
@@ -452,7 +460,7 @@ def cmd_landscape(cfg):
     lat_targets = (-ref[1], ref[1])    # each car aims at the other's lane
     policy = data_mod.DesiredPolicyParams(lat_targets=lat_targets)
 
-    # One cell per (v1, v2) with v2 varying fastest; fixed axes win.
+    # One cell per (v1, v2) with v2 varying fastest.
     v1s, v2s = np.repeat(grid1, res), np.tile(grid2, res)
     cells = np.zeros((res * res, 4))
     cells[:, RELATIVE_AXES[axes[0]]] = v1s
@@ -485,7 +493,7 @@ def cmd_trace(cfg):
         raise UsageError(f"trajectory id {cfg['traj_id']} not present in {path}")
     if header["n_agents"] != 2 or header["state_dim"] != 8:
         raise UsageError("trace export expects two-agent weaving trajectories")
-    scene = weaving_scene(beta1=cfg["beta1"], beta2=cfg["beta2"])
+    scene = weaving_scene()
 
     rows = []
     for s in samples:

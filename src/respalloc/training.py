@@ -12,10 +12,10 @@ forming the Jacobians, as its own one-row problem.
 
 A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
 contexts, at most ``CHUNK_ROWS`` network rows each (``net_rows_per_context``
-of the model per context), the split a network model's ``gamma_batch`` also
-uses. Each chunk goes forward through the model, through its filter solves
-and their pullback, and back through the model before the next starts, so
-the activations the pullback reads are still in L2 cache. Models with
+of the model per context), the split ``gamma_batch`` also uses. Each chunk
+goes forward through the model, through its filter solves and their
+pullback, and back through the model before the next starts, so the
+activations the pullback reads are still in L2 cache. Models with
 few rows per context (constant, MLP, relative) take the whole minibatch as
 one chunk; the 6-agent symmetric model, at 720 rows per context, takes four
 contexts per chunk.
@@ -43,6 +43,7 @@ from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # no
 from .models import CHUNK_ROWS, ConstantGamma, chunk_slices  # noqa: F401
 
 LOSS_METRICS = ("huber", "l2", "l1")
+PROBE_COUNT = 16        # contexts whose allocation a network model's fit tracks per epoch
 
 
 @dataclass
@@ -54,7 +55,6 @@ class TrainConfig:
     loss_metric: str = "huber"
     huber_delta: float = 1.0
     seed: int = 0
-    probe_count: int = 16             # contexts tracked per epoch for neural models
     divergence_limit: float = 1e6
 
     def __post_init__(self):
@@ -213,11 +213,10 @@ class Sgd:
 class Adam:
     """Moment-averaged steps with bias correction."""
 
-    def __init__(self, learning_rate, beta_m=0.9, beta_v=0.999, eps=1e-8):
+    BETA_M, BETA_V, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.beta_m = beta_m
-        self.beta_v = beta_v
-        self.eps = eps
         self.m = None
         self.v = None
         self.t = 0
@@ -227,11 +226,11 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.beta_m * self.m + (1 - self.beta_m) * grad
-        self.v = self.beta_v * self.v + (1 - self.beta_v) * grad ** 2
-        m_hat = self.m / (1 - self.beta_m ** self.t)
-        v_hat = self.v / (1 - self.beta_v ** self.t)
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA_M * self.m + (1 - self.BETA_M) * grad
+        self.v = self.BETA_V * self.v + (1 - self.BETA_V) * grad ** 2
+        m_hat = self.m / (1 - self.BETA_M ** self.t)
+        v_hat = self.v / (1 - self.BETA_V ** self.t)
+        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def make_optimizer(config: TrainConfig):
@@ -315,7 +314,7 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
     is_constant = isinstance(model, ConstantGamma)
     probe = None
     if not is_constant:
-        take = min(config.probe_count, n)
+        take = min(PROBE_COUNT, n)
         probe = prep.contexts[np.linspace(0, n - 1, take).astype(int)]
 
     losses, wall, gtrace, ptrace = [], [], [], []

@@ -258,6 +258,31 @@ def test_generate_rejects_flags_of_the_other_scenario_family(scenario, flag, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["hidden", "n-hidden"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_train_rejects_network_flags_for_the_constant_model(flag, via_config, small_dataset,
+                                                            tmp_path, capsys):
+    ckpt, cfgfile = tmp_path / "m.json", tmp_path / "cfg.json"
+    if via_config:
+        cfgfile.write_text(json.dumps({flag.replace("-", "_"): 8}))
+        argv = ["train", "--config", cfgfile]
+    else:
+        argv = ["train", f"--{flag}", 8]
+    assert run(argv + ["--dataset", small_dataset, "--epochs", 2, "--checkpoint-out", ckpt]) == 2
+    assert f"--{flag} does not apply to model 'constant'" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+def test_trace_takes_no_filter_gains(flag, relative_checkpoint, weaving_dataset,
+                                     tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["trace", "--checkpoint", relative_checkpoint, "--dataset", weaving_dataset,
+                flag, 1.0, "--out", out]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_echoes_the_scenario_flags_it_used(weaving_dataset, tmp_path):
     echo = read_header(weaving_dataset)["config"]
     assert (echo["n"], echo["count"], echo["steps"]) == (None, 2, 40)
@@ -354,7 +379,7 @@ README_ECHOES = [
      {"dataset": "data.ndjson", "model": "constant", "scene": None, "epochs": 200,
       "batch": 8, "lr": 0.005, "optimizer": "sgd", "loss": "huber", "huber_delta": 1.0,
       "beta1": 0.1, "beta2": 600.0, "seed": 0, "checkpoint_out": "model.json",
-      "report_out": "report.json", "trace_csv": None, "hidden": 16, "n_hidden": 3}),
+      "report_out": "report.json", "trace_csv": None, "hidden": None, "n_hidden": None}),
     ("generate --scenario weaving-rear-overtake --count 6 --noise 0.05 --seed 5 "
      "--out weave.ndjson",
      {"scenario": "weaving-rear-overtake", "n": None, "count": 6, "gamma": None,
@@ -375,7 +400,7 @@ README_ECHOES = [
       "ref_lat": -1.85, "ref_speed": 10.0}),
     ("trace --checkpoint sym.json --dataset weave.ndjson --traj-id 0 --out trace.csv",
      {"checkpoint": "sym.json", "dataset": "weave.ndjson", "traj_id": 0,
-      "out": "trace.csv", "beta1": 0.1, "beta2": 600.0}),
+      "out": "trace.csv"}),
     ("bench --sizes 8,16,32,64,128,256,512 --out bench.csv",
      {"sizes": "8,16,32,64,128,256,512", "repeats": 5, "seed": 0, "out": "bench.csv",
       "beta1": 0.1, "beta2": 600.0}),
@@ -399,6 +424,18 @@ def relative_checkpoint(weaving_dataset, tmp_path_factory):
                 "--epochs", 15, "--batch", 32, "--lr", 1e-3, "--seed", 0,
                 "--checkpoint-out", ckpt]) == 0
     return ckpt
+
+
+def test_network_report_holds_the_probe_trace(weaving_dataset, tmp_path):
+    report, ckpt = tmp_path / "report.json", tmp_path / "m.json"
+    assert run(["train", "--dataset", weaving_dataset, "--model", "relative", "--epochs", 3,
+                "--batch", 32, "--report-out", report, "--checkpoint-out", ckpt]) == 0
+    doc = json.loads(report.read_text())
+    probes, trace = np.array(doc["probe_contexts"]), np.array(doc["probe_trace"])
+    assert probes.shape == (16, 4) and trace.shape == (3, 16, 2)
+    assert "gamma_trace" not in doc and "probe_count" not in doc["config"]
+    # The last epoch's row is the fitted model's allocation at the probes.
+    np.testing.assert_array_equal(trace[-1], load_model(ckpt).gamma_batch(probes))
 
 
 def test_landscape_grid_and_symmetry(relative_checkpoint, tmp_path):
@@ -525,6 +562,20 @@ def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path, capsys):
         err = capsys.readouterr().err
         assert name in err and "non-finite state" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--axes", "r_lon,r_lon"], "--axes must name two different axes"),
+    (["--axes", "r_lon,vr_lon", "--fixed", "r_lat=1,vr_lon=2"],
+     "--fixed sets 'vr_lon', an axis that --axes plots")])
+def test_landscape_rejects_axes_it_would_not_plot(flags, name, relative_checkpoint,
+                                                  tmp_path, capsys):
+    # Either would write grid columns that differ from the states evaluated.
+    out = tmp_path / "x.csv"
+    assert run(["landscape", "--checkpoint", relative_checkpoint, "--out", out,
+                "--res", 3, *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_rows_and_self_consistency(relative_checkpoint, weaving_dataset,

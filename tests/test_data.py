@@ -18,7 +18,7 @@ from respalloc.data import (WEAVING_KINDS, DesiredPolicyParams, InteractionSampl
                             weaving_scene)
 from respalloc.filter_qp import solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
-from respalloc.training import TrainConfig, loss
+from respalloc.training import TrainConfig, loss, prepare_batch
 
 from oracles import synthetic_draws_reference, weaving_rollout_reference
 
@@ -449,6 +449,24 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.u_des, b.u_des)
         assert a.t == b.t and a.trajectory_id == b.trajectory_id
+
+
+def test_a_weaving_file_without_desired_controls_recomputes_them(tmp_path):
+    samples = _tiny_weaving()
+    path = tmp_path / "bare.ndjson"
+    save_trajectories([InteractionSample(x=s.x, u=s.u, t=s.t, trajectory_id=s.trajectory_id)
+                       for s in samples], path, scenario="single")
+    loaded = load_trajectories(path)
+    assert all(s.u_des is None for s in loaded)
+    scene = weaving_scene()
+    np.testing.assert_array_equal(prepare_batch(loaded, scene, 4).u_des,
+                                  prepare_batch(samples, scene, 4).u_des)
+
+
+def test_a_line_sample_without_desired_controls_is_an_error():
+    sample = InteractionSample(x=np.array([0.0, 2.0]), u=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="sample lacks desired controls"):
+        prepare_batch([sample], two_agent_line_scene(), 0)
 
 
 def test_loader_rejects_nonfinite_values_naming_the_record(tmp_path):

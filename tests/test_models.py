@@ -26,6 +26,14 @@ def test_constant_softmax_jacobian():
     assert jac[0, 1] == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("kind", ["constant", "mlp"])
+def test_a_wrong_parameter_count_names_both_counts(kind):
+    model = init_model(kind, n_agents=3, context_dim=2, hidden=2, n_hidden=1)
+    n = model.params.size
+    with pytest.raises(ValueError, match=f"expected {n} parameters, got {n + 1}"):
+        model.params = np.zeros(n + 1)
+
+
 def test_relative_model_constant_network_is_indifferent():
     model = RelativeSymmetricGamma(context_dim=4)
     model.params = np.zeros_like(model.params)
