@@ -11,7 +11,7 @@ from .barriers import (Barrier, CbfLinearConstraint, ClassKappaLinear,
                        assemble_constraint, make_ellipse_barrier,
                        make_pairwise_distance_barrier, validate_barrier)
 from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
-                   ScenarioConfig, WeavingConfig, augment,
+                   SampleSet, ScenarioConfig, WeavingConfig, augment,
                    desired_lateral_control, desired_longitudinal_control,
                    export_csv, generate_synthetic,
                    generate_weaving_trajectories, load_trajectories,

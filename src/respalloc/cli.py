@@ -379,7 +379,7 @@ def cmd_train(cfg):
 
     kind = cfg["model"]
     n_agents = scene.system.n_agents
-    context_dim = scene.filter_state(samples[0].x).size
+    context_dim = scene.filter_state(samples.x[0]).size
     kwargs = {"n_agents": n_agents, "context_dim": context_dim,
               "hidden": cfg["hidden"], "n_hidden": cfg["n_hidden"]}
     if kind == "symmetric":
@@ -423,13 +423,16 @@ def _parse_fixed(text):
         if "=" not in part:
             raise UsageError(f"bad --fixed entry {part!r}; expected name=value")
         name, val = part.split("=", 1)
-        if name.strip() not in RELATIVE_AXES:
-            raise UsageError(f"unknown axis {name.strip()!r} in --fixed")
+        name = name.strip()
+        if name not in RELATIVE_AXES:
+            raise UsageError(f"unknown axis {name!r} in --fixed")
+        if name in fixed:
+            raise UsageError(f"--fixed sets {name!r} twice")
         try:
-            fixed[name.strip()] = float(val)
+            fixed[name] = float(val)
         except ValueError as exc:
             raise UsageError(f"bad --fixed value {part!r}") from exc
-        if not math.isfinite(fixed[name.strip()]):
+        if not math.isfinite(fixed[name]):
             raise UsageError(f"bad --fixed value {part!r}; it must be finite")
     return fixed
 
@@ -487,23 +490,22 @@ def cmd_trace(cfg):
     path = _require_file(cfg, "dataset", "trajectory file")
     out = _require(cfg, "out", "output CSV")
     header = read_header(path)
-    samples = [s for s in load_trajectories(path)
-               if s.trajectory_id == cfg["traj_id"]]
-    if not samples:
+    samples = load_trajectories(path)
+    samples = samples[samples.trajectory_id == cfg["traj_id"]]
+    if not len(samples):
         raise UsageError(f"trajectory id {cfg['traj_id']} not present in {path}")
     if header["n_agents"] != 2 or header["state_dim"] != 8:
         raise UsageError("trace export expects two-agent weaving trajectories")
+    if not samples.has_u_des.all():
+        raise UsageError("trajectory lacks desired controls")
     scene = weaving_scene()
 
     rows = []
-    for s in samples:
-        r = scene.filter_state(s.x)
+    for r, t, u_des, u in zip(scene.filter_state(samples.x), samples.t.tolist(),
+                              samples.u_des.reshape(-1, 4).tolist(),
+                              samples.u.reshape(-1, 4).tolist()):
         gamma = model.gamma(r if model.context_dim else None)
-        b = scene.barrier.value(r)
-        if s.u_des is None:
-            raise UsageError("trajectory lacks desired controls")
-        vals = [s.t, gamma[0], *s.u_des.ravel(), *s.u.ravel(), b]
-        rows.append(tuple(float(v) for v in vals))
+        rows.append((t, float(gamma[0]), *u_des, *u, float(scene.barrier.value(r))))
     _write_csv(out, cfg, "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
                          "u1_lon,u1_lat,u2_lon,u2_lat,b", rows)
     print(f"wrote {len(samples)} timesteps to {out}")

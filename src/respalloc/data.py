@@ -12,8 +12,9 @@ generators are provided:
   swapping lanes under handcrafted desired-control policies projected
   through the filter, in several initial-condition families.
 
-Files are newline-delimited JSON with a header record; see
-``save_trajectories``.
+Both generators, ``augment`` and ``load_trajectories`` return a
+``SampleSet``: one array per field, row k holding sample k. Files are
+newline-delimited JSON with a header record; see ``save_trajectories``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,6 +65,85 @@ class InteractionSample:
             self.u_des = np.asarray(self.u_des, dtype=float)
 
 
+@dataclass(eq=False)
+class SampleSet:
+    """Samples as whole arrays: row k of every field is sample k.
+
+    ``u_des`` holds NaN in the rows whose ``has_u_des`` is False, the samples
+    whose desired controls the scene recomputes (``InteractionScene.
+    desired_controls``). ``len``, iteration and an integer index give
+    ``InteractionSample``s whose fields are row views; a slice, a step slice,
+    an index array or a mask gives a ``SampleSet``.
+    """
+
+    x: np.ndarray               # (B, n) states
+    u: np.ndarray               # (B, N, d) observed controls
+    u_des: np.ndarray           # (B, N, d) desired controls
+    has_u_des: np.ndarray       # (B,) bool
+    t: np.ndarray               # (B,) float
+    trajectory_id: np.ndarray   # (B,) int
+
+    def __post_init__(self):
+        shapes = [np.shape(column) for column in vars(self).values()]
+        if (len(shapes[0]) != 2 or len(shapes[1]) != 3 or shapes[2] != shapes[1]
+                or {shape[:1] for shape in shapes} != {shapes[0][:1]}):
+            raise ValueError(f"a sample set needs x (B, n), u and u_des (B, N, d) and "
+                             f"(B,) has_u_des, t and trajectory_id, got {shapes}")
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            k = range(len(self))[key]
+            return InteractionSample(self.x[k], self.u[k],
+                                     self.u_des[k] if self.has_u_des[k] else None,
+                                     float(self.t[k]), int(self.trajectory_id[k]))
+        return SampleSet(*(column[key] for column in vars(self).values()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleSet":
+        """``samples`` if it is a set, else a set stacked from a sequence of
+        ``InteractionSample``s. Each sample's ``x`` must have sample 0's shape,
+        and its ``u`` and ``u_des`` the shape of sample 0's ``u``."""
+        if isinstance(samples, SampleSet):
+            return samples
+        if not samples:
+            return cls(np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+                       np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=int))
+        want = {"x": samples[0].x.shape, "u": samples[0].u.shape, "u_des": samples[0].u.shape}
+        for k, s in enumerate(samples):
+            for name, shape in want.items():
+                value = getattr(s, name)
+                if value is not None and value.shape != shape:
+                    raise ValueError(f"sample {k}: {name} has shape {value.shape}, "
+                                     f"expected {shape}")
+        has = np.array([s.u_des is not None for s in samples])
+        u = np.array([s.u for s in samples])
+        u_des = np.full(u.shape, np.nan)
+        if has.any():
+            u_des[has] = [s.u_des for s in samples if s.u_des is not None]
+        return cls(np.array([s.x for s in samples]), u, u_des, has,
+                   np.array([s.t for s in samples], dtype=float),
+                   np.array([s.trajectory_id for s in samples], dtype=int))
+
+    def nonfinite(self):
+        """(row, field) of the first NaN or infinite entry, or None. Rows
+        without desired controls are not read for ``u_des``."""
+        for name in ("t", "x", "u", "u_des"):
+            column = getattr(self, name)
+            if not np.isfinite(column).all():
+                bad = ~np.isfinite(column).reshape(len(self), -1).all(axis=1)
+                if name == "u_des":
+                    bad &= self.has_u_des
+                if bad.any():
+                    return int(np.argmax(bad)), name
+        return None
+
+
 @dataclass(frozen=True)
 class InteractionScene:
     """Everything the filter needs at a sample: system, barrier, weights.
@@ -94,13 +173,18 @@ class InteractionScene:
         x = np.asarray(x, dtype=float)
         return x if self.state_map is None else self.state_map(x)
 
-    def desired_controls(self, sample):
-        if sample.u_des is not None:
-            return sample.u_des
+    def desired_controls(self, samples: SampleSet):
+        """Desired controls (B, N, d) of a sample set: its own rows, and the
+        desired policy at the states of the rows without them."""
+        if samples.has_u_des.all():
+            return samples.u_des
         if self.desired_policy is None:
             raise ValueError("sample lacks desired controls and the scene has "
                              "no desired policy to recompute them")
-        return np.asarray(self.desired_policy(sample.x), dtype=float)
+        missing = ~samples.has_u_des
+        u_des = samples.u_des.copy()
+        u_des[missing] = self.desired_policy(samples.x[missing])
+        return u_des
 
     def assemble(self, states):
         """Safety rows at one filter state (n,) or at a batch of them (B, n)."""
@@ -342,7 +426,7 @@ def default_planar_group_config(n_agents=6, n_samples=128, noise_variance=0.1, s
 
 
 def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
-                       gamma_truth) -> list:
+                       gamma_truth) -> SampleSet:
     """Draw (state, desired control) pairs, filter them, add control noise.
 
     Sample k draws its state, desired control and noise in that order: the
@@ -367,9 +451,8 @@ def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
     problem.validate_allocation(tol=1e-6)
     U_obs = filtered_controls(problem) + float(np.sqrt(config.noise_variance)) * noise
     shape = (B, len(dims), dims[0])
-    return [InteractionSample(x=x, u=u_obs, u_des=u_des, t=0.0, trajectory_id=k)
-            for k, (x, u_obs, u_des) in enumerate(zip(X, U_obs.reshape(shape),
-                                                      U_des.reshape(shape)))]
+    return SampleSet(X, U_obs.reshape(shape), U_des.reshape(shape), np.ones(B, dtype=bool),
+                     np.zeros(B), np.arange(B))
 
 
 def active_fraction(samples, scene, gamma_truth):
@@ -378,9 +461,10 @@ def active_fraction(samples, scene, gamma_truth):
     ``gamma_truth`` takes every form ``resolve_gamma_truth`` accepts; a
     callable receives the sample's position in ``samples`` as k.
     """
-    states = scene.filter_state(np.array([s.x for s in samples]))
+    samples = SampleSet.from_samples(samples)
+    states = scene.filter_state(samples.x)
     gammas = resolve_gamma_truth(gamma_truth, range(len(states)), states)
-    u_des = np.array([scene.desired_controls(s) for s in samples])
+    u_des = scene.desired_controls(samples)
     sol = solve_filter(scene.problem(scene.assemble(states), u_des, gammas))
     return float(np.mean(sol.lam_cbf > 1e-9))
 
@@ -434,7 +518,7 @@ def _weaving_initial_state(kind, rng, cfg: WeavingConfig):
 
 def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
                                   scene: Optional[InteractionScene] = None,
-                                  config: Optional[WeavingConfig] = None) -> list:
+                                  config: Optional[WeavingConfig] = None) -> SampleSet:
     """Roll out lane-swap interactions under the filtered desired policies.
 
     ``kind`` selects the initial-condition family ("mixed" alternates over
@@ -443,8 +527,9 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     come out grouped by trajectory. Trajectory j draws its initial state and
     then, if the noise is nonzero, a (steps, 4) block of control noise; all
     trajectories then advance in lockstep, with one u*-only filter solve
-    over every trajectory's safety row per step. Each sample's ``x``, ``u``
-    and ``u_des`` are row views of one (count, steps, ...) array per field.
+    over every trajectory's safety row per step, writing one (count, steps,
+    ...) array per field; the set's fields are those arrays' (count * steps,
+    ...) views.
     """
     if kind not in WEAVING_KINDS:
         raise ValueError(f"unknown weaving kind {kind!r}; expected one of {WEAVING_KINDS}")
@@ -485,56 +570,56 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
         # also breaks the side-by-side tie so either car may end up ahead.
         positions += cfg.dt * velocities
         velocities += cfg.dt * U
-    return [InteractionSample(x=states[traj, step], u=executed[traj, step],
-                              u_des=desired[traj, step], t=step * cfg.dt,
-                              trajectory_id=traj)
-            for traj in range(count) for step in range(cfg.steps)]
+    rows = count * cfg.steps
+    return SampleSet(states.reshape(rows, 8), executed.reshape(rows, 2, 2),
+                     desired.reshape(rows, 2, 2), np.ones(rows, dtype=bool),
+                     np.tile(np.arange(cfg.steps) * cfg.dt, count),
+                     np.repeat(np.arange(count), cfg.steps))
 
 
 # -- augmentations --------------------------------------------------------------
 
 
-def augment(samples: Sequence[InteractionSample], kind: str) -> list:
-    """Append transformed copies of two-car lane samples.
+def augment(samples, kind: str) -> SampleSet:
+    """The samples followed by transformed copies of them (two-car lane samples).
 
     ``mirror_lateral`` flips every lateral state and control across the lane
     divider; ``swap_agents`` exchanges the two agents (negating the relative
-    state). Both are involutions on the transformed copies. The inputs are
-    stacked once and transformed as whole arrays; each copy's ``x``, ``u``
-    and ``u_des`` are row views of the transformed arrays.
+    state). Both are involutions on the transformed copies. A copy keeps its
+    sample's time, trajectory id and lack of desired controls.
     """
     if kind not in ("mirror_lateral", "swap_agents"):
         raise ValueError(f"unknown augmentation {kind!r}")
-    if any(s.x.shape != (8,) or s.u.shape != (2, 2) for s in samples):
+    s = SampleSet.from_samples(samples)
+    if not len(s):
+        return s
+    if s.x.shape[1:] != (8,) or s.u.shape[1:] != (2, 2):
         raise ValueError("augmentations require two-agent [lon, lat, vlon, vlat] samples")
-    if not samples:
-        return []
-    X = np.array([s.x for s in samples])
-    U = np.array([s.u for s in samples])
-    has_des = [s.u_des is not None for s in samples]
-    U_des = np.array([s.u_des for s in samples if s.u_des is not None]).reshape(-1, 2, 2)
     if kind == "mirror_lateral":
+        X, U, U_des = s.x.copy(), s.u.copy(), s.u_des.copy()
         X[:, [X_LAT, X_VLAT, 4 + X_LAT, 4 + X_VLAT]] *= -1.0
         U[:, :, 1] *= -1.0
         U_des[:, :, 1] *= -1.0
     else:
-        X = np.concatenate([X[:, 4:], X[:, :4]], axis=1)
-        U, U_des = U[:, ::-1], U_des[:, ::-1]
-    rows_des = iter(U_des)
-    return list(samples) + [
-        InteractionSample(x=x, u=u, u_des=next(rows_des) if des else None,
-                          t=s.t, trajectory_id=s.trajectory_id)
-        for s, x, u, des in zip(samples, X, U, has_des)]
+        X = np.concatenate([s.x[:, 4:], s.x[:, :4]], axis=1)
+        U, U_des = s.u[:, ::-1], s.u_des[:, ::-1]
+    copies = (X, U, U_des, s.has_u_des, s.t, s.trajectory_id)
+    return SampleSet(*(np.concatenate(pair) for pair in zip(vars(s).values(), copies)))
 
 
 # -- trajectory files ------------------------------------------------------------
 
 
 def atomic_write(path, text):
-    """Replace ``path`` with ``text`` via a temporary file in the same directory."""
+    """Replace ``path`` with ``text`` via a temporary file in the same directory.
+
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666 less
+    the umask.
+    """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -545,29 +630,32 @@ def atomic_write(path, text):
         raise
 
 
-def save_trajectories(samples: Sequence[InteractionSample], path, scenario="custom",
-                      extra_header: Optional[dict] = None):
+def save_trajectories(samples, path, scenario="custom", extra_header: Optional[dict] = None):
     """Write newline-delimited JSON: one header record, then one per sample.
 
-    Floats are serialized via repr and parse back bit-exactly.
+    Floats are written by repr and parse back bit-exactly. ``samples`` is a
+    ``SampleSet`` or a sequence of ``InteractionSample``s of one shape; a NaN
+    or infinite entry is a ValueError naming the sample and the field, and
+    leaves ``path`` as it was.
     """
-    if samples:
-        n_agents, control_dim = samples[0].u.shape
-        state_dim = samples[0].x.size
-    else:
-        n_agents, control_dim, state_dim = 0, 0, 0
+    s = SampleSet.from_samples(samples)
+    bad = s.nonfinite()
+    if bad is not None:
+        raise ValueError(f"sample {bad[0]}: non-finite value in {bad[1]}; "
+                         f"{path} not written")
+    n_agents, control_dim = s.u.shape[1:] if len(s) else (0, 0)
     header = {"version": TRAJECTORY_FORMAT_VERSION, "n_agents": n_agents,
-              "state_dim": state_dim, "control_dim": control_dim,
+              "state_dim": s.x.shape[1] if len(s) else 0, "control_dim": control_dim,
               "scenario": scenario}
     if extra_header:
         header.update(extra_header)
     lines = [json.dumps(header)]
-    for s in samples:
-        rec = {"trajectory_id": int(s.trajectory_id), "t": float(s.t),
-               "x": s.x.tolist(), "u": s.u.tolist()}
-        if s.u_des is not None:
-            rec["u_des"] = s.u_des.tolist()
-        lines.append(json.dumps(rec))
+    # A list of finite floats reprs as JSON does.
+    u_des = s.u_des.tolist()
+    for tid, t, x, u, has, d in zip(s.trajectory_id.tolist(), s.t.tolist(), s.x.tolist(),
+                                    s.u.tolist(), s.has_u_des.tolist(), u_des):
+        tail = f', "u_des": {d!r}}}' if has else "}"
+        lines.append(f'{{"trajectory_id": {tid}, "t": {t!r}, "x": {x!r}, "u": {u!r}{tail}')
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -589,76 +677,146 @@ def read_header(path) -> dict:
     return header
 
 
-def load_trajectories(path) -> list:
-    """Parse and validate a trajectory file; order is preserved."""
+REQUIRED_FIELDS = ("trajectory_id", "t", "x", "u")   # in the order they are checked
+KNOWN_FIELDS = frozenset(REQUIRED_FIELDS + ("u_des",))
+
+
+def _numbers_only(value):
+    """False if ``value`` holds a JSON string or boolean anywhere."""
+    text = json.dumps(value)
+    return '"' not in text and "true" not in text and "false" not in text
+
+
+def _check_record(rec, where, shapes):
+    """Raise a TrajectoryFormatError at the first fault of one record."""
+    for key in REQUIRED_FIELDS:
+        if key not in rec:
+            raise TrajectoryFormatError(f"{where}: missing field {key!r}")
+    unknown = [key for key in rec if key not in KNOWN_FIELDS]
+    if unknown:
+        raise TrajectoryFormatError(f"{where}: unknown field {unknown[0]!r}")
+    t, tid = rec["t"], rec["trajectory_id"]
+    # bool is an int subclass; JSON true is not a number here.
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
+    if isinstance(tid, bool) or not isinstance(tid, int):
+        raise TrajectoryFormatError(f"{where}: trajectory_id must be an integer, got {tid!r}")
+    if not -2 ** 63 <= tid < 2 ** 63:
+        raise TrajectoryFormatError(f"{where}: trajectory_id {tid} does not fit in 64 bits")
+    for key, shape in shapes.items():
+        if key not in rec:      # only u_des is optional
+            continue
+        if not _numbers_only(rec[key]):
+            raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers")
+        try:
+            value = np.asarray(rec[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers") from exc
+        if value.shape != shape:
+            raise TrajectoryFormatError(
+                f"{where}: {key} has shape {value.shape}, header says {shape}")
+        if not np.all(np.isfinite(value)):
+            raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
+
+
+def _stack_records(records, shapes, body):
+    """The records as a SampleSet, or None if a bulk check fails.
+
+    ``body`` is the text the records were parsed from. With every key known,
+    each record's keys make all of its quotes, so a string value anywhere
+    shows as extra quotes, and then "true" or "false" can only be a boolean.
+    """
+    required = frozenset(REQUIRED_FIELDS)
+    if not all(isinstance(rec, dict) and required <= rec.keys() <= KNOWN_FIELDS
+               for rec in records):
+        return None
+    if (body.count('"') != 2 * sum(map(len, records))
+            or "true" in body or "false" in body):
+        return None
+    t = [rec["t"] for rec in records]
+    tid = [rec["trajectory_id"] for rec in records]
+    if not (set(map(type, t)) <= {int, float} and set(map(type, tid)) <= {int}):
+        return None
+    has = np.array(["u_des" in rec for rec in records])
+    columns = {}
+    try:
+        for key, shape in shapes.items():
+            rows = [rec[key] for rec in records if key in rec]
+            columns[key] = np.array(rows, dtype=float) if rows else np.empty((0,) + shape)
+            if columns[key].shape != (len(rows),) + shape:
+                return None
+        tid = np.array(tid, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    u_des = columns["u_des"]
+    if not has.all():
+        u_des = np.full(columns["u"].shape, np.nan)
+        u_des[has] = columns["u_des"]
+    samples = SampleSet(columns["x"], columns["u"], u_des, has,
+                        np.array(t, dtype=float), tid)
+    return samples if samples.nonfinite() is None else None
+
+
+def load_trajectories(path) -> SampleSet:
+    """Parse and validate a trajectory file; order is preserved.
+
+    Every line is parsed, each field's array built once, and keys, types,
+    shapes and finiteness checked in bulk. Only when a bulk check fails are
+    the records checked one by one, so the error names the first bad record
+    and its line. A line of invalid JSON is reported after the records
+    before it are checked.
+    """
     header = read_header(path)
-    n_agents, state_dim, control_dim = (header["n_agents"], header["state_dim"],
-                                        header["control_dim"])
-    samples = []
+    shapes = {"x": (header["state_dim"],), "u": (header["n_agents"], header["control_dim"])}
+    shapes["u_des"] = shapes["u"]
     with open(path) as fh:
         fh.readline()
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rec_no = len(samples)
-            where = f"{path}: record {rec_no} (line {line_no})"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TrajectoryFormatError(f"{where}: invalid JSON: {exc}") from exc
-            for key in ("trajectory_id", "t", "x", "u"):
-                if key not in rec:
-                    raise TrajectoryFormatError(f"{where}: missing field {key!r}")
-            t, tid = rec["t"], rec["trajectory_id"]
-            # bool is an int subclass; JSON true is not a number here.
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-                raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
-            if isinstance(tid, bool) or not isinstance(tid, int):
-                raise TrajectoryFormatError(
-                    f"{where}: trajectory_id must be an integer, got {tid!r}")
-            arrays = {}
-            for key, shape in (("x", (state_dim,)), ("u", (n_agents, control_dim)),
-                               ("u_des", (n_agents, control_dim))):
-                if key not in rec:      # only u_des is optional
-                    continue
-                try:
-                    value = arrays[key] = np.asarray(rec[key], dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise TrajectoryFormatError(f"{where}: {key} is not an array of "
-                                                "numbers") from exc
-                if value.shape != shape:
-                    raise TrajectoryFormatError(
-                        f"{where}: {key} has shape {value.shape}, header says {shape}")
-                if not np.all(np.isfinite(value)):
-                    raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
-            samples.append(InteractionSample(x=arrays["x"], u=arrays["u"],
-                                             u_des=arrays.get("u_des"), t=float(t),
-                                             trajectory_id=tid))
-    return samples
+        numbered = [(line_no, line) for line_no, line in enumerate(fh, start=2)
+                    if line.strip()]
+    records, bad_json = [], None
+    for line_no, line in numbered:
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            bad_json = exc
+            break
+    if bad_json is None:
+        if not records:
+            return SampleSet.from_samples([])
+        samples = _stack_records(records, shapes, "".join(line for _, line in numbered))
+        if samples is not None:
+            return samples
+    where = [f"{path}: record {rec_no} (line {line_no})"
+             for rec_no, (line_no, _) in enumerate(numbered)]
+    for rec, at in zip(records, where):
+        _check_record(rec, at, shapes)
+    if bad_json is not None:
+        raise TrajectoryFormatError(f"{where[len(records)]}: invalid JSON: {bad_json}") \
+            from bad_json
+    raise AssertionError(f"{path}: a bulk check failed that no record fails")
 
 
-def export_csv(samples: Sequence[InteractionSample], path, header_comment=None):
+def export_csv(samples, path, header_comment=None):
     """Flat CSV of the same columns, one row per sample, for plotting."""
+    s = SampleSet.from_samples(samples)
     lines = []
     if header_comment:
         lines.append("# " + header_comment)
-    if samples:
-        sdim = samples[0].x.size
-        n, m = samples[0].u.shape
+    if len(s):
+        B, n, m = s.u.shape
         cols = (["trajectory_id", "t"]
-                + [f"x{j}" for j in range(sdim)]
+                + [f"x{j}" for j in range(s.x.shape[1])]
                 + [f"u{i}_{j}" for i in range(n) for j in range(m)]
                 + [f"udes{i}_{j}" for i in range(n) for j in range(m)])
         lines.append(",".join(cols))
-        for s in samples:
-            row = [str(int(s.trajectory_id)), repr(float(s.t))]
-            row += map(repr, s.x.tolist())
-            row += map(repr, s.u.ravel().tolist())
-            if s.u_des is not None:
-                row += map(repr, s.u_des.ravel().tolist())
+        values = np.hstack([s.t[:, None], s.x, s.u.reshape(B, -1), s.u_des.reshape(B, -1)])
+        bare = values.shape[1] - n * m
+        for tid, has, row in zip(s.trajectory_id.tolist(), s.has_u_des.tolist(),
+                                 values.tolist()):
+            if has:
+                lines.append(f"{tid}," + ",".join(map(repr, row)))
             else:
-                row += [""] * (n * m)
-            lines.append(",".join(row))
+                lines.append(f"{tid}," + ",".join(map(repr, row[:bare])) + "," * (n * m))
     else:
         lines.append("trajectory_id,t")
     atomic_write(path, "\n".join(lines) + "\n")

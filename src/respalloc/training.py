@@ -30,12 +30,12 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .barriers import CbfLinearConstraint
-from .data import InteractionSample, InteractionScene, atomic_write
+from .data import InteractionScene, SampleSet, atomic_write
 # solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
 from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
                         solve_rows_and_pullback)
@@ -110,17 +110,21 @@ class PreparedBatch:
             beta1=self.beta1, beta2=self.beta2)
 
 
-def prepare_batch(samples: Sequence[InteractionSample], scene: InteractionScene,
-                  context_dim=None) -> PreparedBatch:
-    """Assemble per-sample safety rows once; they do not depend on gamma."""
-    if not samples:
+def prepare_batch(samples, scene: InteractionScene, context_dim=None) -> PreparedBatch:
+    """Assemble the samples' safety rows once; they do not depend on gamma.
+
+    ``samples`` is a ``SampleSet`` or a sequence of ``InteractionSample``s.
+    """
+    if not len(samples):
         raise ValueError("empty batch")
-    states = scene.filter_state(np.array([s.x for s in samples]))
+    samples = SampleSet.from_samples(samples)
+    B = len(samples)
+    states = scene.filter_state(samples.x)
     cons = scene.assemble(states)
-    u_des = np.array([scene.desired_controls(s).ravel() for s in samples])
-    u_obs = np.array([s.u.ravel() for s in samples])
+    u_des = scene.desired_controls(samples).reshape(B, -1)
+    u_obs = samples.u.reshape(B, -1)
     lb, ub = scene.system.control_bounds()
-    ctx = np.zeros((len(samples), 0)) if context_dim == 0 else states
+    ctx = np.zeros((B, 0)) if context_dim == 0 else states
     return PreparedBatch(contexts=ctx, constraints=cons, u_des=u_des, u_obs=u_obs,
                          lb=lb, ub=ub, beta1=scene.beta1, beta2=scene.beta2)
 
@@ -359,6 +363,7 @@ def fit_windows(samples, scene: InteractionScene, config: TrainConfig,
     Used to track schedules that change over the course of a dataset.
     Returns an (n_windows, N) array of per-window estimates.
     """
+    samples = SampleSet.from_samples(samples)
     n = len(samples)
     if not 0 < n_windows <= n:
         raise ValueError(f"n_windows must lie in [1, {n}] for {n} samples, got {n_windows}")

@@ -6,11 +6,14 @@ closed form, and the derivative oracles are central finite differences.
 The symmetric-model reference runs the package's plain dense MLP on
 explicitly gathered inputs: the construction the incidence-matrix first
 layer replaced. The weaving-rollout reference is the per-step loop that the
-array rollout replaced. The exact filter root and Jacobians evaluate the
-closed form in rational arithmetic, so they show rounding and nothing else.
+array rollout replaced, and the file-writer references format one sample
+object at a time, as the writers did before samples became one set of
+arrays. The exact filter root and Jacobians evaluate the closed form in
+rational arithmetic, so they show rounding and nothing else.
 """
 
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -219,6 +222,45 @@ def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
         cars[:, :, :2] += cfg.dt * cars[:, :, 2:]
         cars[:, :, 2:] += cfg.dt * U
     return [s for samples in per_traj for s in samples]
+
+
+def ndjson_reference(samples, scenario="custom", extra_header=None):
+    """The text ``save_trajectories`` writes, one ``json.dumps`` per sample object."""
+    if samples:
+        n_agents, control_dim = samples[0].u.shape
+        state_dim = samples[0].x.size
+    else:
+        n_agents, control_dim, state_dim = 0, 0, 0
+    header = {"version": 1, "n_agents": n_agents, "state_dim": state_dim,
+              "control_dim": control_dim, "scenario": scenario}
+    header.update(extra_header or {})
+    lines = [json.dumps(header)]
+    for s in samples:
+        rec = {"trajectory_id": int(s.trajectory_id), "t": float(s.t),
+               "x": s.x.tolist(), "u": s.u.tolist()}
+        if s.u_des is not None:
+            rec["u_des"] = s.u_des.tolist()
+        lines.append(json.dumps(rec))
+    return "\n".join(lines) + "\n"
+
+
+def csv_reference(samples, header_comment=None):
+    """The text ``export_csv`` writes, one row built per sample object."""
+    lines = ["# " + header_comment] if header_comment else []
+    if not samples:
+        return "\n".join(lines + ["trajectory_id,t"]) + "\n"
+    n, m = samples[0].u.shape
+    lines.append(",".join(["trajectory_id", "t"]
+                          + [f"x{j}" for j in range(samples[0].x.size)]
+                          + [f"u{i}_{j}" for i in range(n) for j in range(m)]
+                          + [f"udes{i}_{j}" for i in range(n) for j in range(m)]))
+    for s in samples:
+        row = [str(int(s.trajectory_id)), repr(float(s.t))]
+        row += map(repr, s.x.tolist())
+        row += map(repr, s.u.ravel().tolist())
+        row += map(repr, s.u_des.ravel().tolist()) if s.u_des is not None else [""] * (n * m)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def exact_filter_root(problem, i):

@@ -578,6 +578,14 @@ def test_landscape_rejects_axes_it_would_not_plot(flags, name, relative_checkpoi
     assert not out.exists()
 
 
+def test_landscape_rejects_an_axis_fixed_twice(relative_checkpoint, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["landscape", "--checkpoint", relative_checkpoint, "--out", out,
+                "--res", 3, "--fixed", "vr_lon=1,vr_lat=0,vr_lon=5"]) == 2
+    assert "--fixed sets 'vr_lon' twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_rows_and_self_consistency(relative_checkpoint, weaving_dataset,
                                          tmp_path):
     out = tmp_path / "trace.csv"

@@ -1,12 +1,15 @@
 import json
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from respalloc.data import (WEAVING_KINDS, DesiredPolicyParams, InteractionSample,
-                            ScenarioConfig, TrajectoryFormatError, WeavingConfig,
-                            active_fraction, augment,
+                            SampleSet, ScenarioConfig, TrajectoryFormatError,
+                            WeavingConfig, active_fraction, atomic_write, augment,
                             default_planar_group_config,
                             default_two_agent_config, desired_controls_weaving,
                             desired_lateral_control,
@@ -20,7 +23,8 @@ from respalloc.filter_qp import solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import TrainConfig, loss, prepare_batch
 
-from oracles import synthetic_draws_reference, weaving_rollout_reference
+from oracles import (csv_reference, ndjson_reference, synthetic_draws_reference,
+                     weaving_rollout_reference)
 
 PARAMS = DesiredPolicyParams()
 
@@ -373,11 +377,11 @@ def _assert_same_samples(got, want):
 
 
 def test_mirror_augmentation_is_involutive_and_doubles():
-    assert augment([], "mirror_lateral") == []
+    assert len(augment([], "mirror_lateral")) == 0
     for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
         once = augment(base, "mirror_lateral")
         assert len(once) == 2 * len(base)
-        assert all(a is b for a, b in zip(once, base))
+        _assert_same_samples(once[:len(base)], base)
         for orig, copy in zip(base, once[len(base):]):
             assert not np.shares_memory(orig.x, copy.x)
             np.testing.assert_array_equal(copy.x[[0, 2, 4, 6]], orig.x[[0, 2, 4, 6]])
@@ -391,7 +395,7 @@ def test_mirror_augmentation_is_involutive_and_doubles():
 
 
 def test_swap_augmentation_negates_relative_state():
-    assert augment([], "swap_agents") == []
+    assert len(augment([], "swap_agents")) == 0
     scene = weaving_scene()
     for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
         out = augment(base, "swap_agents")
@@ -470,12 +474,13 @@ def test_a_line_sample_without_desired_controls_is_an_error():
 
 
 def test_loader_rejects_nonfinite_values_naming_the_record(tmp_path):
-    samples = _tiny_weaving(3)
-    samples[1].x[2] = np.nan
     path = tmp_path / "bad.ndjson"
-    save_trajectories(samples, path)
-    text = path.read_text().replace("NaN", "NaN")  # json emits NaN literally
-    path.write_text(text)
+    save_trajectories(_tiny_weaving(3), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["x"][2] = float("nan")
+    lines[2] = json.dumps(rec)          # json writes the token NaN
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TrajectoryFormatError, match="record 1"):
         load_trajectories(path)
 
@@ -505,8 +510,14 @@ def test_loader_rejects_shape_mismatch_with_position(tmp_path):
     ("trajectory_id", "x", "trajectory_id must be an integer, got 'x'"),
     ("u_des", [[0.0, 0.0]], r"u_des has shape \(1, 2\), header says \(2, 2\)"),
     ("x", "x", "x is not an array of numbers"),
+    ("x", ["1.5"] + [1.0] * 7, "x is not an array of numbers"),
+    ("x", [True] + [1.0] * 7, "x is not an array of numbers"),
+    ("u", [[1.0, False], [0.0, 0.0]], "u is not an array of numbers"),
+    ("u_des", [[0.0, 0.0], ["2", 0.0]], "u_des is not an array of numbers"),
+    ("udes", [[0.0, 0.0], [0.0, 0.0]], "unknown field 'udes'"),
 ], ids=["t-nan", "t-inf", "t-str", "t-x", "t-true", "id-float", "id-true", "id-x",
-        "u_des-shape", "x-str"])
+        "u_des-shape", "x-str", "x-numeric-str", "x-true", "u-false", "u_des-str",
+        "udes-unknown"])
 def test_loader_requires_json_numbers_naming_the_record(key, value, message, tmp_path):
     path = tmp_path / "bad.ndjson"
     save_trajectories(_tiny_weaving(3), path)
@@ -519,11 +530,122 @@ def test_loader_requires_json_numbers_naming_the_record(key, value, message, tmp
         load_trajectories(path)
 
 
+def test_loader_reports_the_first_bad_record_before_a_later_bad_line(tmp_path):
+    path = tmp_path / "bad.ndjson"
+    save_trajectories(_tiny_weaving(5), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["u"] = rec["u"][:1]
+    lines[2] = json.dumps(rec)
+    lines[4] = lines[4][:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError,
+                       match=r"record 1 \(line 3\): u has shape \(1, 2\)"):
+        load_trajectories(path)
+    lines[2] = lines[3]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match=r"record 3 \(line 5\): invalid JSON"):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize("field,row", [("t", 1), ("x", 2), ("u", 5), ("u_des", 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_writer_refuses_nonfinite_values_and_leaves_the_file(field, row, bad, tmp_path):
+    # Sample 3 lacks desired controls, so its u_des row holds NaN in the set.
+    path = tmp_path / "kept.ndjson"
+    path.write_text("kept\n")
+    samples = _partly_desired(_tiny_weaving(6))
+    if field == "t":
+        samples[row].t = bad
+    else:
+        getattr(samples[row], field).flat[1] = bad
+    with pytest.raises(ValueError, match=f"sample {row}: non-finite value in {field};"):
+        save_trajectories(samples, path)
+    with pytest.raises(ValueError, match=f"sample {row}: non-finite value in {field};"):
+        save_trajectories(SampleSet.from_samples(samples), path)
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("field,shape", [("x", (7,)), ("u", (2, 1)), ("u_des", (1, 2))])
+def test_writer_refuses_samples_of_another_shape(field, shape, tmp_path):
+    path = tmp_path / "kept.ndjson"
+    path.write_text("kept\n")
+    samples = list(_tiny_weaving(4))
+    setattr(samples[2], field, np.zeros(shape))
+    with pytest.raises(ValueError, match=rf"sample 2: {field} has shape {re.escape(str(shape))}"):
+        save_trajectories(samples, path)
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_written_files_get_the_mode_of_a_plain_open(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "a.txt", "text\n")
+        save_trajectories(_tiny_weaving(2), tmp_path / "b.ndjson")
+        with open(tmp_path / "c.txt", "w") as fh:
+            fh.write("text\n")
+    finally:
+        os.umask(old)
+    for name in ("a.txt", "b.ndjson", "c.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.ndjson", "c.txt"]
+
+
+def _writer_cases():
+    planar = generate_synthetic(default_planar_group_config(6, n_samples=10, seed=4),
+                                planar_group_scene(6), np.full(6, 1.0 / 6.0))
+    weave = augment(generate_weaving_trajectories(
+        "mixed", 2, seed=5, config=WeavingConfig(steps=30, noise_variance=0.05)),
+        "mirror_lateral")
+    line = generate_synthetic(default_two_agent_config(n_samples=40, seed=2),
+                              two_agent_line_scene(), np.array([0.4, 0.6]))
+    return {"line": line, "planar6": planar, "weave": weave,
+            "weave-partly": _partly_desired(weave), "empty": []}
+
+
+@pytest.mark.parametrize("name", ["line", "planar6", "weave", "weave-partly", "empty"])
+def test_writers_equal_the_per_sample_reference(name, tmp_path):
+    samples = _writer_cases()[name]
+    objects = list(samples)
+    save_trajectories(samples, tmp_path / "a.ndjson", scenario=name, extra_header={"k": 1})
+    assert (tmp_path / "a.ndjson").read_text() == ndjson_reference(objects, name, {"k": 1})
+    export_csv(samples, tmp_path / "a.csv", header_comment="c")
+    assert (tmp_path / "a.csv").read_text() == csv_reference(objects, "c")
+    loaded = load_trajectories(tmp_path / "a.ndjson")
+    _assert_same_samples(loaded, objects)
+    _assert_same_samples(SampleSet.from_samples(objects), objects)
+
+
+def test_sample_set_views_and_slices():
+    w = _partly_desired(_tiny_weaving(12))
+    s = SampleSet.from_samples(w)
+    assert SampleSet.from_samples(s) is s
+    assert len(s) == 12 and s.x.shape == (12, 8) and s.u_des.shape == (12, 2, 2)
+    np.testing.assert_array_equal(s.has_u_des, [k % 3 != 0 for k in range(12)])
+    assert np.isnan(s.u_des[0]).all()
+    _assert_same_samples(list(s), w)
+    row = s[-2]
+    assert isinstance(row, InteractionSample) and row.trajectory_id == w[10].trajectory_id
+    assert np.shares_memory(row.x, s.x) and np.shares_memory(row.u_des, s.u_des)
+    assert s[3].u_des is None
+    with pytest.raises(IndexError):
+        s[12]
+    for key, rows in ((slice(2, 7), range(2, 7)), (slice(None, None, 5), range(0, 12, 5)),
+                      (np.array([4, 1, 1]), [4, 1, 1]),
+                      (s.has_u_des, [k for k in range(12) if k % 3])):
+        part = s[key]
+        assert isinstance(part, SampleSet)
+        _assert_same_samples(part, [w[k] for k in rows])
+    with pytest.raises(ValueError, match="a sample set needs"):
+        SampleSet(s.x, s.u, s.u_des[:, :1], s.has_u_des, s.t, s.trajectory_id)
+
+
 def test_empty_sample_list_roundtrips(tmp_path):
     path = tmp_path / "empty.ndjson"
     save_trajectories([], path, scenario="none")
     assert read_header(path)["n_agents"] == 0
-    assert load_trajectories(path) == []
+    assert len(load_trajectories(path)) == 0
 
 
 def test_csv_export(tmp_path):
