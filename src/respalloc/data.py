@@ -111,24 +111,32 @@ class SampleSet:
         and its ``u`` and ``u_des`` the shape of sample 0's ``u``."""
         if isinstance(samples, SampleSet):
             return samples
-        if not samples:
-            return cls(np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
-                       np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=int))
-        want = {"x": samples[0].x.shape, "u": samples[0].u.shape, "u_des": samples[0].u.shape}
+        if samples:
+            want = {"x": samples[0].x.shape, "u": samples[0].u.shape,
+                    "u_des": samples[0].u.shape}
         for k, s in enumerate(samples):
             for name, shape in want.items():
                 value = getattr(s, name)
                 if value is not None and value.shape != shape:
                     raise ValueError(f"sample {k}: {name} has shape {value.shape}, "
                                      f"expected {shape}")
-        has = np.array([s.u_des is not None for s in samples])
-        u = np.array([s.u for s in samples])
+        return cls._from_rows([vars(s) for s in samples])
+
+    @classmethod
+    def _from_rows(cls, rows) -> "SampleSet":
+        """A set stacked from one dict of fields per sample, arrays of one
+        shape; ``u_des`` is None or absent where the sample has none."""
+        if not rows:
+            return cls(np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+                       np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=int))
+        has = np.array([row.get("u_des") is not None for row in rows])
+        u = np.array([row["u"] for row in rows])
         u_des = np.full(u.shape, np.nan)
         if has.any():
-            u_des[has] = [s.u_des for s in samples if s.u_des is not None]
-        return cls(np.array([s.x for s in samples]), u, u_des, has,
-                   np.array([s.t for s in samples], dtype=float),
-                   np.array([s.trajectory_id for s in samples], dtype=int))
+            u_des[has] = [row["u_des"] for row in rows if row.get("u_des") is not None]
+        return cls(np.array([row["x"] for row in rows]), u, u_des, has,
+                   np.array([row["t"] for row in rows], dtype=float),
+                   np.array([row["trajectory_id"] for row in rows], dtype=int))
 
     def nonfinite(self):
         """(row, field) of the first NaN or infinite entry, or None. Rows
@@ -687,113 +695,66 @@ def _numbers_only(value):
     return '"' not in text and "true" not in text and "false" not in text
 
 
-def _check_record(rec, where, shapes):
-    """Raise a TrajectoryFormatError at the first fault of one record."""
-    for key in REQUIRED_FIELDS:
-        if key not in rec:
-            raise TrajectoryFormatError(f"{where}: missing field {key!r}")
-    unknown = [key for key in rec if key not in KNOWN_FIELDS]
-    if unknown:
-        raise TrajectoryFormatError(f"{where}: unknown field {unknown[0]!r}")
-    t, tid = rec["t"], rec["trajectory_id"]
-    # bool is an int subclass; JSON true is not a number here.
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
-    if isinstance(tid, bool) or not isinstance(tid, int):
-        raise TrajectoryFormatError(f"{where}: trajectory_id must be an integer, got {tid!r}")
-    if not -2 ** 63 <= tid < 2 ** 63:
-        raise TrajectoryFormatError(f"{where}: trajectory_id {tid} does not fit in 64 bits")
-    for key, shape in shapes.items():
-        if key not in rec:      # only u_des is optional
-            continue
-        if not _numbers_only(rec[key]):
-            raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers")
-        try:
-            value = np.asarray(rec[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers") from exc
-        if value.shape != shape:
-            raise TrajectoryFormatError(
-                f"{where}: {key} has shape {value.shape}, header says {shape}")
-        if not np.all(np.isfinite(value)):
-            raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
-
-
-def _stack_records(records, shapes, body):
-    """The records as a SampleSet, or None if a bulk check fails.
-
-    ``body`` is the text the records were parsed from. With every key known,
-    each record's keys make all of its quotes, so a string value anywhere
-    shows as extra quotes, and then "true" or "false" can only be a boolean.
-    """
-    required = frozenset(REQUIRED_FIELDS)
-    if not all(isinstance(rec, dict) and required <= rec.keys() <= KNOWN_FIELDS
-               for rec in records):
-        return None
-    if (body.count('"') != 2 * sum(map(len, records))
-            or "true" in body or "false" in body):
-        return None
-    t = [rec["t"] for rec in records]
-    tid = [rec["trajectory_id"] for rec in records]
-    if not (set(map(type, t)) <= {int, float} and set(map(type, tid)) <= {int}):
-        return None
-    has = np.array(["u_des" in rec for rec in records])
-    columns = {}
-    try:
-        for key, shape in shapes.items():
-            rows = [rec[key] for rec in records if key in rec]
-            columns[key] = np.array(rows, dtype=float) if rows else np.empty((0,) + shape)
-            if columns[key].shape != (len(rows),) + shape:
-                return None
-        tid = np.array(tid, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    u_des = columns["u_des"]
-    if not has.all():
-        u_des = np.full(columns["u"].shape, np.nan)
-        u_des[has] = columns["u_des"]
-    samples = SampleSet(columns["x"], columns["u"], u_des, has,
-                        np.array(t, dtype=float), tid)
-    return samples if samples.nonfinite() is None else None
-
-
 def load_trajectories(path) -> SampleSet:
     """Parse and validate a trajectory file; order is preserved.
 
-    Every line is parsed, each field's array built once, and keys, types,
-    shapes and finiteness checked in bulk. Only when a bulk check fails are
-    the records checked one by one, so the error names the first bad record
-    and its line. A line of invalid JSON is reported after the records
-    before it are checked.
+    Records are checked in file order, so an error names the first bad
+    record and its line. A key given twice keeps its last value, as in
+    ``json.loads``. Strings and booleans are looked for on the raw line:
+    unless a value holds a string or a key repeats, the keys make all of the
+    line's quotes, and then "true" or "false" can only be booleans. Only a
+    line that fails this is searched value by value.
     """
     header = read_header(path)
     shapes = {"x": (header["state_dim"],), "u": (header["n_agents"], header["control_dim"])}
     shapes["u_des"] = shapes["u"]
+    rows = []
     with open(path) as fh:
         fh.readline()
-        numbered = [(line_no, line) for line_no, line in enumerate(fh, start=2)
-                    if line.strip()]
-    records, bad_json = [], None
-    for line_no, line in numbered:
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            bad_json = exc
-            break
-    if bad_json is None:
-        if not records:
-            return SampleSet.from_samples([])
-        samples = _stack_records(records, shapes, "".join(line for _, line in numbered))
-        if samples is not None:
-            return samples
-    where = [f"{path}: record {rec_no} (line {line_no})"
-             for rec_no, (line_no, _) in enumerate(numbered)]
-    for rec, at in zip(records, where):
-        _check_record(rec, at, shapes)
-    if bad_json is not None:
-        raise TrajectoryFormatError(f"{where[len(records)]}: invalid JSON: {bad_json}") \
-            from bad_json
-    raise AssertionError(f"{path}: a bulk check failed that no record fails")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            where = f"{path}: record {len(rows)} (line {line_no})"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TrajectoryFormatError(f"{where}: invalid JSON: {exc}") from exc
+            for key in REQUIRED_FIELDS:
+                if key not in rec:
+                    raise TrajectoryFormatError(f"{where}: missing field {key!r}")
+            if not KNOWN_FIELDS.issuperset(rec):
+                unknown = next(key for key in rec if key not in KNOWN_FIELDS)
+                raise TrajectoryFormatError(f"{where}: unknown field {unknown!r}")
+            t, tid = rec["t"], rec["trajectory_id"]
+            # bool is an int subclass; JSON true is not a number here.
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+                raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
+            if isinstance(tid, bool) or not isinstance(tid, int):
+                raise TrajectoryFormatError(
+                    f"{where}: trajectory_id must be an integer, got {tid!r}")
+            if not -2 ** 63 <= tid < 2 ** 63:
+                raise TrajectoryFormatError(
+                    f"{where}: trajectory_id {tid} does not fit in 64 bits")
+            plain = (line.count('"') == 2 * len(rec)
+                     and "true" not in line and "false" not in line)
+            row = {"t": t, "trajectory_id": tid}
+            for key, shape in shapes.items():
+                if key not in rec:      # only u_des is optional
+                    continue
+                if not (plain or _numbers_only(rec[key])):
+                    raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers")
+                try:
+                    value = row[key] = np.asarray(rec[key], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise TrajectoryFormatError(f"{where}: {key} is not an array of "
+                                                "numbers") from exc
+                if value.shape != shape:
+                    raise TrajectoryFormatError(
+                        f"{where}: {key} has shape {value.shape}, header says {shape}")
+                if not np.isfinite(value).all():
+                    raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
+            rows.append(row)
+    return SampleSet._from_rows(rows)
 
 
 def export_csv(samples, path, header_comment=None):

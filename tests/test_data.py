@@ -548,6 +548,31 @@ def test_loader_reports_the_first_bad_record_before_a_later_bad_line(tmp_path):
         load_trajectories(path)
 
 
+def test_loader_keeps_the_last_value_of_a_repeated_key(tmp_path):
+    # A repeated key adds quotes that no string value made. A value that a
+    # later one replaces is not checked; a string or boolean that stays is.
+    path = tmp_path / "dup.ndjson"
+    samples = _tiny_weaving(3)
+    save_trajectories(samples, path)
+    lines = path.read_text().splitlines()
+    record = lines[2][1:-1]
+    x = samples[1].x + 1.0
+    for first, last, want in (("", f', "x": {x.tolist()}', x),
+                              ('"x": "abc", ', "", samples[1].x),
+                              ('"u_des": [[true, 0.0], [0.0, 0.0]], ', "", samples[1].x)):
+        lines[2] = "{" + first + record + last + "}"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_trajectories(path)
+        np.testing.assert_array_equal(loaded.x[1], want)
+        np.testing.assert_array_equal(loaded.u_des[1], samples[1].u_des)
+    for last, message in ((', "x": "abc"', "x is not an array of numbers"),
+                          (', "t": true', "t must be a finite number")):
+        lines[2] = "{" + record + last + "}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=r"record 1 \(line 3\): " + message):
+            load_trajectories(path)
+
+
 @pytest.mark.parametrize("field,row", [("t", 1), ("x", 2), ("u", 5), ("u_des", 4)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_writer_refuses_nonfinite_values_and_leaves_the_file(field, row, bad, tmp_path):
