@@ -676,12 +676,20 @@ def read_header(path) -> dict:
         header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise TrajectoryFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise TrajectoryFormatError(f"{path}: header must be a JSON object, got {header!r}")
     for key in ("version", "n_agents", "state_dim", "control_dim", "scenario"):
         if key not in header:
             raise TrajectoryFormatError(f"{path}: header missing field {key!r}")
     if header["version"] != TRAJECTORY_FORMAT_VERSION:
         raise TrajectoryFormatError(
             f"{path}: unsupported format version {header['version']}")
+    for key in ("n_agents", "state_dim", "control_dim"):
+        value = header[key]
+        # A JSON integer: true, 2.0 and "2" are not dimensions.
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise TrajectoryFormatError(
+                f"{path}: header {key} must be a nonnegative integer, got {value!r}")
     return header
 
 
@@ -719,6 +727,9 @@ def load_trajectories(path) -> SampleSet:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TrajectoryFormatError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise TrajectoryFormatError(f"{where}: record must be a JSON object, "
+                                            f"got {type(rec).__name__}")
             for key in REQUIRED_FIELDS:
                 if key not in rec:
                     raise TrajectoryFormatError(f"{where}: missing field {key!r}")
@@ -727,7 +738,12 @@ def load_trajectories(path) -> SampleSet:
                 raise TrajectoryFormatError(f"{where}: unknown field {unknown!r}")
             t, tid = rec["t"], rec["trajectory_id"]
             # bool is an int subclass; JSON true is not a number here.
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            try:
+                finite = (not isinstance(t, bool) and isinstance(t, (int, float))
+                          and math.isfinite(t))
+            except OverflowError:       # an integer beyond float range
+                finite = False
+            if not finite:
                 raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
             if isinstance(tid, bool) or not isinstance(tid, int):
                 raise TrajectoryFormatError(
@@ -748,6 +764,9 @@ def load_trajectories(path) -> SampleSet:
                 except (TypeError, ValueError) as exc:
                     raise TrajectoryFormatError(f"{where}: {key} is not an array of "
                                                 "numbers") from exc
+                except OverflowError as exc:     # an integer beyond float range
+                    raise TrajectoryFormatError(
+                        f"{where}: non-finite value in {key}") from exc
                 if value.shape != shape:
                     raise TrajectoryFormatError(
                         f"{where}: {key} has shape {value.shape}, header says {shape}")

@@ -23,8 +23,12 @@ breakpoints. ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its
 u* alone, the generators' entry) and ``differentiate_filter`` take one row
 (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the problem's
 dense pieces are one-row references. ``solve_rows_and_pullback``, the
-training step's entry, solves a batch one row at a time and pulls a
-cotangent on u* back to gamma without forming the Jacobians.
+training step's entry, solves a batch in blocks of ``BLOCK_ROWS`` = 8 rows
+and pulls a cotangent on u* back to gamma, block by block, without forming
+the Jacobians. Larger blocks would be faster still, but a step's fixed
+cost would then outweigh its per-row work at more of the batch sizes the
+scaling tests time, from B = 8, and the step time they fit would grow too
+slowly in the batch size (README, "Allocation models and their gradients").
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ from functools import lru_cache
 import numpy as np
 
 from .barriers import CbfLinearConstraint
+
+
+# Rows per ``_solve_core`` call and per pullback block in ``solve_rows_and_pullback``
+# (see the module docstring for why 8).
+BLOCK_ROWS = 8
 
 
 class FilterError(RuntimeError):
@@ -247,6 +256,14 @@ def _rowsum(x):
     return np.add.reduce(x, axis=1)
 
 
+# x @ matrix as one vector-matrix product per row of x (B, m), so that a row's
+# result does not depend on the rows beside it: a (B, m) @ (m, n) product goes
+# to a matrix-matrix BLAS kernel, which can group each row's sum differently
+# from a one-row call (OpenBLAS does at m = 12). np.vecmat (numpy >= 2.2)
+# runs the one-row kernel with less dispatch than the stacked matmul.
+_vecmat = getattr(np, "vecmat", lambda x, matrix: np.matmul(x[:, None], matrix)[:, 0])
+
+
 def _root(a, c, phi0, v0, t, lb, ub, beta2):
     """Root lam > 0 of phi for rows with phi(0) < 0, and the breakpoints passed.
 
@@ -300,9 +317,10 @@ def _solve_core(a, d, g, h, c, lb, ub, beta2):
     the channels strictly inside their box there. If no channel changed side
     of a bound or landed on one, phi is linear up to that lam, which is the
     root and what ``_root`` gives, bit for bit. Otherwise every tight row of
-    the call walks from lam = 0: a walk's pass costs numpy dispatch, the same
-    for one row as for all, so taking out the certified rows would cost more
-    than it saves.
+    the call walks from lam = 0 (in ``solve_rows_and_pullback``, every tight
+    row of the block): a walk's pass costs numpy dispatch, the same for one
+    row as for all, so taking out the certified rows would cost more than it
+    saves.
     """
     v = g * d / h                   # unclipped optimum, v0 + lam t once lam is known
     t = (0.5 * a) / h
@@ -387,7 +405,7 @@ def _sensitivities(a, d, h, u, free, beta2, others):
     t = (0.5 * a) * on
     at, floor = a * t, 0.5 / beta2
     total = floor + _rowsum(at)
-    return on, own, t, total, (floor + at @ others) / total[:, None]
+    return on, own, t, total, (floor + _vecmat(at, others)) / total[:, None]
 
 
 def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> FilterJacobians:
@@ -423,38 +441,42 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
 
 
 def solve_rows_and_pullback(problem: FilterProblem):
-    """Each row's optimum u* (B, m), solved one row at a time, and its pullback.
+    """Each row's optimum u* (B, m), solved in blocks of ``BLOCK_ROWS`` rows, and
+    its pullback.
 
     The rows of a checked batch problem go through the closed-form core one
-    at a time, as (1, m) views, and skip the duals and flags of
-    ``solve_filter``; u* equals that function's bit for bit. ``pullback(w)``
-    maps a cotangent w (B, m) on u* to w . du*/dgamma (B, N), again one row
-    at a time: each row of ``differentiate_filter``'s Jacobian contracted
-    with that row of w, without forming it: (own w) @ onehot on a slack row,
+    block at a time (the last block may be short) and skip the duals and
+    flags of ``solve_filter``; u* equals that function's bit for bit, since
+    each row's result depends on that row alone. ``pullback(w)`` maps a
+    cotangent w (B, m) on u* to w . du*/dgamma (B, N), again block by block:
+    each row of ``differentiate_filter``'s Jacobian contracted with that row
+    of w, without forming it: (own w) @ onehot on a slack row,
     (own (w keep - a sum_{l != j} w_l t_l / total)) @ onehot on a binding one.
+    A block with no binding row skips ``_sensitivities``.
     """
     a, d, g, h = _rows(problem)
     c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
     b, m = a.shape
     lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
     beta2, (_, onehot, others) = problem.beta2, _channel_agent(problem.constraint.agent_dims)
+    blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, b, BLOCK_ROWS)]
     u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
-    for i in range(b):
-        r = slice(i, i + 1)
+    for r in blocks:
         ur, vr, lam, _, _ = _solve_core(a[r], d[r], g[r], h[r], c[r], lb, ub, beta2)
         u[r], free[r], binds[r] = ur, ur == vr, lam > 0.0
 
     def pullback(w):
         dgamma = np.empty((b, onehot.shape[1]))
-        for i in range(b):
-            r, wr = slice(i, i + 1), w[i:i + 1]
-            if binds[i]:
+        for r in blocks:
+            wr = w[r]
+            if binds[r].any():
                 _, own, t, total, keep = _sensitivities(a[r], d[r], h[r], u[r], free[r],
                                                         beta2, others)
-                wr = wr * keep - a[r] * ((wr * t) @ others) / total[:, None]
+                wr = np.where(binds[r, None],
+                              wr * keep - a[r] * _vecmat(wr * t, others) / total[:, None], wr)
             else:               # d lam = 0
                 own = (d[r] - u[r]) * (free[r] / h[r])
-            dgamma[r] = (own * wr) @ onehot
+            dgamma[r] = _vecmat(own * wr, onehot)
         return dgamma
 
     return u, pullback

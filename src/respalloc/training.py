@@ -6,13 +6,16 @@ safety-filter QP is solved at the sample's state, and the mismatch between
 its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
-Each chunk of the minibatch is checked once as one batch problem; each of
-its rows is then solved, and pulled back through w . du*/dgamma without
-forming the Jacobians, as its own one-row problem.
+Each chunk of the minibatch is checked once as one batch problem, then
+solved, and pulled back through w . du*/dgamma without forming the
+Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 8 rows. Larger blocks
+would be faster, but a step's time would then grow too slowly in the
+batch size for the scaling tests, which start at B = 8.
 
 A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
-contexts, at most ``CHUNK_ROWS`` network rows each (``net_rows_per_context``
-of the model per context), the split ``gamma_batch`` also uses. Each chunk
+contexts, at most ``models.CHUNK_ROWS`` network rows each
+(``net_rows_per_context`` of the model per context), the split
+``gamma_batch`` also uses. Each chunk
 goes forward through the model, through its filter solves and their
 pullback, and back through the model before the next starts, so the
 activations the pullback reads are still in L2 cache. Models with
@@ -39,8 +42,7 @@ from .data import InteractionScene, SampleSet, atomic_write
 # solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
 from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
                         solve_rows_and_pullback)
-# CHUNK_ROWS stays importable here for callers that read training.CHUNK_ROWS.
-from .models import CHUNK_ROWS, ConstantGamma, chunk_slices  # noqa: F401
+from .models import ConstantGamma, chunk_slices
 
 LOSS_METRICS = ("huber", "l2", "l1")
 PROBE_COUNT = 16        # contexts whose allocation a network model's fit tracks per epoch
@@ -161,7 +163,7 @@ def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     """Loss plus its gradient in the model's flat parameters.
 
     The minibatch runs in the chunks of ``chunk_slices`` (whole contexts,
-    at most ``CHUNK_ROWS`` network rows each): each chunk's forward, filter
+    at most ``models.CHUNK_ROWS`` network rows each): each chunk's forward, filter
     solves and the two pullbacks run back to back, while its activations
     are still in cache. Every row is in exactly one chunk, so each runs one
     model forward; the loss is the sum of the chunks' row losses over the

@@ -9,7 +9,9 @@ layer replaced. The weaving-rollout reference is the per-step loop that the
 array rollout replaced, and the file-writer references format one sample
 object at a time, as the writers did before samples became one set of
 arrays. The exact filter root and Jacobians evaluate the closed form in
-rational arithmetic, so they show rounding and nothing else.
+rational arithmetic, so they show rounding and nothing else. The per-row
+filter solve and pullback is the loop that the training step's blocks of
+rows replaced.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import numpy as np
 from respalloc.data import (InteractionSample, WeavingConfig, _weaving_initial_state,
                             desired_controls_weaving, resolve_gamma_truth,
                             speed_advantage_gamma, weaving_scene)
+from respalloc import filter_qp
 from respalloc.filter_qp import solve_filter
 
 
@@ -353,3 +356,39 @@ def exact_filter_pullback(problem, solution, w, i):
     w = [Fraction(x) for x in np.asarray(w, dtype=float)]
     return np.array([float(sum(w[j] * du_dgamma[j][k] for j in range(len(w))))
                      for k in range(len(du_dgamma[0]))])
+
+
+def per_row_solve_and_pullback(problem):
+    """``filter_qp.solve_rows_and_pullback`` one row at a time: (u*, pullback).
+
+    Each row of a checked batch problem runs through ``_solve_core`` as its
+    own (1, m) view, and ``pullback(w)`` contracts each row's Jacobian with
+    that row of w, through ``_sensitivities`` on a binding row and the
+    slack row's ``(own w) @ onehot`` otherwise.
+    """
+    a, d, g, h = filter_qp._rows(problem)
+    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
+    b, m = a.shape
+    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
+    beta2 = problem.beta2
+    _, onehot, others = filter_qp._channel_agent(problem.constraint.agent_dims)
+    u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
+    for i in range(b):
+        r = slice(i, i + 1)
+        ur, vr, lam, _, _ = filter_qp._solve_core(a[r], d[r], g[r], h[r], c[r], lb, ub, beta2)
+        u[r], free[r], binds[r] = ur, ur == vr, lam > 0.0
+
+    def pullback(w):
+        dgamma = np.empty((b, onehot.shape[1]))
+        for i in range(b):
+            r, wr = slice(i, i + 1), w[i:i + 1]
+            if binds[i]:
+                _, own, t, total, keep = filter_qp._sensitivities(
+                    a[r], d[r], h[r], u[r], free[r], beta2, others)
+                wr = wr * keep - a[r] * ((wr * t) @ others) / total[:, None]
+            else:               # d lam = 0
+                own = (d[r] - u[r]) * (free[r] / h[r])
+            dgamma[r] = (own * wr) @ onehot
+        return dgamma
+
+    return u, pullback

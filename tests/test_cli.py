@@ -169,6 +169,30 @@ def test_train_missing_dataset_exits_2(tmp_path):
                 "--model", "constant"]) == 2
 
 
+@pytest.mark.parametrize("line,text,message", [
+    (0, "5", "header must be a JSON object"),
+    (0, '{"state_dim": "2"}', "header state_dim must be a nonnegative integer"),
+    (1, "5", "record 0 (line 2): record must be a JSON object"),
+    (1, '["trajectory_id", "t", "x", "u"]', "record 0 (line 2): record must be a JSON object"),
+    (1, '{"trajectory_id": 0, "t": 1' + "0" * 400 + ', "x": [0.0, 2.0], "u": [[0.0], [0.0]]}',
+     "record 0 (line 2): t must be a finite number"),
+    (1, '{"trajectory_id": 0, "t": 0.0, "x": [0.0, 2.0], "u": [[1' + "0" * 400 + '], [0.0]]}',
+     "record 0 (line 2): non-finite value in u"),
+], ids=["header-number", "header-dim-str", "record-number", "record-list", "t-overflow",
+        "u-overflow"])
+def test_train_on_a_malformed_dataset_exits_2(small_dataset, line, text, message, tmp_path,
+                                              capsys):
+    lines = small_dataset.read_text().splitlines()
+    if line == 0 and text.startswith("{"):
+        text = json.dumps({**json.loads(lines[0]), **json.loads(text)})
+    lines[line] = text
+    path = tmp_path / "bad.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["train", "--dataset", path, "--model", "constant", "--epochs", 1]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err and "Traceback" not in err
+
+
 def test_train_rejects_a_dataset_that_does_not_fit_the_scene(small_dataset, capsys,
                                                             monkeypatch):
     def no_fit(*args, **kwargs):

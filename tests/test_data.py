@@ -530,6 +530,73 @@ def test_loader_requires_json_numbers_naming_the_record(key, value, message, tmp
         load_trajectories(path)
 
 
+@pytest.mark.parametrize("record", ["5", json.dumps(["trajectory_id", "t", "x", "u"])],
+                         ids=["number", "list-of-field-names"])
+def test_loader_rejects_a_record_that_is_not_an_object(record, tmp_path):
+    path = tmp_path / "bad.ndjson"
+    save_trajectories(_tiny_weaving(3), path)
+    lines = path.read_text().splitlines()
+    lines[2] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError,
+                       match=r"record 1 \(line 3\): record must be a JSON object"):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize("key,message", [
+    ("t", "t must be a finite number, got 1000"),
+    ("x", "non-finite value in x"),
+    ("u", "non-finite value in u"),
+], ids=["t", "x", "u"])
+def test_loader_rejects_integers_beyond_float_range(key, message, tmp_path):
+    path = tmp_path / "bad.ndjson"
+    save_trajectories(_tiny_weaving(3), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    if key == "t":
+        rec["t"] = 10 ** 400
+    elif key == "x":
+        rec["x"][2] = 10 ** 400
+    else:
+        rec["u"][1][0] = -10 ** 400
+    lines[2] = json.dumps(rec)          # an integer literal of 401 digits
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match=r"record 1 \(line 3\): " + message):
+        load_trajectories(path)
+
+
+def _with_header(tmp_path, header):
+    """A saved file whose header line is replaced by ``header`` (a JSON value)."""
+    path = tmp_path / "header.ndjson"
+    save_trajectories(_tiny_weaving(2), path)
+    lines = path.read_text().splitlines()
+    if isinstance(header, dict):
+        header = {**json.loads(lines[0]), **header}
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("header,message", [
+    (5, "header must be a JSON object, got 5"),
+    (["version", "n_agents", "state_dim", "control_dim", "scenario"],
+     "header must be a JSON object"),
+    ({"state_dim": "8"}, "header state_dim must be a nonnegative integer, got '8'"),
+    ({"n_agents": -1}, "header n_agents must be a nonnegative integer, got -1"),
+    ({"n_agents": True}, "header n_agents must be a nonnegative integer, got True"),
+    ({"control_dim": 2.0}, "header control_dim must be a nonnegative integer, got 2.0"),
+    ({"control_dim": None}, "header control_dim must be a nonnegative integer, got None"),
+], ids=["number", "list", "state_dim-str", "n_agents-negative", "n_agents-true",
+        "control_dim-float", "control_dim-null"])
+def test_header_dimensions_must_be_nonnegative_json_integers(header, message, tmp_path):
+    # A float dimension such as 2.0 is refused too: the writer always writes
+    # integers, and the header is the one place that states the shapes.
+    path = _with_header(tmp_path, header)
+    for read in (read_header, load_trajectories):
+        with pytest.raises(TrajectoryFormatError, match=re.escape(f"{path}: {message}")):
+            read(path)
+
+
 def test_loader_reports_the_first_bad_record_before_a_later_bad_line(tmp_path):
     path = tmp_path / "bad.ndjson"
     save_trajectories(_tiny_weaving(5), path)

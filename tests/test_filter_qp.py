@@ -14,7 +14,8 @@ from respalloc.filter_qp import (FilterError, FilterProblem,
                                  kkt_residuals, solve_filter)
 
 from oracles import (assert_rel_close, exact_filter_jacobians, exact_filter_pullback,
-                     exact_filter_root, fd_jacobian, grid_solve_two_agent)
+                     exact_filter_root, fd_jacobian, grid_solve_two_agent,
+                     per_row_solve_and_pullback)
 
 
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
@@ -797,3 +798,65 @@ def test_pullback_on_slack_binding_and_degenerate_rows():
     # Rows with different weights and boxes sharing one batch problem.
     problem = stack_problems([random_two_agent_problem(rng) for _ in range(12)])
     _assert_pullback_matches_jacobian(problem, rng)
+
+
+# -- the training filter in blocks of rows --------------------------------------
+
+
+def _block_path_equals_per_row(problem, rng):
+    """Block u* and pullback against the per-row reference, bit for bit.
+
+    Returns, over the blocks, how many mix binding and slack rows and the
+    row counts of the walks (``_root`` calls) the block solves ran.
+    """
+    b, k = len(problem.u_des), filter_qp.BLOCK_ROWS
+    with mock.patch.object(filter_qp, "_solve_core", wraps=filter_qp._solve_core) as core, \
+            mock.patch.object(filter_qp, "_root", wraps=filter_qp._root) as walk:
+        u, pullback = filter_qp.solve_rows_and_pullback(problem)
+    assert [len(call.args[4]) for call in core.call_args_list] == \
+        [min(k, b - i) for i in range(0, b, k)]
+    ref_u, ref_pullback = per_row_solve_and_pullback(problem)
+    w = rng.normal(size=u.shape)
+    np.testing.assert_array_equal(_bits(u), _bits(ref_u))
+    np.testing.assert_array_equal(_bits(pullback(w)), _bits(ref_pullback(w)))
+    binds = solve_filter(problem).lam_cbf > 0.0
+    mixed = sum(0 < np.count_nonzero(binds[i:i + k]) < len(binds[i:i + k])
+                for i in range(0, b, k))
+    return mixed, [len(call.args[1]) for call in walk.call_args_list]
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SCENES))
+def test_block_solve_and_pullback_equal_the_per_row_reference(name):
+    rng = np.random.default_rng(11)
+    mixed, walks = 0, {}
+    for kind in ALL_KINDS:
+        for batch in (1, 7, 8, 9, 40):
+            block_mixed, block_walks = _block_path_equals_per_row(
+                _rows_of_kind(name, batch, kind, batch), rng)
+            mixed += block_mixed
+            walks.setdefault(kind, []).extend(block_walks)
+    # Blocks that mix binding and slack rows, and a "tiny box" block where one
+    # rejected certificate walks the block's other tight rows too.
+    assert mixed > 0 and max(walks["tiny box"]) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SCENES)), st.integers(1, 40),
+       st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_block_solve_and_pullback_equal_the_per_row_reference_random(name, batch, kind,
+                                                                     seed):
+    _block_path_equals_per_row(_rows_of_kind(name, batch, kind, seed),
+                               np.random.default_rng(seed))
+
+
+def test_row_by_row_vector_matrix_products_do_not_depend_on_the_batch():
+    # At m = 12 a (B, m) @ (m, n) product groups each row's sum differently
+    # from a one-row call; both forms of filter_qp._vecmat (np.vecmat and the
+    # stacked product used without it) must not.
+    rng = np.random.default_rng(3)
+    for m, n in ((2, 2), (4, 2), (12, 12), (12, 6)):
+        matrix = (rng.random((m, n)) < 0.5).astype(float)
+        x = rng.normal(size=(9, m)) * np.exp(5.0 * rng.normal(size=(9, m)))
+        rows = np.concatenate([x[i:i + 1] @ matrix for i in range(len(x))])
+        for got in (filter_qp._vecmat(x, matrix), np.matmul(x[:, None], matrix)[:, 0]):
+            np.testing.assert_array_equal(_bits(got), _bits(rows))

@@ -15,7 +15,7 @@ from respalloc.training import (Adam, Sgd, TrainConfig, batch_loss,
                                 gradient_step, loss, prepare_batch,
                                 residual_loss, time_loss_and_grad)
 
-from oracles import assert_rel_close
+from oracles import assert_rel_close, per_row_solve_and_pullback
 
 
 CFG = TrainConfig(epochs=1, batch_size=8)
@@ -211,11 +211,22 @@ def test_chunked_step_equals_one_chunk_reference(workload, size, request):
     value, grad = batch_loss_and_grad(sub, model, CFG)
     ref_value, ref_grad = _one_chunk_loss_and_grad(sub, model, CFG)
     rows = model.net_rows_per_context
-    if not rows or size <= training.CHUNK_ROWS // rows:
+    if not rows or size <= models.CHUNK_ROWS // rows:
         assert value == ref_value       # one chunk: the same sum, bit for bit
     assert_rel_close(value, ref_value)
     assert_rel_close(grad, ref_grad)
     assert batch_loss(sub, model, CFG) == ref_value
+
+
+@pytest.mark.parametrize("workload", ["line2_prep", "planar6_prep", "weave_prep"])
+def test_block_filter_step_equals_the_per_row_reference(workload, request, monkeypatch):
+    prep, model = request.getfixturevalue(workload)
+    value, grad = batch_loss_and_grad(prep, model, CFG)
+    whole = batch_loss(prep, model, CFG)
+    monkeypatch.setattr(training, "solve_rows_and_pullback", per_row_solve_and_pullback)
+    ref_value, ref_grad = batch_loss_and_grad(prep, model, CFG)
+    assert value == ref_value and whole == batch_loss(prep, model, CFG)
+    np.testing.assert_array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
 
 def test_prepared_rows_index_as_one_row_constraints(line_scene, clean_samples):
@@ -244,9 +255,9 @@ def test_each_ordering_row_runs_once_per_step(planar6_prep, size, monkeypatch):
     batch_loss_and_grad(prep.subset(np.arange(size)), model, CFG)
     assert model.net_rows_per_context == 720
     assert sum(columns) == size * 720
-    per_chunk = training.CHUNK_ROWS // 720
+    per_chunk = models.CHUNK_ROWS // 720
     assert len(columns) == -(-size // per_chunk)
-    assert max(columns) <= training.CHUNK_ROWS
+    assert max(columns) <= models.CHUNK_ROWS
 
 
 @pytest.mark.parametrize("kind,kwargs,rows", [
