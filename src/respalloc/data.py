@@ -739,9 +739,8 @@ def load_trajectories(path) -> SampleSet:
             t, tid = rec["t"], rec["trajectory_id"]
             # bool is an int subclass; JSON true is not a number here.
             try:
-                finite = (not isinstance(t, bool) and isinstance(t, (int, float))
-                          and math.isfinite(t))
-            except OverflowError:       # an integer beyond float range
+                finite = not isinstance(t, bool) and math.isfinite(t)
+            except (TypeError, OverflowError):      # not a number; an int beyond float range
                 finite = False
             if not finite:
                 raise TrajectoryFormatError(f"{where}: t must be a finite number, got {t!r}")
@@ -765,8 +764,7 @@ def load_trajectories(path) -> SampleSet:
                     raise TrajectoryFormatError(f"{where}: {key} is not an array of "
                                                 "numbers") from exc
                 except OverflowError as exc:     # an integer beyond float range
-                    raise TrajectoryFormatError(
-                        f"{where}: non-finite value in {key}") from exc
+                    raise TrajectoryFormatError(f"{where}: non-finite value in {key}") from exc
                 if value.shape != shape:
                     raise TrajectoryFormatError(
                         f"{where}: {key} has shape {value.shape}, header says {shape}")

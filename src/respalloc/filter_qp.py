@@ -25,10 +25,9 @@ u* alone, the generators' entry) and ``differentiate_filter`` take one row
 dense pieces are one-row references. ``solve_rows_and_pullback``, the
 training step's entry, solves a batch in blocks of ``BLOCK_ROWS`` = 8 rows
 and pulls a cotangent on u* back to gamma, block by block, without forming
-the Jacobians. Larger blocks would be faster still, but a step's fixed
-cost would then outweigh its per-row work at more of the batch sizes the
-scaling tests time, from B = 8, and the step time they fit would grow too
-slowly in the batch size (README, "Allocation models and their gradients").
+the Jacobians. Larger blocks would be faster, but the scaling tests'
+fitted exponent of step time in batch size, from B = 8, would fall below
+their bounds (README, "Allocation models and their gradients").
 """
 
 from __future__ import annotations
@@ -256,11 +255,9 @@ def _rowsum(x):
     return np.add.reduce(x, axis=1)
 
 
-# x @ matrix as one vector-matrix product per row of x (B, m), so that a row's
-# result does not depend on the rows beside it: a (B, m) @ (m, n) product goes
-# to a matrix-matrix BLAS kernel, which can group each row's sum differently
-# from a one-row call (OpenBLAS does at m = 12). np.vecmat (numpy >= 2.2)
-# runs the one-row kernel with less dispatch than the stacked matmul.
+# x @ matrix for x (B, m) as one vector-matrix product per row, the kernel of a
+# one-row call: a (B, m) @ (m, n) product can sum each row in another order
+# (OpenBLAS does at m = 12). np.vecmat (numpy >= 2.2) has less dispatch.
 _vecmat = getattr(np, "vecmat", lambda x, matrix: np.matmul(x[:, None], matrix)[:, 0])
 
 

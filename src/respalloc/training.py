@@ -7,21 +7,20 @@ its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
 Each chunk of the minibatch is checked once as one batch problem, then
-solved, and pulled back through w . du*/dgamma without forming the
-Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 8 rows. Larger blocks
-would be faster, but a step's time would then grow too slowly in the
-batch size for the scaling tests, which start at B = 8.
+solved and pulled back through w . du*/dgamma, without forming the
+Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 8 rows: larger blocks
+would make step time grow too slowly in the batch size for the scaling
+tests, which start at B = 8.
 
 A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
 contexts, at most ``models.CHUNK_ROWS`` network rows each
 (``net_rows_per_context`` of the model per context), the split
-``gamma_batch`` also uses. Each chunk
-goes forward through the model, through its filter solves and their
-pullback, and back through the model before the next starts, so the
-activations the pullback reads are still in L2 cache. Models with
-few rows per context (constant, MLP, relative) take the whole minibatch as
-one chunk; the 6-agent symmetric model, at 720 rows per context, takes four
-contexts per chunk.
+``gamma_batch`` also uses. Each chunk goes forward through the model,
+through its filter solves and their pullback, and back through the model
+before the next starts, so the activations the pullback reads are still in
+L2 cache. Models with few rows per context (constant, MLP, relative) take
+the whole minibatch as one chunk; the 6-agent symmetric model, at 720 rows
+per context, takes four contexts per chunk.
 
 Safety rows do not depend on gamma, so constraint assembly is hoisted out of
 the training loop (``prepare_batch``).
