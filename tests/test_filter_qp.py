@@ -813,7 +813,7 @@ def _block_path_equals_per_row(problem, rng):
     with mock.patch.object(filter_qp, "_solve_core", wraps=filter_qp._solve_core) as core, \
             mock.patch.object(filter_qp, "_root", wraps=filter_qp._root) as walk:
         u, pullback = filter_qp.solve_rows_and_pullback(problem)
-    assert [len(call.args[4]) for call in core.call_args_list] == \
+    assert [len(call.args[0]) for call in core.call_args_list] == \
         [min(k, b - i) for i in range(0, b, k)]
     ref_u, ref_pullback = per_row_solve_and_pullback(problem)
     w = rng.normal(size=u.shape)
