@@ -23,11 +23,13 @@ breakpoints. ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its
 u* alone, the generators' entry) and ``differentiate_filter`` take one row
 (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the problem's
 dense pieces are one-row references. ``solve_rows_and_pullback``, the
-training step's entry, solves a batch in blocks of ``BLOCK_ROWS`` = 8 rows
+training step's entry, solves a batch in blocks of ``BLOCK_ROWS`` = 4 rows
 and pulls a cotangent on u* back to gamma, block by block, without forming
-the Jacobians. Larger blocks would be faster, but the scaling tests'
-fitted exponent of step time in batch size, from B = 8, would fall below
-their bounds (README, "Allocation models and their gradients").
+the Jacobians. Larger blocks are faster, but they bring the scaling tests'
+fitted exponent of step time in batch size, from B = 8, closer to its lower
+bound, and a slow spell of the host then fails more runs: at 8 rows about
+twice as many as one row at a time, at 4 rows about as many (README,
+"Allocation models and their gradients").
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .barriers import CbfLinearConstraint
 
 
 # Rows per ``_solve_core`` call and per pullback block in ``solve_rows_and_pullback``
-# (see the module docstring for why 8).
-BLOCK_ROWS = 8
+# (see the module docstring for why 4).
+BLOCK_ROWS = 4
 
 
 class FilterError(RuntimeError):
@@ -255,10 +257,11 @@ def _rowsum(x):
     return np.add.reduce(x, axis=1)
 
 
-# x @ matrix for x (B, m) as one vector-matrix product per row, the kernel of a
-# one-row call: a (B, m) @ (m, n) product can sum each row in another order
-# (OpenBLAS does at m = 12). np.vecmat (numpy >= 2.2) has less dispatch.
-_vecmat = getattr(np, "vecmat", lambda x, matrix: np.matmul(x[:, None], matrix)[:, 0])
+def _vecmat(x, matrix):
+    # x @ matrix for x (B, m) as one vector-matrix product per row, the kernel
+    # of a one-row call: a (B, m) @ (m, n) product can sum each row in another
+    # order (OpenBLAS does at m = 12).
+    return np.matmul(x[:, None], matrix)[:, 0]
 
 
 def _root(a, c, phi0, v0, t, lb, ub, beta2):
@@ -449,7 +452,6 @@ def solve_rows_and_pullback(problem: FilterProblem):
     each row of ``differentiate_filter``'s Jacobian contracted with that row
     of w, without forming it: (own w) @ onehot on a slack row,
     (own (w keep - a sum_{l != j} w_l t_l / total)) @ onehot on a binding one.
-    A block with no binding row skips ``_sensitivities``.
     """
     a, d, g, h = _rows(problem)
     c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
@@ -466,13 +468,9 @@ def solve_rows_and_pullback(problem: FilterProblem):
         dgamma = np.empty((b, onehot.shape[1]))
         for r in blocks:
             wr = w[r]
-            if binds[r].any():
-                _, own, t, total, keep = _sensitivities(a[r], d[r], h[r], u[r], free[r],
-                                                        beta2, others)
-                wr = np.where(binds[r, None],
-                              wr * keep - a[r] * _vecmat(wr * t, others) / total[:, None], wr)
-            else:               # d lam = 0
-                own = (d[r] - u[r]) * (free[r] / h[r])
+            _, own, t, total, keep = _sensitivities(a[r], d[r], h[r], u[r], free[r], beta2, others)
+            wr = np.where(binds[r, None],       # d lam = 0 on a slack row
+                          wr * keep - a[r] * _vecmat(wr * t, others) / total[:, None], wr)
             dgamma[r] = _vecmat(own * wr, onehot)
         return dgamma
 

@@ -8,9 +8,9 @@ gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
 Each chunk of the minibatch is checked once as one batch problem, then
 solved and pulled back through w . du*/dgamma, without forming the
-Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 8 rows: larger blocks
-would make step time grow too slowly in the batch size for the scaling
-tests, which start at B = 8.
+Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 4 rows: larger blocks
+make step time grow more slowly in the batch size, and the scaling tests,
+which start at B = 8, then fail more often on a noisy host.
 
 A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
 contexts, at most ``models.CHUNK_ROWS`` network rows each
