@@ -7,9 +7,9 @@ the QP is differentiable in that vector, so allocations (constant, neural,
 or symmetry-constrained) can be regressed from observed interactions.
 """
 
-from .barriers import (Barrier, CbfLinearConstraint, ClassKappaLinear,
-                       assemble_constraint, make_ellipse_barrier,
-                       make_pairwise_distance_barrier, validate_barrier)
+from .barriers import (Barrier, CbfLinearConstraint, assemble_constraint,
+                       make_ellipse_barrier, make_pairwise_distance_barrier,
+                       validate_barrier)
 from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
                    SampleSet, ScenarioConfig, WeavingConfig, augment,
                    desired_lateral_control, desired_longitudinal_control,
@@ -17,7 +17,7 @@ from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
                    generate_weaving_trajectories, load_trajectories,
                    planar_group_scene, save_trajectories, two_agent_line_scene,
                    weaving_scene)
-from .dynamics import (AgentSpec, ControlAffineSystem, make_double_integrator_2d,
+from .dynamics import (ControlAffineSystem, make_double_integrator_2d,
                        make_relative_double_integrator, make_single_integrator_1d,
                        relative_state)
 from .filter_qp import (FilterError, FilterJacobians, FilterProblem,

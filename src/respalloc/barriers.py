@@ -67,20 +67,6 @@ def _state_or_batch(fn):
 
 
 @dataclass(frozen=True)
-class ClassKappaLinear:
-    """Linear class-K-infinity function alpha(s) = gain * s."""
-
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("class-K gain must be positive")
-
-    def __call__(self, s):
-        return self.gain * s
-
-
-@dataclass(frozen=True)
 class CbfLinearConstraint:
     """Affine-in-control safety row: a . u_stacked + offset >= -eps.
 
@@ -285,15 +271,16 @@ def _rowdot(u, v):
 
 
 def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
-                        alpha_chain: Sequence[ClassKappaLinear], x) -> CbfLinearConstraint:
+                        gains: Sequence[float], x) -> CbfLinearConstraint:
     """Linearize the safety condition in the controls at one state or a batch.
 
     ``x`` is one state (n,), giving one row, or a batch (B, n), giving every
     row at once (``a`` of shape (B, m), ``offset`` of shape (B,)); a single
-    state is the B = 1 row of the batch computation. With drift f = F x:
+    state is the B = 1 row of the batch computation. ``gains`` holds one
+    positive linear class-K gain per relative degree. With drift f = F x:
 
     Relative degree 1 (one gain):   a = G^T grad b,
-                                    c = grad b . f + alpha(b).
+                                    c = grad b . f + k1 b.
     Relative degree 2 (two gains):  with w = hess b . f + F^T grad b,
                                     a = G^T w,
                                     c = w . f + (k1 + k2) b' + k1 k2 b,
@@ -303,9 +290,12 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
     x = system.check_state(x)
     X = x if x.ndim == 2 else x[None]
     degree = system.relative_degree
-    if len(alpha_chain) != degree:
+    if len(gains) != degree:
         raise ValueError(
-            f"alpha_chain must have {degree} element(s) for a relative-degree-{degree} system")
+            f"gains must have {degree} element(s) for a relative-degree-{degree} system")
+    # Written so that a NaN gain fails it too.
+    if not all(k > 0 for k in gains):
+        raise ValueError(f"class-K gains must be positive, got {tuple(gains)}")
 
     if degree not in (1, 2):
         raise ValueError(f"unsupported relative degree {degree}")
@@ -318,7 +308,7 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
 
     if degree == 1:
         a = grad @ system.G
-        c = bdot + alpha_chain[0](b)
+        c = bdot + gains[0] * b
     else:
         leak = grad @ system.G
         if leak.any():              # exact zeros, the usual case, need no scaled test
@@ -330,7 +320,7 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
                                             side="right"))
                 raise ValueError(f"{barrier.name}: control enters the first derivative "
                                  f"through agent {agent}; use a single-gain chain")
-        k1, k2 = alpha_chain[0].gain, alpha_chain[1].gain
+        k1, k2 = gains
         w = np.matmul(hess, f[:, :, None])[:, :, 0] + grad @ system.F
         a = w @ system.G
         c = _rowdot(w, f) + (k1 + k2) * bdot + k1 * k2 * b

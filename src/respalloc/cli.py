@@ -26,7 +26,7 @@ from .data import (SCENE_BUILDERS, WeavingConfig, default_planar_group_config,
                    load_trajectories, read_header, save_trajectories,
                    two_agent_line_scene, weaving_scene)
 from .filter_qp import FilterError, solve_filter
-from .models import init_model, load_model, save_model
+from .models import ConstantGamma, init_model, load_model, save_model
 from .training import TrainConfig, fit, prepare_batch, time_loss_and_grad
 
 
@@ -489,32 +489,26 @@ def cmd_trace(cfg):
     model = _relative_model(cfg)
     path = _require_file(cfg, "dataset", "trajectory file")
     out = _require(cfg, "out", "output CSV")
-    header = read_header(path)
+    scene = weaving_scene()
+    _check_dims(path, read_header(path), "weaving", scene)
     samples = load_trajectories(path)
     samples = samples[samples.trajectory_id == cfg["traj_id"]]
     if not len(samples):
         raise UsageError(f"trajectory id {cfg['traj_id']} not present in {path}")
-    if header["n_agents"] != 2 or header["state_dim"] != 8:
-        raise UsageError("trace export expects two-agent weaving trajectories")
     if not samples.has_u_des.all():
         raise UsageError("trajectory lacks desired controls")
-    scene = weaving_scene()
 
-    rows = []
-    for r, t, u_des, u in zip(scene.filter_state(samples.x), samples.t.tolist(),
-                              samples.u_des.reshape(-1, 4).tolist(),
-                              samples.u.reshape(-1, 4).tolist()):
-        gamma = model.gamma(r if model.context_dim else None)
-        rows.append((t, float(gamma[0]), *u_des, *u, float(scene.barrier.value(r))))
+    R = scene.filter_state(samples.x)
+    gammas = model.gamma_batch(R if model.context_dim else np.zeros((len(R), 0)))
+    columns = np.column_stack([samples.t, gammas[:, 0], samples.u_des.reshape(-1, 4),
+                               samples.u.reshape(-1, 4), scene.barrier.value(R)])
     _write_csv(out, cfg, "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
-                         "u1_lon,u1_lat,u2_lon,u2_lat,b", rows)
+                         "u1_lon,u1_lat,u2_lon,u2_lat,b", map(tuple, columns.tolist()))
     print(f"wrote {len(samples)} timesteps to {out}")
     return 0
 
 
 def cmd_bench(cfg):
-    from .models import ConstantGamma
-
     try:
         sizes = [int(v) for v in cfg["sizes"].split(",")]
     except ValueError as exc:

@@ -27,14 +27,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barriers import (Barrier, ClassKappaLinear, assemble_constraint,
-                       make_ellipse_barrier, make_pairwise_distance_barrier)
+from .barriers import (Barrier, assemble_constraint, make_ellipse_barrier,
+                       make_pairwise_distance_barrier)
 from .dynamics import (ControlAffineSystem, make_double_integrator_2d,
                        make_relative_double_integrator,
                        make_single_integrator_1d, relative_state)
 from .filter_qp import FilterProblem, filtered_controls, solve_filter
 
 TRAJECTORY_FORMAT_VERSION = 1
+# The header fields of a trajectory file that the format itself defines.
+HEADER_FIELDS = ("version", "n_agents", "state_dim", "control_dim", "scenario")
 
 # Per-agent absolute state layout used by the weaving scenario.
 X_LON, X_LAT, X_VLON, X_VLAT = 0, 1, 2, 3
@@ -46,23 +48,18 @@ class TrajectoryFormatError(ValueError):
 
 @dataclass
 class InteractionSample:
-    """One datapoint: joint state, observed controls, desired controls.
+    """One row of a ``SampleSet``: joint state, observed controls, desired
+    controls, each a view of the set's arrays.
 
-    ``u`` and ``u_des`` have shape (n_agents, control_dim). ``u_des`` may be
+    ``u`` and ``u_des`` have shape (n_agents, control_dim). ``u_des`` is
     None when the desired policy is to be recomputed downstream.
     """
 
     x: np.ndarray
     u: np.ndarray
-    u_des: Optional[np.ndarray] = None
-    t: float = 0.0
-    trajectory_id: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.u_des is not None:
-            self.u_des = np.asarray(self.u_des, dtype=float)
+    u_des: Optional[np.ndarray]
+    t: float
+    trajectory_id: int
 
 
 @dataclass(eq=False)
@@ -104,40 +101,6 @@ class SampleSet:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleSet":
-        """``samples`` if it is a set, else a set stacked from a sequence of
-        ``InteractionSample``s. Each sample's ``x`` must have sample 0's shape,
-        and its ``u`` and ``u_des`` the shape of sample 0's ``u``."""
-        if isinstance(samples, SampleSet):
-            return samples
-        if samples:
-            want = {"x": samples[0].x.shape, "u": samples[0].u.shape,
-                    "u_des": samples[0].u.shape}
-        for k, s in enumerate(samples):
-            for name, shape in want.items():
-                value = getattr(s, name)
-                if value is not None and value.shape != shape:
-                    raise ValueError(f"sample {k}: {name} has shape {value.shape}, "
-                                     f"expected {shape}")
-        return cls._from_rows([vars(s) for s in samples])
-
-    @classmethod
-    def _from_rows(cls, rows) -> "SampleSet":
-        """A set stacked from one dict of fields per sample, arrays of one
-        shape; ``u_des`` is None or absent where the sample has none."""
-        if not rows:
-            return cls(np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
-                       np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=int))
-        has = np.array([row.get("u_des") is not None for row in rows])
-        u = np.array([row["u"] for row in rows])
-        u_des = np.full(u.shape, np.nan)
-        if has.any():
-            u_des[has] = [row["u_des"] for row in rows if row.get("u_des") is not None]
-        return cls(np.array([row["x"] for row in rows]), u, u_des, has,
-                   np.array([row["t"] for row in rows], dtype=float),
-                   np.array([row["trajectory_id"] for row in rows], dtype=int))
-
     def nonfinite(self):
         """(row, field) of the first NaN or infinite entry, or None. Rows
         without desired controls are not read for ``u_des``."""
@@ -165,7 +128,7 @@ class InteractionScene:
 
     system: ControlAffineSystem
     barrier: Barrier
-    alpha_chain: tuple
+    gains: tuple                # linear class-K gains, one per relative degree
     beta1: float = 0.1
     beta2: float = 600.0
     state_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -196,7 +159,7 @@ class InteractionScene:
 
     def assemble(self, states):
         """Safety rows at one filter state (n,) or at a batch of them (B, n)."""
-        return assemble_constraint(self.system, self.barrier, self.alpha_chain, states)
+        return assemble_constraint(self.system, self.barrier, self.gains, states)
 
     def problem(self, constraint, u_des, gamma) -> FilterProblem:
         """The filter problem for one assembled safety row or a batch of them.
@@ -218,8 +181,7 @@ def two_agent_line_scene(gain=1.0, beta1=0.1, beta2=600.0, margin=1.0):
     """Two 1D single integrators that must stay ``margin`` apart."""
     system = make_single_integrator_1d(2)
     barrier = make_pairwise_distance_barrier(system, margin)
-    return InteractionScene(system, barrier, (ClassKappaLinear(gain),),
-                            beta1=beta1, beta2=beta2)
+    return InteractionScene(system, barrier, (gain,), beta1=beta1, beta2=beta2)
 
 
 def planar_group_scene(n_agents=6, gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
@@ -227,8 +189,7 @@ def planar_group_scene(n_agents=6, gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
     """N planar double integrators with a closest-pair keep-apart barrier."""
     system = make_double_integrator_2d(n_agents)
     barrier = make_pairwise_distance_barrier(system, margin, temperature=temperature)
-    chain = (ClassKappaLinear(gains[0]), ClassKappaLinear(gains[1]))
-    return InteractionScene(system, barrier, chain, beta1=beta1, beta2=beta2)
+    return InteractionScene(system, barrier, tuple(gains), beta1=beta1, beta2=beta2)
 
 
 def weaving_scene(gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
@@ -242,7 +203,6 @@ def weaving_scene(gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
     """
     system = make_relative_double_integrator()
     barrier = make_ellipse_barrier(axis_lon, axis_lat)
-    chain = (ClassKappaLinear(gains[0]), ClassKappaLinear(gains[1]))
     params = policy or DesiredPolicyParams()
 
     def to_relative(x):
@@ -253,7 +213,7 @@ def weaving_scene(gains=(1.0, 1.0), beta1=0.1, beta2=600.0,
             return relative_state(x[..., :4], x[..., 4:])
         raise ValueError(f"expected 8-dim joint or 4-dim relative states, got {x.shape}")
 
-    return InteractionScene(system, barrier, chain, beta1=beta1, beta2=beta2,
+    return InteractionScene(system, barrier, tuple(gains), beta1=beta1, beta2=beta2,
                             state_map=to_relative,
                             desired_policy=lambda x: desired_controls_weaving(x, params))
 
@@ -463,13 +423,12 @@ def generate_synthetic(config: ScenarioConfig, scene: InteractionScene,
                      np.zeros(B), np.arange(B))
 
 
-def active_fraction(samples, scene, gamma_truth):
+def active_fraction(samples: SampleSet, scene, gamma_truth):
     """Share of samples whose safety row binds under the given allocation.
 
     ``gamma_truth`` takes every form ``resolve_gamma_truth`` accepts; a
     callable receives the sample's position in ``samples`` as k.
     """
-    samples = SampleSet.from_samples(samples)
     states = scene.filter_state(samples.x)
     gammas = resolve_gamma_truth(gamma_truth, range(len(states)), states)
     u_des = scene.desired_controls(samples)
@@ -588,7 +547,7 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
 # -- augmentations --------------------------------------------------------------
 
 
-def augment(samples, kind: str) -> SampleSet:
+def augment(samples: SampleSet, kind: str) -> SampleSet:
     """The samples followed by transformed copies of them (two-car lane samples).
 
     ``mirror_lateral`` flips every lateral state and control across the lane
@@ -598,21 +557,18 @@ def augment(samples, kind: str) -> SampleSet:
     """
     if kind not in ("mirror_lateral", "swap_agents"):
         raise ValueError(f"unknown augmentation {kind!r}")
-    s = SampleSet.from_samples(samples)
-    if not len(s):
-        return s
-    if s.x.shape[1:] != (8,) or s.u.shape[1:] != (2, 2):
+    if samples.x.shape[1:] != (8,) or samples.u.shape[1:] != (2, 2):
         raise ValueError("augmentations require two-agent [lon, lat, vlon, vlat] samples")
     if kind == "mirror_lateral":
-        X, U, U_des = s.x.copy(), s.u.copy(), s.u_des.copy()
+        X, U, U_des = samples.x.copy(), samples.u.copy(), samples.u_des.copy()
         X[:, [X_LAT, X_VLAT, 4 + X_LAT, 4 + X_VLAT]] *= -1.0
         U[:, :, 1] *= -1.0
         U_des[:, :, 1] *= -1.0
     else:
-        X = np.concatenate([s.x[:, 4:], s.x[:, :4]], axis=1)
-        U, U_des = s.u[:, ::-1], s.u_des[:, ::-1]
-    copies = (X, U, U_des, s.has_u_des, s.t, s.trajectory_id)
-    return SampleSet(*(np.concatenate(pair) for pair in zip(vars(s).values(), copies)))
+        X = np.concatenate([samples.x[:, 4:], samples.x[:, :4]], axis=1)
+        U, U_des = samples.u[:, ::-1], samples.u_des[:, ::-1]
+    copies = (X, U, U_des, samples.has_u_des, samples.t, samples.trajectory_id)
+    return SampleSet(*(np.concatenate(pair) for pair in zip(vars(samples).values(), copies)))
 
 
 # -- trajectory files ------------------------------------------------------------
@@ -638,30 +594,34 @@ def atomic_write(path, text):
         raise
 
 
-def save_trajectories(samples, path, scenario="custom", extra_header: Optional[dict] = None):
+def save_trajectories(samples: SampleSet, path, scenario="custom",
+                      extra_header: Optional[dict] = None):
     """Write newline-delimited JSON: one header record, then one per sample.
 
-    Floats are written by repr and parse back bit-exactly. ``samples`` is a
-    ``SampleSet`` or a sequence of ``InteractionSample``s of one shape; a NaN
-    or infinite entry is a ValueError naming the sample and the field, and
-    leaves ``path`` as it was.
+    Floats are written by repr and parse back bit-exactly. The header's
+    dimensions are read from the set's arrays, so an empty set keeps them.
+    Each of these is a ValueError that leaves ``path`` as it was: a NaN or
+    infinite entry (naming the sample and the field), and an
+    ``extra_header`` key that is one of the format's own ``HEADER_FIELDS``.
     """
-    s = SampleSet.from_samples(samples)
-    bad = s.nonfinite()
+    bad = samples.nonfinite()
     if bad is not None:
         raise ValueError(f"sample {bad[0]}: non-finite value in {bad[1]}; "
                          f"{path} not written")
-    n_agents, control_dim = s.u.shape[1:] if len(s) else (0, 0)
+    extra_header = extra_header or {}
+    clash = [key for key in HEADER_FIELDS if key in extra_header]
+    if clash:
+        raise ValueError(f"extra_header would overwrite the format's field {clash[0]!r}; "
+                         f"{path} not written")
+    n_agents, control_dim = samples.u.shape[1:]
     header = {"version": TRAJECTORY_FORMAT_VERSION, "n_agents": n_agents,
-              "state_dim": s.x.shape[1] if len(s) else 0, "control_dim": control_dim,
-              "scenario": scenario}
-    if extra_header:
-        header.update(extra_header)
+              "state_dim": samples.x.shape[1], "control_dim": control_dim,
+              "scenario": scenario, **extra_header}
     lines = [json.dumps(header)]
     # A list of finite floats reprs as JSON does.
-    u_des = s.u_des.tolist()
-    for tid, t, x, u, has, d in zip(s.trajectory_id.tolist(), s.t.tolist(), s.x.tolist(),
-                                    s.u.tolist(), s.has_u_des.tolist(), u_des):
+    columns = (samples.trajectory_id, samples.t, samples.x, samples.u, samples.has_u_des,
+               samples.u_des)
+    for tid, t, x, u, has, d in zip(*(column.tolist() for column in columns)):
         tail = f', "u_des": {d!r}}}' if has else "}"
         lines.append(f'{{"trajectory_id": {tid}, "t": {t!r}, "x": {x!r}, "u": {u!r}{tail}')
     atomic_write(path, "\n".join(lines) + "\n")
@@ -678,7 +638,7 @@ def read_header(path) -> dict:
         raise TrajectoryFormatError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise TrajectoryFormatError(f"{path}: header must be a JSON object, got {header!r}")
-    for key in ("version", "n_agents", "state_dim", "control_dim", "scenario"):
+    for key in HEADER_FIELDS:
         if key not in header:
             raise TrajectoryFormatError(f"{path}: header missing field {key!r}")
     if header["version"] != TRAJECTORY_FORMAT_VERSION:
@@ -711,18 +671,20 @@ def load_trajectories(path) -> SampleSet:
     ``json.loads``. Strings and booleans are looked for on the raw line:
     unless a value holds a string or a key repeats, the keys make all of the
     line's quotes, and then "true" or "false" can only be booleans. Only a
-    line that fails this is searched value by value.
+    line that fails this is searched value by value. The set's arrays have
+    the header's dimensions, also when the file holds no record.
     """
     header = read_header(path)
     shapes = {"x": (header["state_dim"],), "u": (header["n_agents"], header["control_dim"])}
     shapes["u_des"] = shapes["u"]
-    rows = []
+    columns = {key: [] for key in ("t", "trajectory_id", "has_u_des", *shapes)}
+    missing = np.full(shapes["u"], np.nan)
     with open(path) as fh:
         fh.readline()
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            where = f"{path}: record {len(rows)} (line {line_no})"
+            where = f"{path}: record {len(columns['t'])} (line {line_no})"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -752,14 +714,17 @@ def load_trajectories(path) -> SampleSet:
                     f"{where}: trajectory_id {tid} does not fit in 64 bits")
             plain = (line.count('"') == 2 * len(rec)
                      and "true" not in line and "false" not in line)
-            row = {"t": t, "trajectory_id": tid}
+            columns["t"].append(t)
+            columns["trajectory_id"].append(tid)
+            columns["has_u_des"].append("u_des" in rec)
             for key, shape in shapes.items():
                 if key not in rec:      # only u_des is optional
+                    columns[key].append(missing)
                     continue
                 if not (plain or _numbers_only(rec[key])):
                     raise TrajectoryFormatError(f"{where}: {key} is not an array of numbers")
                 try:
-                    value = row[key] = np.asarray(rec[key], dtype=float)
+                    value = np.asarray(rec[key], dtype=float)
                 except (TypeError, ValueError) as exc:
                     raise TrajectoryFormatError(f"{where}: {key} is not an array of "
                                                 "numbers") from exc
@@ -770,31 +735,30 @@ def load_trajectories(path) -> SampleSet:
                         f"{where}: {key} has shape {value.shape}, header says {shape}")
                 if not np.isfinite(value).all():
                     raise TrajectoryFormatError(f"{where}: non-finite value in {key}")
-            rows.append(row)
-    return SampleSet._from_rows(rows)
+                columns[key].append(value)
+    B = len(columns["t"])
+    x, u, u_des = (np.array(columns[key], dtype=float).reshape((B,) + shape)
+                   for key, shape in shapes.items())
+    return SampleSet(x, u, u_des, np.array(columns["has_u_des"], dtype=bool),
+                     np.array(columns["t"], dtype=float),
+                     np.array(columns["trajectory_id"], dtype=int))
 
 
-def export_csv(samples, path, header_comment=None):
+def export_csv(samples: SampleSet, path, header_comment=None):
     """Flat CSV of the same columns, one row per sample, for plotting."""
-    s = SampleSet.from_samples(samples)
-    lines = []
-    if header_comment:
-        lines.append("# " + header_comment)
-    if len(s):
-        B, n, m = s.u.shape
-        cols = (["trajectory_id", "t"]
-                + [f"x{j}" for j in range(s.x.shape[1])]
-                + [f"u{i}_{j}" for i in range(n) for j in range(m)]
-                + [f"udes{i}_{j}" for i in range(n) for j in range(m)])
-        lines.append(",".join(cols))
-        values = np.hstack([s.t[:, None], s.x, s.u.reshape(B, -1), s.u_des.reshape(B, -1)])
-        bare = values.shape[1] - n * m
-        for tid, has, row in zip(s.trajectory_id.tolist(), s.has_u_des.tolist(),
-                                 values.tolist()):
-            if has:
-                lines.append(f"{tid}," + ",".join(map(repr, row)))
-            else:
-                lines.append(f"{tid}," + ",".join(map(repr, row[:bare])) + "," * (n * m))
-    else:
-        lines.append("trajectory_id,t")
+    lines = ["# " + header_comment] if header_comment else []
+    B, n, m = samples.u.shape
+    lines.append(",".join(["trajectory_id", "t"]
+                          + [f"x{j}" for j in range(samples.x.shape[1])]
+                          + [f"u{i}_{j}" for i in range(n) for j in range(m)]
+                          + [f"udes{i}_{j}" for i in range(n) for j in range(m)]))
+    values = np.hstack([samples.t[:, None], samples.x, samples.u.reshape(B, n * m),
+                        samples.u_des.reshape(B, n * m)])
+    bare = values.shape[1] - n * m
+    for tid, has, row in zip(samples.trajectory_id.tolist(), samples.has_u_des.tolist(),
+                             values.tolist()):
+        if has:
+            lines.append(f"{tid}," + ",".join(map(repr, row)))
+        else:
+            lines.append(f"{tid}," + ",".join(map(repr, row[:bare])) + "," * (n * m))
     atomic_write(path, "\n".join(lines) + "\n")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,39 +28,13 @@ _DI_ACTUATION = np.vstack([np.zeros((2, 2)), np.eye(2)])
 
 
 @dataclass(frozen=True)
-class AgentSpec:
-    """Per-agent dimensions and box control bounds."""
-
-    state_dim: int
-    control_dim: int
-    control_lower: np.ndarray
-    control_upper: np.ndarray
-
-    def __post_init__(self):
-        if self.state_dim <= 0 or self.control_dim <= 0:
-            raise ValueError("agent dimensions must be positive")
-        lo = np.broadcast_to(np.asarray(self.control_lower, dtype=float),
-                             (self.control_dim,)).copy()
-        hi = np.broadcast_to(np.asarray(self.control_upper, dtype=float),
-                             (self.control_dim,)).copy()
-        if np.any(lo > hi):
-            raise ValueError("control_lower must be <= control_upper elementwise")
-        object.__setattr__(self, "control_lower", lo)
-        object.__setattr__(self, "control_upper", hi)
-
-
-def agent_spec(state_dim, control_dim, bound=DEFAULT_CONTROL_BOUND):
-    """Symmetric box bounds [-bound, bound] on every control channel."""
-    return AgentSpec(state_dim, control_dim, -bound * np.ones(control_dim),
-                     bound * np.ones(control_dim))
-
-
-@dataclass(frozen=True)
 class ControlAffineSystem:
     """A linear time-invariant joint system xdot = F x + G u.
 
     ``F`` (n x n) and ``G`` (n x m) are constant; the columns of ``G`` are
-    the agents' control channels in stacked order. Every evaluator accepts
+    the agents' control channels in stacked order, ``control_dims[i]`` of
+    them for agent i. Every channel lies in [-control_bound, control_bound];
+    an infinite bound leaves the channels unbounded. Every evaluator accepts
     one state (n,) or a batch (B, n).
 
     ``agent_state_dim`` is set for systems whose joint state is the
@@ -71,7 +44,8 @@ class ControlAffineSystem:
     """
 
     name: str
-    agents: tuple
+    control_dims: tuple
+    control_bound: float
     relative_degree: int
     F: np.ndarray
     G: np.ndarray
@@ -82,8 +56,12 @@ class ControlAffineSystem:
         n = self.F.shape[0]
         if self.F.shape != (n, n) or self.G.shape != (n, self.control_dim_total):
             raise ValueError(f"{self.name}: F must be (n, n) and G (n, {self.control_dim_total})")
-        bounds = (np.concatenate([a.control_lower for a in self.agents]),
-                  np.concatenate([a.control_upper for a in self.agents]))
+        # Written so that NaN fails it too.
+        if not self.control_bound >= 0:
+            raise ValueError(f"{self.name}: control_bound must be nonnegative, "
+                             f"got {self.control_bound}")
+        upper = np.full(self.control_dim_total, float(self.control_bound))
+        bounds = (-upper, upper)
         for arr in (self.F, self.G) + bounds:
             arr.setflags(write=False)
         object.__setattr__(self, "_bounds", bounds)
@@ -94,11 +72,7 @@ class ControlAffineSystem:
 
     @property
     def n_agents(self) -> int:
-        return len(self.agents)
-
-    @cached_property
-    def control_dims(self):
-        return tuple(a.control_dim for a in self.agents)
+        return len(self.control_dims)
 
     @property
     def control_dim_total(self) -> int:
@@ -134,7 +108,8 @@ def make_single_integrator_1d(n_agents, control_bound=DEFAULT_CONTROL_BOUND):
     n = n_agents
     return ControlAffineSystem(
         name="single_integrator_1d",
-        agents=tuple(agent_spec(1, 1, control_bound) for _ in range(n)),
+        control_dims=(1,) * n,
+        control_bound=control_bound,
         relative_degree=1,
         F=np.zeros((n, n)),
         G=np.eye(n),
@@ -150,7 +125,8 @@ def make_double_integrator_2d(n_agents, control_bound=DEFAULT_CONTROL_BOUND):
     n = n_agents
     return ControlAffineSystem(
         name="double_integrator_2d",
-        agents=tuple(agent_spec(4, 2, control_bound) for _ in range(n)),
+        control_dims=(2,) * n,
+        control_bound=control_bound,
         relative_degree=2,
         F=np.kron(np.eye(n), _DI_DRIFT),
         G=np.kron(np.eye(n), _DI_ACTUATION),
@@ -166,7 +142,8 @@ def make_relative_double_integrator(control_bound=DEFAULT_CONTROL_BOUND):
     """
     return ControlAffineSystem(
         name="relative_double_integrator",
-        agents=(agent_spec(4, 2, control_bound), agent_spec(4, 2, control_bound)),
+        control_dims=(2, 2),
+        control_bound=control_bound,
         relative_degree=2,
         F=_DI_DRIFT.copy(),
         G=np.hstack([-_DI_ACTUATION, _DI_ACTUATION]),

@@ -225,6 +225,9 @@ class FilterJacobians:
 
 def kkt_residuals(problem: FilterProblem, solution: FilterSolution):
     """Max violations of stationarity / primal / dual / complementarity (one row)."""
+    if np.ndim(problem.constraint.a) != 1:
+        raise FilterError(f"kkt_residuals takes one row, a of shape (m,); "
+                          f"got a of shape {np.shape(problem.constraint.a)}")
     z = np.concatenate([solution.u, [solution.eps]])
     rows, rhs = problem.constraint_rows()
     lam = solution.duals

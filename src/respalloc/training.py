@@ -111,15 +111,12 @@ class PreparedBatch:
             beta1=self.beta1, beta2=self.beta2)
 
 
-def prepare_batch(samples, scene: InteractionScene, context_dim=None) -> PreparedBatch:
-    """Assemble the samples' safety rows once; they do not depend on gamma.
-
-    ``samples`` is a ``SampleSet`` or a sequence of ``InteractionSample``s.
-    """
-    if not len(samples):
-        raise ValueError("empty batch")
-    samples = SampleSet.from_samples(samples)
+def prepare_batch(samples: SampleSet, scene: InteractionScene,
+                  context_dim=None) -> PreparedBatch:
+    """Assemble the samples' safety rows once; they do not depend on gamma."""
     B = len(samples)
+    if not B:
+        raise ValueError("empty batch")
     states = scene.filter_state(samples.x)
     cons = scene.assemble(states)
     u_des = scene.desired_controls(samples).reshape(B, -1)
@@ -357,14 +354,13 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
         probe_contexts=probe, diverged=diverged)
 
 
-def fit_windows(samples, scene: InteractionScene, config: TrainConfig,
+def fit_windows(samples: SampleSet, scene: InteractionScene, config: TrainConfig,
                 n_windows: int):
     """Fit a constant allocation per contiguous sample window.
 
     Used to track schedules that change over the course of a dataset.
     Returns an (n_windows, N) array of per-window estimates.
     """
-    samples = SampleSet.from_samples(samples)
     n = len(samples)
     if not 0 < n_windows <= n:
         raise ValueError(f"n_windows must lie in [1, {n}] for {n} samples, got {n_windows}")

@@ -228,13 +228,10 @@ def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
 
 
 def ndjson_reference(samples, scenario="custom", extra_header=None):
-    """The text ``save_trajectories`` writes, one ``json.dumps`` per sample object."""
-    if samples:
-        n_agents, control_dim = samples[0].u.shape
-        state_dim = samples[0].x.size
-    else:
-        n_agents, control_dim, state_dim = 0, 0, 0
-    header = {"version": 1, "n_agents": n_agents, "state_dim": state_dim,
+    """The text ``save_trajectories`` writes, one ``json.dumps`` per row object
+    of the set ``samples``, with the header's dimensions from its arrays."""
+    n_agents, control_dim = samples.u.shape[1:]
+    header = {"version": 1, "n_agents": n_agents, "state_dim": samples.x.shape[1],
               "control_dim": control_dim, "scenario": scenario}
     header.update(extra_header or {})
     lines = [json.dumps(header)]
@@ -248,13 +245,12 @@ def ndjson_reference(samples, scenario="custom", extra_header=None):
 
 
 def csv_reference(samples, header_comment=None):
-    """The text ``export_csv`` writes, one row built per sample object."""
+    """The text ``export_csv`` writes, one line built per row object of the set
+    ``samples``, with the columns from its arrays' dimensions."""
     lines = ["# " + header_comment] if header_comment else []
-    if not samples:
-        return "\n".join(lines + ["trajectory_id,t"]) + "\n"
-    n, m = samples[0].u.shape
+    n, m = samples.u.shape[1:]
     lines.append(",".join(["trajectory_id", "t"]
-                          + [f"x{j}" for j in range(samples[0].x.size)]
+                          + [f"x{j}" for j in range(samples.x.shape[1])]
                           + [f"u{i}_{j}" for i in range(n) for j in range(m)]
                           + [f"udes{i}_{j}" for i in range(n) for j in range(m)]))
     for s in samples:

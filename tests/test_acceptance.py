@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from respalloc.barriers import ClassKappaLinear, assemble_constraint, \
-    make_pairwise_distance_barrier
+from respalloc.barriers import assemble_constraint, make_pairwise_distance_barrier
 from respalloc.data import (WeavingConfig, augment, default_planar_group_config,
                             default_two_agent_config, generate_synthetic,
                             generate_weaving_trajectories, planar_group_scene,
@@ -103,7 +102,7 @@ def _random_instance(rng):
     barrier = make_pairwise_distance_barrier(sys, 1.0)
     x1 = rng.uniform(-1.0, 1.0)
     x = np.array([x1, x1 + rng.uniform(0.6, 2.2) * rng.choice([-1.0, 1.0])])
-    con = assemble_constraint(sys, barrier, (ClassKappaLinear(1.0),), x)
+    con = assemble_constraint(sys, barrier, (1.0,), x)
     g1 = rng.uniform(0.05, 0.95)
     return FilterProblem(
         constraint=con, u_des=rng.uniform(-3.0, 3.0, size=2),
@@ -134,8 +133,7 @@ def test_qp_matches_grid_oracle_with_kkt_certificates():
 def test_deviation_monotone_in_allocation():
     sys = make_single_integrator_1d(2)
     barrier = make_pairwise_distance_barrier(sys, 1.0)
-    con = assemble_constraint(sys, barrier, (ClassKappaLinear(1.0),),
-                              np.array([0.0, 1.5]))
+    con = assemble_constraint(sys, barrier, (1.0,), np.array([0.0, 1.5]))
     beta1 = 0.05
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     dev1, dev2 = [], []

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from respalloc import barriers
-from respalloc.barriers import (Barrier, ClassKappaLinear, assemble_constraint,
-                                make_ellipse_barrier,
+from respalloc.barriers import (Barrier, assemble_constraint, make_ellipse_barrier,
                                 make_pairwise_distance_barrier, validate_barrier)
 from respalloc.dynamics import (make_double_integrator_2d, make_relative_double_integrator,
                                 make_single_integrator_1d)
@@ -105,8 +104,7 @@ def test_softmin_is_conservative_and_matches_hard_min_off_ties():
 
 def test_degree1_assembly_two_agent_scene(line_pair):
     barrier = make_pairwise_distance_barrier(line_pair, 1.0)
-    con = assemble_constraint(line_pair, barrier, (ClassKappaLinear(1.0),),
-                              np.array([0.0, 1.5]))
+    con = assemble_constraint(line_pair, barrier, (1.0,), np.array([0.0, 1.5]))
     np.testing.assert_allclose(con.a, [-3.0, 3.0])
     assert con.offset == pytest.approx(1.25)
     assert con.value([1.0, -1.0]) == pytest.approx(-4.75)
@@ -115,8 +113,7 @@ def test_degree1_assembly_two_agent_scene(line_pair):
 
 def test_constraint_is_affine_with_unit_control_coefficients(line_pair):
     barrier = make_pairwise_distance_barrier(line_pair, 1.0)
-    con = assemble_constraint(line_pair, barrier, (ClassKappaLinear(2.0),),
-                              np.array([-0.3, 1.1]))
+    con = assemble_constraint(line_pair, barrier, (2.0,), np.array([-0.3, 1.1]))
     m = con.a.size
     base = con.value(np.zeros(m))
     for j in range(m):
@@ -129,12 +126,24 @@ def test_degree2_requires_hessian_and_two_gains():
     sys = make_double_integrator_2d(2)
     barrier = make_pairwise_distance_barrier(sys, 1.0)
     x = np.array([0.0, 0.0, 0.5, 0.0, 1.2, 0.0, -0.5, 0.0])
-    with pytest.raises(ValueError, match="alpha_chain"):
-        assemble_constraint(sys, barrier, (ClassKappaLinear(1.0),), x)
+    with pytest.raises(ValueError, match="gains"):
+        assemble_constraint(sys, barrier, (1.0,), x)
     no_hess = Barrier(value=barrier.value, grad=barrier.grad, hess=None)
     with pytest.raises(ValueError, match="Hessian"):
-        assemble_constraint(sys, no_hess,
-                            (ClassKappaLinear(1.0), ClassKappaLinear(1.0)), x)
+        assemble_constraint(sys, no_hess, (1.0, 1.0), x)
+
+
+@pytest.mark.parametrize("gains,message", [
+    ((), "gains must have 1 element"), ((1.0, 1.0), "gains must have 1 element"),
+    ((0.0,), "gains must be positive"), ((-1.0,), "gains must be positive"),
+    ((float("nan"),), "gains must be positive")],
+    ids=["none", "two", "zero", "negative", "nan"])
+def test_assembly_rejects_a_wrong_gain_count_or_a_gain_that_is_not_positive(
+        gains, message, line_pair):
+    barrier = make_pairwise_distance_barrier(line_pair, 1.0)
+    for x in (np.array([0.0, 1.5]), np.array([[0.0, 1.5], [0.2, 0.9]])):
+        with pytest.raises(ValueError, match=message):
+            assemble_constraint(line_pair, barrier, gains, x)
 
 
 def _fd_second_derivative_chain(sys, barrier, x, u, k1, k2, dt=1e-4):
@@ -164,8 +173,7 @@ def test_degree2_assembly_matches_trajectory_finite_differences(seed):
     barrier = make_pairwise_distance_barrier(sys, 1.0)
     x = rng.normal(size=8, scale=1.5)
     u = rng.normal(size=4)
-    con = assemble_constraint(sys, barrier,
-                              (ClassKappaLinear(1.0), ClassKappaLinear(1.0)), x)
+    con = assemble_constraint(sys, barrier, (1.0, 1.0), x)
     oracle = _fd_second_derivative_chain(sys, barrier, x, u, 1.0, 1.0)
     assert con.value(u) == pytest.approx(oracle, rel=1e-3, abs=1e-3)
 
@@ -178,8 +186,7 @@ def test_degree2_relative_system_matches_finite_differences(seed):
     barrier = make_ellipse_barrier(9.22, 1.76)
     r = rng.normal(size=4, scale=3.0)
     u = rng.normal(size=4)
-    con = assemble_constraint(sys, barrier,
-                              (ClassKappaLinear(1.0), ClassKappaLinear(1.0)), r)
+    con = assemble_constraint(sys, barrier, (1.0, 1.0), r)
     oracle = _fd_second_derivative_chain(sys, barrier, r, u, 1.0, 1.0)
     assert con.value(u) == pytest.approx(oracle, rel=1e-3, abs=1e-3)
 
@@ -188,7 +195,7 @@ def test_boundary_reduces_to_bdot(line_pair):
     # At b(x) = 0 with a linear gain the row offset is just grad b . drift = bdot.
     barrier = make_pairwise_distance_barrier(line_pair, 1.0)
     x = np.array([0.0, 1.0])
-    con = assemble_constraint(line_pair, barrier, (ClassKappaLinear(1.0),), x)
+    con = assemble_constraint(line_pair, barrier, (1.0,), x)
     assert barrier.value(x) == pytest.approx(0.0, abs=1e-12)
     assert con.offset == pytest.approx(0.0, abs=1e-12)   # zero drift system
 
@@ -196,7 +203,7 @@ def test_boundary_reduces_to_bdot(line_pair):
 def test_closed_loop_forward_invariance(line_pair):
     # Filtered controls keep b nonnegative along an Euler rollout.
     barrier = make_pairwise_distance_barrier(line_pair, 1.0)
-    chain = (ClassKappaLinear(1.0),)
+    chain = (1.0,)
     u_des = np.array([1.0, -1.0])     # head-on desired controls
 
     states = [np.array([0.0, 1.6])]
@@ -286,7 +293,7 @@ def test_joint_rows_equal_rows_from_the_three_evaluators(agents, temperature, se
     states = np.random.default_rng(seed).normal(size=(40, scene.system.state_dim), scale=1.2)
     for x in (states, states[0]):
         rows = scene.assemble(x)
-        ref = assemble_constraint(scene.system, separate, scene.alpha_chain, x)
+        ref = assemble_constraint(scene.system, separate, scene.gains, x)
         assert np.array_equal(rows.a, ref.a) and np.array_equal(rows.offset, ref.offset)
     assert validate_barrier(scene.barrier, states[:3], require_hess=True) is scene.barrier
 
@@ -376,7 +383,7 @@ def _leaky_barrier(index, weight):
 @pytest.mark.parametrize("index,agent", [(2, 0), (7, 1)])
 def test_degree2_leak_is_rejected_naming_the_agent(index, agent):
     system = make_double_integrator_2d(2)
-    chain = (ClassKappaLinear(1.0), ClassKappaLinear(1.0))
+    chain = (1.0, 1.0)
     barrier = _leaky_barrier(index, 1.0)
     states = np.random.default_rng(0).normal(size=(5, 8))
     states[:, index] = 0.0

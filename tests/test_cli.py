@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from respalloc import cli
 from respalloc.cli import main
 from respalloc.data import (active_fraction, load_trajectories, read_header,
-                            two_agent_line_scene, weaving_scene)
+                            save_trajectories, two_agent_line_scene, weaving_scene)
 from respalloc.filter_qp import solve_filter
 from respalloc.models import ConstantGamma, init_model, load_model, save_model
 
@@ -637,6 +638,21 @@ def test_trace_rejects_missing_trajectory(relative_checkpoint, weaving_dataset,
     assert run(["trace", "--checkpoint", relative_checkpoint,
                 "--dataset", weaving_dataset, "--traj-id", 99,
                 "--out", tmp_path / "x.csv"]) == 2
+
+
+def test_trace_rejects_a_dataset_without_two_controls_per_agent(
+        relative_checkpoint, weaving_dataset, tmp_path, capsys):
+    # Two agents and 8-entry states, but one control each: the trace's four
+    # control columns would mix the samples' controls.
+    samples = load_trajectories(weaving_dataset)
+    path = tmp_path / "one-control.ndjson"
+    save_trajectories(replace(samples, u=samples.u[:, :, :1], u_des=samples.u_des[:, :, :1]),
+                      path, scenario="weaving-single")
+    out = tmp_path / "x.csv"
+    assert run(["trace", "--checkpoint", relative_checkpoint, "--dataset", path,
+                "--out", out]) == 2
+    assert "controls of shape (2, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_outputs_rows_and_exponent(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,11 +359,10 @@ def _tiny_weaving(n=12):
 
 
 def _partly_desired(samples):
-    """Copies of ``samples`` in which every third one lacks desired controls."""
-    return [InteractionSample(x=s.x.copy(), u=s.u.copy(),
-                              u_des=None if k % 3 == 0 else s.u_des.copy(),
-                              t=s.t, trajectory_id=s.trajectory_id)
-            for k, s in enumerate(samples)]
+    """``samples`` in which every third sample lacks desired controls."""
+    has = np.arange(len(samples)) % 3 != 0
+    return replace(samples, u_des=np.where(has[:, None, None], samples.u_des, np.nan),
+                   has_u_des=has)
 
 
 def _assert_same_samples(got, want):
@@ -377,7 +377,7 @@ def _assert_same_samples(got, want):
 
 
 def test_mirror_augmentation_is_involutive_and_doubles():
-    assert len(augment([], "mirror_lateral")) == 0
+    assert len(augment(_tiny_weaving()[:0], "mirror_lateral")) == 0
     for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
         once = augment(base, "mirror_lateral")
         assert len(once) == 2 * len(base)
@@ -395,7 +395,7 @@ def test_mirror_augmentation_is_involutive_and_doubles():
 
 
 def test_swap_augmentation_negates_relative_state():
-    assert len(augment([], "swap_agents")) == 0
+    assert len(augment(_tiny_weaving()[:0], "swap_agents")) == 0
     scene = weaving_scene()
     for base in (_tiny_weaving(), _partly_desired(_tiny_weaving())):
         out = augment(base, "swap_agents")
@@ -458,8 +458,9 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 def test_a_weaving_file_without_desired_controls_recomputes_them(tmp_path):
     samples = _tiny_weaving()
     path = tmp_path / "bare.ndjson"
-    save_trajectories([InteractionSample(x=s.x, u=s.u, t=s.t, trajectory_id=s.trajectory_id)
-                       for s in samples], path, scenario="single")
+    bare = replace(samples, u_des=np.full_like(samples.u_des, np.nan),
+                   has_u_des=np.zeros(len(samples), dtype=bool))
+    save_trajectories(bare, path, scenario="single")
     loaded = load_trajectories(path)
     assert all(s.u_des is None for s in loaded)
     scene = weaving_scene()
@@ -468,9 +469,10 @@ def test_a_weaving_file_without_desired_controls_recomputes_them(tmp_path):
 
 
 def test_a_line_sample_without_desired_controls_is_an_error():
-    sample = InteractionSample(x=np.array([0.0, 2.0]), u=np.zeros((2, 1)))
+    sample = SampleSet(np.array([[0.0, 2.0]]), np.zeros((1, 2, 1)), np.full((1, 2, 1), np.nan),
+                       np.zeros(1, dtype=bool), np.zeros(1), np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="sample lacks desired controls"):
-        prepare_batch([sample], two_agent_line_scene(), 0)
+        prepare_batch(sample, two_agent_line_scene(), 0)
 
 
 def test_loader_rejects_nonfinite_values_naming_the_record(tmp_path):
@@ -648,25 +650,32 @@ def test_writer_refuses_nonfinite_values_and_leaves_the_file(field, row, bad, tm
     path.write_text("kept\n")
     samples = _partly_desired(_tiny_weaving(6))
     if field == "t":
-        samples[row].t = bad
+        samples.t[row] = bad
     else:
-        getattr(samples[row], field).flat[1] = bad
+        getattr(samples, field)[row].flat[1] = bad
     with pytest.raises(ValueError, match=f"sample {row}: non-finite value in {field};"):
         save_trajectories(samples, path)
-    with pytest.raises(ValueError, match=f"sample {row}: non-finite value in {field};"):
-        save_trajectories(SampleSet.from_samples(samples), path)
     assert path.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("field,shape", [("x", (7,)), ("u", (2, 1)), ("u_des", (1, 2))])
-def test_writer_refuses_samples_of_another_shape(field, shape, tmp_path):
+@pytest.mark.parametrize("key", ["version", "n_agents", "state_dim", "control_dim",
+                                 "scenario"])
+def test_writer_refuses_extra_header_keys_of_the_format_and_leaves_the_file(key, tmp_path):
+    # Such a key would replace a field that the loader checks the records
+    # against: with n_agents 3, every record's u would have the wrong shape.
     path = tmp_path / "kept.ndjson"
     path.write_text("kept\n")
-    samples = list(_tiny_weaving(4))
-    setattr(samples[2], field, np.zeros(shape))
-    with pytest.raises(ValueError, match=rf"sample 2: {field} has shape {re.escape(str(shape))}"):
-        save_trajectories(samples, path)
+    samples = _tiny_weaving(3)
+    with pytest.raises(ValueError, match=f"extra_header would overwrite the format's "
+                                         f"field '{key}'; {re.escape(str(path))} not written"):
+        save_trajectories(samples, path, extra_header={"config": {}, key: 3})
     assert path.read_text() == "kept\n"
+    # The keys the CLI adds are not the format's own.
+    extra = {"config": {"n": 3, "scenario": "weaving-single"}, "truth": {"kind": "constant"}}
+    save_trajectories(samples, path, scenario="single", extra_header=extra)
+    assert read_header(path) == {"version": 1, "n_agents": 2, "state_dim": 8,
+                                 "control_dim": 2, "scenario": "single", **extra}
+    assert len(load_trajectories(path)) == 3
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -693,30 +702,28 @@ def _writer_cases():
     line = generate_synthetic(default_two_agent_config(n_samples=40, seed=2),
                               two_agent_line_scene(), np.array([0.4, 0.6]))
     return {"line": line, "planar6": planar, "weave": weave,
-            "weave-partly": _partly_desired(weave), "empty": []}
+            "weave-partly": _partly_desired(weave), "empty": weave[:0]}
 
 
 @pytest.mark.parametrize("name", ["line", "planar6", "weave", "weave-partly", "empty"])
 def test_writers_equal_the_per_sample_reference(name, tmp_path):
     samples = _writer_cases()[name]
-    objects = list(samples)
     save_trajectories(samples, tmp_path / "a.ndjson", scenario=name, extra_header={"k": 1})
-    assert (tmp_path / "a.ndjson").read_text() == ndjson_reference(objects, name, {"k": 1})
+    assert (tmp_path / "a.ndjson").read_text() == ndjson_reference(samples, name, {"k": 1})
     export_csv(samples, tmp_path / "a.csv", header_comment="c")
-    assert (tmp_path / "a.csv").read_text() == csv_reference(objects, "c")
-    loaded = load_trajectories(tmp_path / "a.ndjson")
-    _assert_same_samples(loaded, objects)
-    _assert_same_samples(SampleSet.from_samples(objects), objects)
+    assert (tmp_path / "a.csv").read_text() == csv_reference(samples, "c")
+    _assert_same_samples(load_trajectories(tmp_path / "a.ndjson"), samples)
 
 
 def test_sample_set_views_and_slices():
-    w = _partly_desired(_tiny_weaving(12))
-    s = SampleSet.from_samples(w)
-    assert SampleSet.from_samples(s) is s
+    base = _tiny_weaving(12)
+    s = _partly_desired(base)
     assert len(s) == 12 and s.x.shape == (12, 8) and s.u_des.shape == (12, 2, 2)
     np.testing.assert_array_equal(s.has_u_des, [k % 3 != 0 for k in range(12)])
     assert np.isnan(s.u_des[0]).all()
-    _assert_same_samples(list(s), w)
+    w = list(s)
+    _assert_same_samples(w, [replace(row, u_des=None) if k % 3 == 0 else row
+                             for k, row in enumerate(base)])
     row = s[-2]
     assert isinstance(row, InteractionSample) and row.trajectory_id == w[10].trajectory_id
     assert np.shares_memory(row.x, s.x) and np.shares_memory(row.u_des, s.u_des)
@@ -734,10 +741,17 @@ def test_sample_set_views_and_slices():
 
 
 def test_empty_sample_list_roundtrips(tmp_path):
+    # An empty slice keeps its dimensions in the header, and the loader gives
+    # a header-only file the header's shapes.
     path = tmp_path / "empty.ndjson"
-    save_trajectories([], path, scenario="none")
-    assert read_header(path)["n_agents"] == 0
-    assert len(load_trajectories(path)) == 0
+    save_trajectories(_tiny_weaving(3)[:0], path, scenario="none")
+    header = read_header(path)
+    assert (header["n_agents"], header["state_dim"], header["control_dim"]) == (2, 8, 2)
+    loaded = load_trajectories(path)
+    assert len(loaded) == 0
+    assert loaded.x.shape == (0, 8) and loaded.u.shape == loaded.u_des.shape == (0, 2, 2)
+    assert [column.shape for column in (loaded.has_u_des, loaded.t, loaded.trajectory_id)] \
+        == [(0,)] * 3
 
 
 def test_csv_export(tmp_path):

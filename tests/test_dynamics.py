@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from respalloc.dynamics import (agent_spec, AgentSpec, make_double_integrator_2d,
+from respalloc.dynamics import (make_double_integrator_2d,
                                 make_relative_double_integrator,
                                 make_single_integrator_1d, relative_state)
 
@@ -84,13 +84,15 @@ def test_relative_state_negates_under_swap():
     np.testing.assert_allclose(relative_state(x1, x2), -relative_state(x2, x1))
 
 
-def test_agent_spec_validation():
-    with pytest.raises(ValueError):
-        AgentSpec(0, 1, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        AgentSpec(1, 1, 2.0, -2.0)
-    spec = agent_spec(1, 2, bound=5.0)
-    assert np.allclose(spec.control_lower, [-5.0, -5.0])
+def test_control_bound_validation():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="control_bound must be nonnegative"):
+            make_single_integrator_1d(2, control_bound=bad)
+    lb, ub = make_relative_double_integrator(control_bound=5.0).control_bounds()
+    np.testing.assert_array_equal(lb, np.full(4, -5.0))
+    np.testing.assert_array_equal(ub, np.full(4, 5.0))
+    lb, ub = make_double_integrator_2d(2, control_bound=np.inf).control_bounds()
+    assert np.all(lb == -np.inf) and np.all(ub == np.inf)
 
 
 def test_control_bounds_are_formed_once_and_read_only():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from respalloc.barriers import CbfLinearConstraint, ClassKappaLinear, \
-    assemble_constraint, make_pairwise_distance_barrier
+from respalloc.barriers import (CbfLinearConstraint, assemble_constraint,
+                                make_pairwise_distance_barrier)
 from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc import filter_qp
 from respalloc.dynamics import make_single_integrator_1d
@@ -21,7 +21,7 @@ from oracles import (assert_rel_close, exact_filter_jacobians, exact_filter_pull
 def two_agent_problem(x, u_des, gamma, beta1=0.0, beta2=600.0, bound=10.0):
     sys = make_single_integrator_1d(2)
     barrier = make_pairwise_distance_barrier(sys, 1.0)
-    con = assemble_constraint(sys, barrier, (ClassKappaLinear(1.0),), np.asarray(x))
+    con = assemble_constraint(sys, barrier, (1.0,), np.asarray(x))
     return FilterProblem(constraint=con, u_des=np.asarray(u_des, dtype=float),
                          gamma=np.asarray(gamma, dtype=float), beta1=beta1,
                          beta2=beta2, lb=-bound, ub=bound)
@@ -71,6 +71,13 @@ def test_two_agent_scene_equal_split():
     assert sol.lam_cbf == pytest.approx(lam, abs=1e-9)
     res = kkt_residuals(problem, sol)
     assert max(res.values()) <= 1e-7
+
+
+def test_kkt_residuals_rejects_a_batch_problem_naming_its_shape():
+    problem = stack_problems([two_agent_problem([0.0, 1.5], [1.0, -1.0], [0.5, 0.5]),
+                              two_agent_problem([0.0, 0.8], [0.0, 0.0], [0.3, 0.7])])
+    with pytest.raises(FilterError, match=r"one row, a of shape \(m,\); got a of shape \(2, 2\)"):
+        kkt_residuals(problem, solve_filter(problem))
 
 
 def test_zero_weight_agent_absorbs_whole_deviation():
