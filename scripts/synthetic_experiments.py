@@ -20,7 +20,7 @@ from respalloc import cli  # noqa: E402
 from respalloc.data import (atomic_write,  # noqa: E402
                             default_planar_group_config, default_two_agent_config,
                             generate_synthetic, planar_group_scene,
-                            two_agent_line_scene)
+                            two_agent_line_scene, write_csv)
 from respalloc.models import ConstantGamma  # noqa: E402
 from respalloc.training import TrainConfig, fit, fit_windows  # noqa: E402
 
@@ -67,11 +67,10 @@ def time_varying_study(out_dir, seed=0):
     tc = TrainConfig(epochs=120, batch_size=8, learning_rate=0.005,
                      optimizer="sgd", seed=seed)
     estimates = fit_windows(samples, scene, tc, n_windows=3)
-    rows = ["window,truth,estimate"]
-    for w, level in enumerate(levels):
-        rows.append(f"{w},{level},{float(estimates[w][0])!r}")
-        print(f"window {w}: truth {level:.2f} estimate {estimates[w][0]:.3f}")
-    atomic_write(os.path.join(out_dir, "time_varying.csv"), "\n".join(rows) + "\n")
+    rows = [(w, level, float(estimates[w][0])) for w, level in enumerate(levels)]
+    for w, level, estimate in rows:
+        print(f"window {w}: truth {level:.2f} estimate {estimate:.3f}")
+    write_csv(os.path.join(out_dir, "time_varying.csv"), ["window", "truth", "estimate"], rows)
 
 
 def timing_sweep(out_dir, seed=0):

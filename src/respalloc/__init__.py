@@ -13,10 +13,9 @@ from .barriers import (Barrier, CbfLinearConstraint, assemble_constraint,
 from .data import (DesiredPolicyParams, InteractionSample, InteractionScene,
                    SampleSet, ScenarioConfig, WeavingConfig, augment,
                    desired_lateral_control, desired_longitudinal_control,
-                   export_csv, generate_synthetic,
-                   generate_weaving_trajectories, load_trajectories,
-                   planar_group_scene, save_trajectories, two_agent_line_scene,
-                   weaving_scene)
+                   generate_synthetic, generate_weaving_trajectories,
+                   load_trajectories, planar_group_scene, save_trajectories,
+                   two_agent_line_scene, weaving_scene, write_csv)
 from .dynamics import (ControlAffineSystem, make_double_integrator_2d,
                        make_relative_double_integrator, make_single_integrator_1d,
                        relative_state)

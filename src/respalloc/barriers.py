@@ -13,9 +13,10 @@ condition  b'' + (k1 + k2) b' + k1 k2 b >= -eps  with two linear gains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,43 +28,37 @@ BATCH_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Barrier:
-    """Scalar safety measure with closed-form derivatives.
+    """Scalar safety measure with closed-form derivatives, from one jet.
 
-    Every evaluator takes one state (n,) or a batch (B, n): ``value`` returns
-    a float or (B,), ``grad`` (n,) or (B, n), ``hess`` (n, n) or (B, n, n).
-    ``hess`` is only required for relative-degree-2 constraint assembly.
-    The safe set convention is value(x) >= 0.
-
-    ``joint``, if given, maps a batch (B, n) and a flag ``second`` to the
-    value, gradient and (if ``second``, else None) Hessian from one shared
-    evaluation; it must agree with the three evaluators.
+    ``jet(X, second)`` maps a batch of states (B, n) to the values (B,), the
+    gradients (B, n) and, if ``second``, the Hessians (B, n, n) from one
+    shared evaluation; the Hessians are None when ``second`` is False or the
+    barrier has none. ``value``, ``grad`` and ``hess`` view the jet at one
+    state (n,), giving a float, (n,) and (n, n), or at a batch (B, n). The
+    safe set convention is value(x) >= 0.
     """
 
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet: Callable[[np.ndarray, bool], tuple]
     name: str = "barrier"
-    joint: Optional[Callable[[np.ndarray, bool], tuple]] = None
 
-    def jet(self, X, second=False):
-        """Value (B,), gradient (B, n) and Hessian (B, n, n), or None unless
-        ``second``, at a batch of states (B, n): from ``joint`` when given,
-        else from the three evaluators."""
-        if self.joint is not None:
-            return self.joint(X, second)
-        return (np.asarray(self.value(X), dtype=float), np.asarray(self.grad(X), dtype=float),
-                np.asarray(self.hess(X), dtype=float) if second else None)
-
-
-def _state_or_batch(fn):
-    """Lift an evaluator on (B, n) states so that it also takes one (n,) state."""
-    def evaluate(x):
+    def _view(self, x, k):
         x = np.asarray(x, dtype=float)
+        out = self.jet(x if x.ndim == 2 else x[None], k == 2)[k]
+        if out is None:
+            raise ValueError(f"{self.name}: the jet gives no Hessian")
         if x.ndim == 2:
-            return fn(x)
-        out = fn(x[None, :])[0]
+            return out
+        out = out[0]
         return float(out) if out.ndim == 0 else out
-    return evaluate
+
+    def value(self, x):
+        return self._view(x, 0)
+
+    def grad(self, x):
+        return self._view(x, 1)
+
+    def hess(self, x):
+        return self._view(x, 2)
 
 
 @dataclass(frozen=True)
@@ -102,44 +97,35 @@ def finite_difference_jacobian(f, x, step=1e-6):
 def validate_barrier(barrier, states, rtol=1e-5, step=1e-6, require_hess=False):
     """Check closed-form derivatives against finite differences.
 
-    Gate for user-supplied barriers: raises ValueError on mismatch, or when
-    an evaluator given the probe states as one (B, n) batch, or the barrier's
-    ``joint`` evaluation, disagrees with its per-state outputs. ``states`` is
-    an iterable of probe states.
+    Gate for user-supplied barriers: raises ValueError on mismatch, when the
+    jet given the probe states as one (B, n) batch disagrees with its
+    per-state outputs, or when ``require_hess`` and the jet gives no
+    Hessian. ``states`` is an iterable of probe states.
     """
-    states = [np.asarray(x, dtype=float) for x in states]
+    states = np.array([np.asarray(x, dtype=float) for x in states])
+    second = barrier.jet(states[:1], True)[2] is not None
+    if require_hess and not second:
+        raise ValueError(f"{barrier.name}: a Hessian is required and the jet gives none")
+    views = (("value", barrier.value), ("gradient", barrier.grad),
+             ("Hessian", barrier.hess))[:2 + second]
     for x in states:
-        g = np.asarray(barrier.grad(x), dtype=float)
-        g_fd = finite_difference_jacobian(barrier.value, x, step)[0]
-        scale = max(1.0, float(np.max(np.abs(g_fd))))
-        if np.max(np.abs(g - g_fd)) > rtol * scale:
-            raise ValueError(f"{barrier.name}: gradient disagrees with finite differences")
-        if barrier.hess is not None:
-            h = np.asarray(barrier.hess(x), dtype=float)
-            h_fd = finite_difference_jacobian(barrier.grad, x, step)
-            scale = max(1.0, float(np.max(np.abs(h_fd))))
-            if np.max(np.abs(h - h_fd)) > rtol * scale:
-                raise ValueError(f"{barrier.name}: Hessian disagrees with finite differences")
-        elif require_hess:
-            raise ValueError(f"{barrier.name}: Hessian evaluator is required")
-    evaluators = [("value", barrier.value), ("gradient", barrier.grad)]
-    if barrier.hess is not None:
-        evaluators.append(("Hessian", barrier.hess))
-    for k, (what, fn) in enumerate(evaluators):
-        single = np.array([np.asarray(fn(x), dtype=float) for x in states])
-        try:
-            batch = np.asarray(fn(np.array(states)), dtype=float)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"{barrier.name}: {what} rejects a (B, n) batch of states") from exc
-        outputs = [("batched", batch)]
-        if barrier.joint is not None:
-            jet = barrier.joint(np.array(states), barrier.hess is not None)
-            outputs.append(("joint", np.asarray(jet[k], dtype=float)))
+        # Each derivative against finite differences of the view before it.
+        for (_, primitive), (what, closed) in zip(views, views[1:]):
+            fd = finite_difference_jacobian(primitive, x, step)
+            got = np.asarray(closed(x), dtype=float).reshape(fd.shape)
+            if np.max(np.abs(got - fd)) > rtol * max(1.0, float(np.max(np.abs(fd)))):
+                raise ValueError(f"{barrier.name}: {what} disagrees with finite differences")
+    try:
+        batch = barrier.jet(states, second)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{barrier.name}: the jet rejects a (B, n) batch of states") from exc
+    for k, (what, view) in enumerate(views):
+        single = np.array([view(x) for x in states])
+        got = np.asarray(batch[k], dtype=float)
         scale = max(1.0, float(np.max(np.abs(single))))
-        for how, got in outputs:
-            if got.shape != single.shape or np.max(np.abs(got - single)) > BATCH_RTOL * scale:
-                raise ValueError(f"{barrier.name}: {how} {what} disagrees with the "
-                                 f"per-state {what}")
+        if got.shape != single.shape or np.max(np.abs(got - single)) > BATCH_RTOL * scale:
+            raise ValueError(f"{barrier.name}: batched {what} disagrees with the "
+                             f"per-state {what}")
     return barrier
 
 
@@ -177,8 +163,12 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
     ``temperature=None`` for the exact hard-min variant, which follows the
     first closest pair at ties.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    # Written so that NaN fails these too.
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
+    if temperature is not None and not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite (or None for hard "
+                         f"min), got {temperature}")
     if system.agent_state_dim is None:
         raise ValueError("pairwise barrier needs a per-agent concatenated state layout")
     if system.n_agents < 2:
@@ -195,11 +185,9 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
             return values[rows, k], grads[rows, k], hessians[k] if second else None
 
         name = "pairwise_distance" if len(hessians) == 1 else "min_pairwise_distance"
-        return _joint_barrier(closest, f"{name}(margin={margin})")
+        return Barrier(closest, f"{name}(margin={margin})")
 
     t = float(temperature)
-    if t <= 0:
-        raise ValueError("temperature must be positive (or None for hard min)")
 
     def softmin(X, second):
         # softmin = -logsumexp(-t b) / t, with weights w_k = softmax(-t b)_k
@@ -219,15 +207,7 @@ def make_pairwise_distance_barrier(system, margin, temperature=10.0):
         h += t * gbar[:, :, None] * gbar[:, None, :]
         return value, gbar, h
 
-    return _joint_barrier(softmin, f"softmin_pairwise_distance(margin={margin}, t={t})")
-
-
-def _joint_barrier(joint, name):
-    """A barrier whose three evaluators are views of one ``joint`` evaluation."""
-    return Barrier(value=_state_or_batch(lambda X: joint(X, False)[0]),
-                   grad=_state_or_batch(lambda X: joint(X, False)[1]),
-                   hess=_state_or_batch(lambda X: joint(X, True)[2]),
-                   name=name, joint=joint)
+    return Barrier(softmin, f"softmin_pairwise_distance(margin={margin}, t={t})")
 
 
 def make_ellipse_barrier(a1, a2):
@@ -237,8 +217,8 @@ def make_ellipse_barrier(a1, a2):
     [r_lon, r_lat, vr_lon, vr_lat]; the velocities do not enter the barrier,
     and the Hessian is one constant (4, 4) matrix.
     """
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("ellipse semi-axes must be positive")
+    if not (0 < a1 < math.inf and 0 < a2 < math.inf):     # NaN fails it too
+        raise ValueError(f"ellipse semi-axes must be positive and finite, got {a1}, {a2}")
     inv = np.array([1.0 / a1 ** 2, 1.0 / a2 ** 2])
     hessian = np.diag(np.concatenate([2.0 * inv, [0.0, 0.0]]))
     hessian.setflags(write=False)
@@ -257,7 +237,7 @@ def make_ellipse_barrier(a1, a2):
         return (scaled[:, 0] + scaled[:, 1] - 1.0, grad,
                 hessians(len(R)) if second else None)
 
-    return _joint_barrier(ellipse, f"ellipse(a1={a1}, a2={a2})")
+    return Barrier(ellipse, f"ellipse(a1={a1}, a2={a2})")
 
 
 def _rowdot(u, v):
@@ -299,10 +279,10 @@ def assemble_constraint(system: ControlAffineSystem, barrier: Barrier,
 
     if degree not in (1, 2):
         raise ValueError(f"unsupported relative degree {degree}")
-    if degree == 2 and barrier.hess is None:
-        raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
 
-    b, grad, hess = barrier.jet(X, second=degree == 2)
+    b, grad, hess = barrier.jet(X, degree == 2)
+    if degree == 2 and hess is None:
+        raise ValueError(f"{barrier.name}: degree-2 assembly requires a Hessian")
     f = system.drift(X)
     bdot = _rowdot(grad, f)
 

@@ -255,21 +255,19 @@ def _require_file(cfg, key, what):
 
 
 def _relative_model(cfg):
-    """The ``--checkpoint`` model; exit 2 unless it allocates from the weaving
-    relative state (context dim 4) or from no context."""
+    """The ``--checkpoint`` model; exit 2 unless it allocates over two agents
+    from the weaving relative state (context dim 4) or from no context."""
     model = load_model(_require_file(cfg, "checkpoint", "model checkpoint"))
-    if model.context_dim not in (0, 4):
-        raise UsageError(f"checkpoint {cfg['checkpoint']} has context dim {model.context_dim}; "
-                         "this export needs the relative state's (4) or none (0)")
+    if model.n_agents != 2 or model.context_dim not in (0, 4):
+        raise UsageError(f"checkpoint {cfg['checkpoint']} allocates over {model.n_agents} "
+                         f"agents from context dim {model.context_dim}; this export needs "
+                         "2 agents and the relative state's (4) or no (0) context")
     return model
 
 
 def _write_csv(path, cfg, columns, rows):
-    """``# config:`` echo line, ``columns`` header line, then ``rows``: tuples of
-    Python numbers, written by repr."""
-    fmt = ",".join(["%r"] * (columns.count(",") + 1))
-    lines = ["# config: " + json.dumps(cfg), columns] + [fmt % row for row in rows]
-    data_mod.atomic_write(path, "\n".join(lines) + "\n")
+    """``write_csv`` with the ``# config:`` echo line."""
+    data_mod.write_csv(path, columns, rows, comment="config: " + json.dumps(cfg))
 
 
 def _parse_gamma(text, n_agents):
@@ -478,7 +476,7 @@ def cmd_landscape(cfg):
     inactive = (sol.eps <= 1e-9) & np.all(
         np.abs(sol.u - problem.shrunk_desired()) <= 1e-7, axis=1)
 
-    _write_csv(out, cfg, f"{axes[0]},{axes[1]},gamma1,filter_inactive",
+    _write_csv(out, cfg, [*axes, "gamma1", "filter_inactive"],
                zip(v1s.tolist(), v2s.tolist(), gammas[:, 0].tolist(),
                    inactive.astype(int).tolist()))
     print(f"wrote {res * res} grid cells to {out}")
@@ -502,8 +500,9 @@ def cmd_trace(cfg):
     gammas = model.gamma_batch(R if model.context_dim else np.zeros((len(R), 0)))
     columns = np.column_stack([samples.t, gammas[:, 0], samples.u_des.reshape(-1, 4),
                                samples.u.reshape(-1, 4), scene.barrier.value(R)])
-    _write_csv(out, cfg, "t,gamma1,u1_des_lon,u1_des_lat,u2_des_lon,u2_des_lat,"
-                         "u1_lon,u1_lat,u2_lon,u2_lat,b", map(tuple, columns.tolist()))
+    _write_csv(out, cfg, ["t", "gamma1", "u1_des_lon", "u1_des_lat", "u2_des_lon",
+                          "u2_des_lat", "u1_lon", "u1_lat", "u2_lon", "u2_lat", "b"],
+               columns.tolist())
     print(f"wrote {len(samples)} timesteps to {out}")
     return 0
 
@@ -532,7 +531,7 @@ def cmd_bench(cfg):
     rows = [(s, t * 1e3) for s, t in zip(sizes, times)]
 
     if cfg["out"]:
-        _write_csv(cfg["out"], cfg, "batch_size,loss_grad_ms", rows)
+        _write_csv(cfg["out"], cfg, ["batch_size", "loss_grad_ms"], rows)
     for s, ms in rows:
         print(f"batch {s:5d}: {ms:8.2f} ms")
     print(f"fitted scaling exponent: {slope:.3f}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,12 @@ HEADER_FIELDS = ("version", "n_agents", "state_dim", "control_dim", "scenario")
 
 # Per-agent absolute state layout used by the weaving scenario.
 X_LON, X_LAT, X_VLON, X_VLAT = 0, 1, 2, 3
+
+# Geometry of the two-car lane swap: lane centers (lower, upper), the range
+# of starting speeds and the spread of starting longitudinal positions.
+LANE_CENTERS = (-1.85, 1.85)
+SPEED_RANGE = (8.0, 12.0)
+START_LON_SPREAD = 2.0
 
 
 class TrajectoryFormatError(ValueError):
@@ -242,7 +248,7 @@ class DesiredPolicyParams:
     lat_gain: float = 0.022
     lat_rate: float = 0.8
     lon_limit: float = 2.0
-    lat_targets: tuple = (1.85, -1.85)
+    lat_targets: tuple = LANE_CENTERS[::-1]     # each car aims at the other's lane
 
 
 def desired_lateral_control(x, params: DesiredPolicyParams, lat_target):
@@ -441,15 +447,11 @@ def active_fraction(samples: SampleSet, scene, gamma_truth):
 
 @dataclass
 class WeavingConfig:
-    """Geometry and horizon of the two-car lane-swap generator."""
+    """Horizon and control noise of the two-car lane-swap generator."""
 
-    lane_centers: tuple = (-1.85, 1.85)
-    speed_range: tuple = (8.0, 12.0)
     dt: float = 0.1
     steps: int = 150
     noise_variance: float = 0.0
-    policy: DesiredPolicyParams = field(default_factory=DesiredPolicyParams)
-    start_lon_spread: float = 2.0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -462,17 +464,17 @@ class WeavingConfig:
 WEAVING_KINDS = ("single", "side_by_side", "rear_overtake", "mixed")
 
 
-def _weaving_initial_state(kind, rng, cfg: WeavingConfig):
-    lower, upper = cfg.lane_centers
+def _weaving_initial_state(kind, rng):
+    lower, upper = LANE_CENTERS
     if kind == "side_by_side":
-        speed = rng.uniform(*cfg.speed_range)
-        lon = rng.uniform(-cfg.start_lon_spread, cfg.start_lon_spread)
+        speed = rng.uniform(*SPEED_RANGE)
+        lon = rng.uniform(-START_LON_SPREAD, START_LON_SPREAD)
         x1 = np.array([lon, lower, speed, 0.0])
         x2 = np.array([lon, upper, speed, 0.0])
     elif kind == "rear_overtake":
         # Upper-lane car starts ~2 m/s faster and ~3 m behind.
-        v_slow = rng.uniform(*cfg.speed_range)
-        lon = rng.uniform(-cfg.start_lon_spread, cfg.start_lon_spread)
+        v_slow = rng.uniform(*SPEED_RANGE)
+        lon = rng.uniform(-START_LON_SPREAD, START_LON_SPREAD)
         x1 = np.array([lon, lower, v_slow, 0.0])
         x2 = np.array([lon - 3.0, upper, v_slow + 2.0, 0.0])
     elif kind == "single":
@@ -490,7 +492,8 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
 
     ``kind`` selects the initial-condition family ("mixed" alternates over
     the others). The ground-truth allocation defaults to the faster-car-
-    yields-less rule. Samples from trajectory j carry trajectory_id j and
+    yields-less rule, and the desired controls come from the scene's
+    ``desired_policy``. Samples from trajectory j carry trajectory_id j and
     come out grouped by trajectory. Trajectory j draws its initial state and
     then, if the noise is nonzero, a (steps, 4) block of control noise; all
     trajectories then advance in lockstep, with one u*-only filter solve
@@ -507,16 +510,13 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     gamma_truth = gamma_truth if gamma_truth is not None else speed_advantage_gamma()
     rng = np.random.default_rng(seed)
     std = float(np.sqrt(cfg.noise_variance))
-    # Each car's lateral goal is the other lane's center.
-    lower, upper = cfg.lane_centers
-    policy = replace(cfg.policy, lat_targets=(upper, lower))
 
     sub_kinds = ("side_by_side", "rear_overtake")
     X = np.empty((count, 8))
     noise = np.zeros((count, cfg.steps, 4))
     for traj in range(count):
         k_traj = kind if kind != "mixed" else sub_kinds[traj % len(sub_kinds)]
-        X[traj] = _weaving_initial_state(k_traj, rng, cfg)
+        X[traj] = _weaving_initial_state(k_traj, rng)
         if std > 0:
             noise[traj] = std * rng.standard_normal((cfg.steps, 4))
 
@@ -528,7 +528,7 @@ def generate_weaving_trajectories(kind, count, seed=0, gamma_truth=None,
     for step in range(cfg.steps):
         states[:, step] = X
         R = scene.filter_state(X)
-        desired[:, step] = U_des = desired_controls_weaving(X, policy)
+        desired[:, step] = U_des = scene.desired_policy(X)
         gammas = resolve_gamma_truth(gamma_truth, [step] * count, R)
         U = (filtered_controls(scene.problem(scene.assemble(R), U_des, gammas))
              + noise[:, step]).reshape(count, 2, 2)
@@ -592,6 +592,16 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, columns, rows, comment=None):
+    """Write a CSV via ``atomic_write``: a ``# comment`` line if given, the
+    ``columns`` names, then one line per row, a tuple of Python numbers, each
+    written by repr (floats parse back bit-exactly)."""
+    fmt = ",".join(["%r"] * len(columns))
+    lines = ([f"# {comment}"] if comment is not None else []) + [",".join(columns)]
+    lines += [fmt % tuple(row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_trajectories(samples: SampleSet, path, scenario="custom",
@@ -742,23 +752,3 @@ def load_trajectories(path) -> SampleSet:
     return SampleSet(x, u, u_des, np.array(columns["has_u_des"], dtype=bool),
                      np.array(columns["t"], dtype=float),
                      np.array(columns["trajectory_id"], dtype=int))
-
-
-def export_csv(samples: SampleSet, path, header_comment=None):
-    """Flat CSV of the same columns, one row per sample, for plotting."""
-    lines = ["# " + header_comment] if header_comment else []
-    B, n, m = samples.u.shape
-    lines.append(",".join(["trajectory_id", "t"]
-                          + [f"x{j}" for j in range(samples.x.shape[1])]
-                          + [f"u{i}_{j}" for i in range(n) for j in range(m)]
-                          + [f"udes{i}_{j}" for i in range(n) for j in range(m)]))
-    values = np.hstack([samples.t[:, None], samples.x, samples.u.reshape(B, n * m),
-                        samples.u_des.reshape(B, n * m)])
-    bare = values.shape[1] - n * m
-    for tid, has, row in zip(samples.trajectory_id.tolist(), samples.has_u_des.tolist(),
-                             values.tolist()):
-        if has:
-            lines.append(f"{tid}," + ",".join(map(repr, row)))
-        else:
-            lines.append(f"{tid}," + ",".join(map(repr, row[:bare])) + "," * (n * m))
-    atomic_write(path, "\n".join(lines) + "\n")

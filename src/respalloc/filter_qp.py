@@ -86,6 +86,8 @@ class FilterProblem:
         offset = np.asarray(self.constraint.offset, dtype=float)
         if a.ndim not in (1, 2):
             raise FilterError(f"safety row a must have shape (m,) or (B, m), got {a.shape}")
+        if a.ndim == 2 and not len(a):
+            raise FilterError("empty batch: a batch problem needs at least one row")
         m = a.shape[-1]
         dims = self.constraint.agent_dims
         if sum(dims) != m or min(dims, default=0) < 1:

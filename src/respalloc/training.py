@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .barriers import CbfLinearConstraint
-from .data import InteractionScene, SampleSet, atomic_write
+from .data import InteractionScene, SampleSet, atomic_write, write_csv
 # solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
 from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
                         solve_rows_and_pullback)
@@ -289,16 +289,13 @@ class TrainReport:
         atomic_write(path, json.dumps(self.to_dict()))
 
     def save_trace_csv(self, path):
-        lines = []
-        n = self.gamma_trace.shape[1] if self.gamma_trace is not None else 0
-        cols = ["epoch", "loss", "wall_ms"] + [f"gamma{i + 1}" for i in range(n)]
-        lines.append(",".join(cols))
-        for e in range(self.epochs_run):
-            row = [str(e), repr(float(self.losses[e])), repr(float(self.step_ms[e]))]
-            if n:
-                row += [repr(float(v)) for v in self.gamma_trace[e]]
-            lines.append(",".join(row))
-        atomic_write(path, "\n".join(lines) + "\n")
+        """Per epoch: loss, mean step time and, for constant models, gamma."""
+        columns, traces = ["epoch", "loss", "wall_ms"], [self.losses, self.step_ms]
+        if self.gamma_trace is not None:
+            columns += [f"gamma{i + 1}" for i in range(self.gamma_trace.shape[1])]
+            traces.append(self.gamma_trace)
+        rows = enumerate(np.column_stack(traces).tolist())
+        write_csv(path, columns, ((e, *row) for e, row in rows))
 
 
 def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainReport:

@@ -6,8 +6,8 @@ closed form, and the derivative oracles are central finite differences.
 The symmetric-model reference runs the package's plain dense MLP on
 explicitly gathered inputs: the construction the incidence-matrix first
 layer replaced. The weaving-rollout reference is the per-step loop that the
-array rollout replaced, and the file-writer references format one sample
-object at a time, as the writers did before samples became one set of
+array rollout replaced, and the file-writer reference formats one sample
+object at a time, as the writer did before samples became one set of
 arrays. The exact filter root and Jacobians evaluate the closed form in
 rational arithmetic, so they show rounding and nothing else. The per-row
 filter solve and pullback is the loop that the training step's blocks of
@@ -16,12 +16,12 @@ rows replaced.
 
 import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from respalloc.data import (InteractionSample, WeavingConfig, _weaving_initial_state,
+from respalloc.data import (LANE_CENTERS, DesiredPolicyParams, InteractionSample,
+                            WeavingConfig, _weaving_initial_state,
                             desired_controls_weaving, resolve_gamma_truth,
                             speed_advantage_gamma, weaving_scene)
 from respalloc import filter_qp
@@ -200,14 +200,14 @@ def weaving_rollout_reference(kind, count, seed=0, gamma_truth=None, scene=None,
     gamma_truth = gamma_truth if gamma_truth is not None else speed_advantage_gamma()
     rng = np.random.default_rng(seed)
     std = float(np.sqrt(cfg.noise_variance))
-    lower, upper = cfg.lane_centers
-    policy = replace(cfg.policy, lat_targets=(upper, lower))
+    lower, upper = LANE_CENTERS
+    policy = DesiredPolicyParams(lat_targets=(upper, lower))
     sub_kinds = ("side_by_side", "rear_overtake")
     X = np.empty((count, 8))
     noise = np.zeros((count, cfg.steps, 4))
     for traj in range(count):
         k_traj = kind if kind != "mixed" else sub_kinds[traj % len(sub_kinds)]
-        X[traj] = _weaving_initial_state(k_traj, rng, cfg)
+        X[traj] = _weaving_initial_state(k_traj, rng)
         if std > 0:
             noise[traj] = std * rng.standard_normal((cfg.steps, 4))
     per_traj = [[] for _ in range(count)]
@@ -241,24 +241,6 @@ def ndjson_reference(samples, scenario="custom", extra_header=None):
         if s.u_des is not None:
             rec["u_des"] = s.u_des.tolist()
         lines.append(json.dumps(rec))
-    return "\n".join(lines) + "\n"
-
-
-def csv_reference(samples, header_comment=None):
-    """The text ``export_csv`` writes, one line built per row object of the set
-    ``samples``, with the columns from its arrays' dimensions."""
-    lines = ["# " + header_comment] if header_comment else []
-    n, m = samples.u.shape[1:]
-    lines.append(",".join(["trajectory_id", "t"]
-                          + [f"x{j}" for j in range(samples.x.shape[1])]
-                          + [f"u{i}_{j}" for i in range(n) for j in range(m)]
-                          + [f"udes{i}_{j}" for i in range(n) for j in range(m)]))
-    for s in samples:
-        row = [str(int(s.trajectory_id)), repr(float(s.t))]
-        row += map(repr, s.x.tolist())
-        row += map(repr, s.u.ravel().tolist())
-        row += map(repr, s.u_des.ravel().tolist()) if s.u_des is not None else [""] * (n * m)
-        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,20 +53,28 @@ def test_barrier_derivatives_match_finite_differences(seed):
                                    rtol=1e-4, atol=1e-6)
 
 
+def _square_jet(grad, hess=None):
+    """Jet of b(x) = x0^2 over states (B, n) with the given gradient and
+    (optional) Hessian forms."""
+    def jet(X, second):
+        return X[:, 0] ** 2, grad(X), hess(X) if second and hess is not None else None
+    return jet
+
+
 def test_validate_barrier_gate_rejects_wrong_gradient():
-    bad = Barrier(value=lambda x: float(x[0] ** 2), grad=lambda x: np.array([1.0]),
-                  name="bad")
+    bad = Barrier(_square_jet(np.ones_like), name="bad")
     with pytest.raises(ValueError, match="gradient"):
         validate_barrier(bad, [np.array([1.3])])
-    good = Barrier(value=lambda x: x[..., 0] ** 2, grad=lambda x: 2.0 * x)
+    good = Barrier(_square_jet(lambda X: 2.0 * X))
     validate_barrier(good, [np.array([1.3]), np.array([-0.4])])
-    wrong_hess = dataclasses.replace(good, hess=lambda x: np.ones(np.shape(x) + (1,)),
-                                     name="wrong_hess")
+    wrong_hess = Barrier(_square_jet(lambda X: 2.0 * X, lambda X: np.ones(X.shape + (1,))),
+                         name="wrong_hess")
     with pytest.raises(ValueError, match="wrong_hess: Hessian disagrees with finite"):
         validate_barrier(wrong_hess, [np.array([1.3])])
-    with pytest.raises(ValueError, match="Hessian evaluator is required"):
+    with pytest.raises(ValueError, match="a Hessian is required"):
         validate_barrier(good, [np.array([1.3])], require_hess=True)
-    validate_barrier(dataclasses.replace(good, hess=lambda x: np.full(np.shape(x) + (1,), 2.0)),
+    validate_barrier(Barrier(_square_jet(lambda X: 2.0 * X,
+                                         lambda X: np.full(X.shape + (1,), 2.0))),
                      [np.array([1.3]), np.array([-0.4])], require_hess=True)
 
 
@@ -76,12 +82,11 @@ def test_validate_barrier_gate_rejects_batch_disagreement():
     # Per-state outputs pass the finite-difference gate; the batched ones do not
     # match them (a batch summed into one number, an offset only in batches).
     probes = [np.array([1.3]), np.array([-0.4])]
-    summed = Barrier(value=lambda x: float(np.sum(np.asarray(x) ** 2)),
-                     grad=lambda x: 2.0 * np.asarray(x), name="summed")
+    summed = Barrier(lambda X, second: (np.full(len(X), np.sum(X ** 2)), 2.0 * X, None),
+                     name="summed")
     with pytest.raises(ValueError, match="batched value"):
         validate_barrier(summed, probes)
-    shifted = Barrier(value=lambda x: x[..., 0] ** 2,
-                      grad=lambda x: 2.0 * x + (np.ndim(x) - 1), name="shifted")
+    shifted = Barrier(_square_jet(lambda X: 2.0 * X + (len(X) - 1)), name="shifted")
     with pytest.raises(ValueError, match="batched gradient"):
         validate_barrier(shifted, probes)
     planar = make_double_integrator_2d(3)
@@ -128,9 +133,38 @@ def test_degree2_requires_hessian_and_two_gains():
     x = np.array([0.0, 0.0, 0.5, 0.0, 1.2, 0.0, -0.5, 0.0])
     with pytest.raises(ValueError, match="gains"):
         assemble_constraint(sys, barrier, (1.0,), x)
-    no_hess = Barrier(value=barrier.value, grad=barrier.grad, hess=None)
+    no_hess = Barrier(lambda X, second: (*barrier.jet(X, False)[:2], None))
     with pytest.raises(ValueError, match="Hessian"):
         assemble_constraint(sys, no_hess, (1.0, 1.0), x)
+
+
+def test_a_jet_without_a_hessian_is_refused_where_one_is_needed():
+    system = make_double_integrator_2d(2)
+    full = make_pairwise_distance_barrier(system, 1.0)
+    first_order = Barrier(lambda X, second: (*full.jet(X, False)[:2], None), name="first_order")
+    states = np.random.default_rng(2).normal(size=(4, 8), scale=1.5)
+    for x in (states, states[0]):
+        with pytest.raises(ValueError, match="first_order: degree-2 assembly requires a Hessian"):
+            assemble_constraint(system, first_order, (1.0, 1.0), x)
+        with pytest.raises(ValueError, match="first_order: the jet gives no Hessian"):
+            first_order.hess(x)
+    with pytest.raises(ValueError, match="first_order: a Hessian is required"):
+        validate_barrier(first_order, states, require_hess=True)
+    assert validate_barrier(first_order, states) is first_order
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_barrier_factories_reject_parameters_that_are_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="margin must be positive and finite"):
+        two_agent_line_scene(margin=bad)
+    with pytest.raises(ValueError, match="margin must be positive and finite"):
+        planar_group_scene(3, margin=bad)
+    for agents in (2, 3):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            planar_group_scene(agents, temperature=bad)
+    for axes in ((bad, 1.76), (9.22, bad)):
+        with pytest.raises(ValueError, match="semi-axes must be positive and finite"):
+            weaving_scene(axis_lon=axes[0], axis_lat=axes[1])
 
 
 @pytest.mark.parametrize("gains,message", [
@@ -288,8 +322,11 @@ PAIR_SCENES = [(agents, temperature) for agents in (4, 6) for temperature in (10
 @pytest.mark.parametrize("agents,temperature", PAIR_SCENES)
 @pytest.mark.parametrize("seed", range(3))
 def test_joint_rows_equal_rows_from_the_three_evaluators(agents, temperature, seed):
+    # The three evaluators are views of the one jet: a barrier whose jet calls
+    # them one at a time gives the same rows bit for bit.
     scene = planar_group_scene(agents, temperature=temperature)
-    separate = dataclasses.replace(scene.barrier, joint=None)
+    b = scene.barrier
+    separate = Barrier(lambda X, second: (b.value(X), b.grad(X), b.hess(X) if second else None))
     states = np.random.default_rng(seed).normal(size=(40, scene.system.state_dim), scale=1.2)
     for x in (states, states[0]):
         rows = scene.assemble(x)
@@ -313,18 +350,6 @@ def test_pair_terms_run_once_per_assembly(agents, temperature, monkeypatch):
     scene.assemble(states)
     scene.assemble(states[0])
     assert calls == [7, 1]
-
-
-def test_validate_barrier_rejects_a_joint_evaluation_that_disagrees():
-    good = make_pairwise_distance_barrier(make_double_integrator_2d(3), 1.0)
-
-    def off(X, second):
-        value, grad, hess = good.joint(X, second)
-        return value + 1e-6, grad, hess
-
-    states = np.random.default_rng(0).normal(size=(3, 12))
-    with pytest.raises(ValueError, match="joint value"):
-        validate_barrier(dataclasses.replace(good, joint=off), states)
 
 
 # -- the ellipse's one evaluation and the degree-2 leak check ----------------------
@@ -360,24 +385,18 @@ def test_ellipse_equals_its_closed_form_per_entry():
 def _leaky_barrier(index, weight):
     """b = (p1x - p2x)^2 + weight * v^2 / 2 over the velocity entry ``index`` of
     two planar double integrators: that velocity lets its agent's control into b'."""
-    def value(X):
-        return (X[:, 0] - X[:, 4]) ** 2 + 0.5 * weight * X[:, index] ** 2
-
-    def grad(X):
+    def jet(X, second):
         g = np.zeros_like(X)
         g[:, 0] = 2.0 * (X[:, 0] - X[:, 4])
         g[:, 4] = -g[:, 0]
         g[:, index] = weight * X[:, index]
-        return g
-
-    def hess(X):
         h = np.zeros(X.shape + X.shape[-1:])
         h[:, [0, 4], [0, 4]] = 2.0
         h[:, [0, 4], [4, 0]] = -2.0
         h[:, index, index] = weight
-        return h
+        return (X[:, 0] - X[:, 4]) ** 2 + 0.5 * weight * X[:, index] ** 2, g, h
 
-    return Barrier(value, grad, hess, name="leaky")
+    return Barrier(jet, name="leaky")
 
 
 @pytest.mark.parametrize("index,agent", [(2, 0), (7, 1)])
@@ -406,7 +425,7 @@ def test_degree2_leak_is_rejected_naming_the_agent(index, agent):
                          ids=["ellipse", "planar_softmin", "planar_hard_min"])
 def test_position_barriers_pass_the_leak_check_with_exact_zeros(scene):
     states = np.random.default_rng(1).normal(size=(30, scene.system.state_dim), scale=3.0)
-    grads = scene.barrier.jet(states)[1]
+    grads = scene.barrier.grad(states)
     assert not (grads @ scene.system.G).any()
     rows = scene.assemble(states)
     assert rows.a.shape == (30, scene.system.control_dim_total)

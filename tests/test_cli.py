@@ -572,6 +572,22 @@ def test_non_finite_checkpoint_exits_2_and_writes_nothing(relative_checkpoint,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("model", [ConstantGamma(6),
+                                   init_model("mlp", seed=0, n_agents=3, context_dim=4)],
+                         ids=["constant6", "mlp3"])
+def test_exports_refuse_a_checkpoint_that_does_not_allocate_over_two_agents(
+        model, weaving_dataset, tmp_path, capsys):
+    # landscape and trace plot gamma1 of two cars; a share of more agents is not that.
+    ckpt = tmp_path / "many.json"
+    save_model(model, ckpt)
+    out = tmp_path / "out.csv"
+    for argv in (["landscape", "--checkpoint", ckpt, "--out", out, "--res", 3],
+                 ["trace", "--checkpoint", ckpt, "--dataset", weaving_dataset, "--out", out]):
+        assert run(argv) == 2
+        assert f"allocates over {model.n_agents} agents" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_landscape_rejects_bad_axes(relative_checkpoint, tmp_path, capsys):
     assert run(["landscape", "--checkpoint", relative_checkpoint,
                 "--out", tmp_path / "x.csv", "--axes", "r_lon,theta"]) == 2

@@ -14,18 +14,17 @@ from respalloc.data import (WEAVING_KINDS, DesiredPolicyParams, InteractionSampl
                             default_planar_group_config,
                             default_two_agent_config, desired_controls_weaving,
                             desired_lateral_control,
-                            desired_longitudinal_control, export_csv,
+                            desired_longitudinal_control,
                             generate_synthetic, generate_weaving_trajectories,
                             load_trajectories, planar_group_scene, read_header,
                             resolve_gamma_truth, save_trajectories,
                             speed_advantage_gamma, two_agent_line_scene,
-                            weaving_scene)
-from respalloc.filter_qp import solve_filter
+                            weaving_scene, write_csv)
+from respalloc.filter_qp import FilterError, solve_filter
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
 from respalloc.training import TrainConfig, loss, prepare_batch
 
-from oracles import (csv_reference, ndjson_reference, synthetic_draws_reference,
-                     weaving_rollout_reference)
+from oracles import ndjson_reference, synthetic_draws_reference, weaving_rollout_reference
 
 PARAMS = DesiredPolicyParams()
 
@@ -156,6 +155,16 @@ def test_active_fraction_takes_every_truth_kind():
     flip = active_fraction(samples, scene, lambda k, x: gamma if k < 24 else gamma[::-1])
     assert flip == (active_fraction(samples[:24], scene, gamma) * 24
                     + active_fraction(samples[24:], scene, gamma[::-1]) * 24) / 48
+
+
+def test_an_empty_batch_is_refused_by_name():
+    scene = two_agent_line_scene()
+    samples = generate_synthetic(default_two_agent_config(n_samples=4), scene, [0.5, 0.5])
+    with pytest.raises(FilterError, match="empty batch"):
+        active_fraction(samples[:0], scene, [0.5, 0.5])
+    rows = scene.assemble(samples.x[:0])
+    with pytest.raises(FilterError, match="empty batch"):
+        scene.problem(rows, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_schedule_shift_is_detectable_in_the_data():
@@ -710,8 +719,6 @@ def test_writers_equal_the_per_sample_reference(name, tmp_path):
     samples = _writer_cases()[name]
     save_trajectories(samples, tmp_path / "a.ndjson", scenario=name, extra_header={"k": 1})
     assert (tmp_path / "a.ndjson").read_text() == ndjson_reference(samples, name, {"k": 1})
-    export_csv(samples, tmp_path / "a.csv", header_comment="c")
-    assert (tmp_path / "a.csv").read_text() == csv_reference(samples, "c")
     _assert_same_samples(load_trajectories(tmp_path / "a.ndjson"), samples)
 
 
@@ -755,10 +762,15 @@ def test_empty_sample_list_roundtrips(tmp_path):
 
 
 def test_csv_export(tmp_path):
-    samples = _tiny_weaving(4)
+    # write_csv: the comment line if given, the column names, then each row's
+    # Python numbers by repr, so floats parse back bit-exactly.
+    rows = [(0, 0.1, 1.0 / 3.0), (7, -2.5e-300, 1e300), (-1, 0.0, -0.0)]
     path = tmp_path / "out.csv"
-    export_csv(samples, path, header_comment="probe")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# probe"
-    assert lines[1].startswith("trajectory_id,t,x0")
-    assert len(lines) == 2 + len(samples)
+    write_csv(path, ["k", "a", "b"], rows, comment="probe")
+    assert path.read_text() == ("# probe\nk,a,b\n0,0.1,0.3333333333333333\n"
+                                "7,-2.5e-300,1e+300\n-1,0.0,-0.0\n")
+    write_csv(path, ["k", "a", "b"], iter(rows))
+    header, *lines = path.read_text().splitlines()
+    assert header == "k,a,b"
+    parsed = [line.split(",") for line in lines]
+    assert [(int(k), float(a), float(b)) for k, a, b in parsed] == rows

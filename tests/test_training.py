@@ -429,6 +429,25 @@ def test_report_serialization(tmp_path, line_scene, clean_samples):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("kind", ["constant", "mlp"])
+def test_trace_csv_rows_parse_back_to_the_report_exactly(kind, tmp_path, line_scene,
+                                                         clean_samples):
+    # A constant model's trace carries gamma; a network model's has three columns.
+    model = init_model(kind, seed=2, n_agents=2, context_dim=2, hidden=4, n_hidden=1)
+    report = fit(clean_samples, model, line_scene,
+                 TrainConfig(epochs=4, batch_size=16, learning_rate=0.01, seed=1))
+    path = tmp_path / "trace.csv"
+    report.save_trace_csv(path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    gammas = [] if report.gamma_trace is None else [report.gamma_trace]
+    assert header == ["epoch", "loss", "wall_ms"] + [f"gamma{i + 1}" for i in
+                                                     range(2 * len(gammas))]
+    assert [int(row[0]) for row in rows] == list(range(4))
+    table = np.array([[float(v) for v in row[1:]] for row in rows])
+    np.testing.assert_array_equal(table, np.column_stack([report.losses, report.step_ms,
+                                                          *gammas]))
+
+
 def test_timing_grows_at_most_linearly(line_scene):
     cfg = default_two_agent_config(n_samples=256, noise_variance=0.1, seed=0)
     samples = generate_synthetic(cfg, line_scene, np.array([0.4, 0.6]))
