@@ -20,6 +20,14 @@ run in chunks of whole contexts, at most ``CHUNK_ROWS`` network rows each
 that split. Gradients are accumulated by hand over the fixed
 primitive set (affine, tanh, softmax, permutation sums); there is no
 general tape.
+
+Every network family runs one kernel, ``_tanh_stack`` and its VJP, in a
+work block that the model reuses. Activations are feature-major (hidden +
+1, rows) with a last row of ones, so each affine layer is one product
+[W | b] @ [A; 1] and each weight-and-bias gradient one product with the
+activations. A one-output head, as in the symmetric and relative models,
+back-projects its cotangent by a broadcast product instead of a K = 1
+matrix product.
 """
 
 from __future__ import annotations
@@ -37,9 +45,9 @@ from .data import atomic_write
 SYMMETRIC_N_CAP = 6
 
 # Network rows (contexts times rows per context) per forward chunk: four
-# 6-agent contexts. At 16 hidden units each (hidden, rows) activation is
-# 0.37 MB, so a chunk's three activations and their temporaries stay in a
-# 2 MB L2 cache from the forward to the pullback.
+# 6-agent contexts. At 16 hidden units a chunk's work block (three
+# activations and two pullback temporaries, each (hidden + 1, rows)) takes
+# 1.96 MB, so it stays in a 2 MiB L2 cache from the forward to the pullback.
 CHUNK_ROWS = 2880
 
 _CHECKPOINT_FORMAT = "respalloc-model"
@@ -64,8 +72,10 @@ class Mlp:
     """Fixed-architecture perceptron: n_hidden tanh layers then a linear head.
 
     Parameters live in one flat float64 vector so optimizers can treat every
-    model uniformly. ``forward_tape`` takes a batch (B, in_dim); its tape
-    feeds ``vjp_params``.
+    model uniformly: per layer, the weights row by row, then the biases. A
+    pass runs each layer as one matrix [W | b] (``_layers``) against inputs
+    that carry a row of ones. ``forward_tape`` takes a batch (B, in_dim); its
+    tape feeds ``vjp_params``.
     """
 
     def __init__(self, in_dim, out_dim, hidden=16, n_hidden=3, rng=None):
@@ -78,6 +88,7 @@ class Mlp:
         widths = [in_dim] + [hidden] * n_hidden + [out_dim]
         self.shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
         self.n_params = sum(r * c + r for r, c in self.shapes)
+        self._stacked = _stacked_order(tuple(self.shapes))
         self._params = self._init_params(rng or np.random.default_rng())
 
     def _init_params(self, rng):
@@ -98,68 +109,109 @@ class Mlp:
         self._params = _flat_params(value, self.n_params)
 
     def _layers(self):
-        out, k = [], 0
+        """Each layer's (rows, cols + 1) matrix [W | b], copied from the
+        flat parameters, so a tape keeps the parameters of its pass."""
+        stacked, out, k = self._params[self._stacked], [], 0
         for rows, cols in self.shapes:
-            w = self._params[k:k + rows * cols].reshape(rows, cols)
-            k += rows * cols
-            b = self._params[k:k + rows]
-            k += rows
-            out.append((w, b))
+            out.append(stacked[k:k + rows * (cols + 1)].reshape(rows, cols + 1))
+            k += rows * (cols + 1)
         return out
 
-    def forward_tape(self, x):
+    def _flat_grad(self, grads):
+        """Per-layer [dW | db] gradients, in layer order, as one flat vector."""
+        flat = np.empty(self.n_params)
+        flat[self._stacked] = np.concatenate([g.ravel() for g in grads])
+        return flat
+
+    def block_shape(self, rows):
+        """The shape of the work block for a pass over ``rows`` inputs: one
+        (hidden + 1, rows) slab per hidden activation and two for the
+        pullback's temporaries."""
+        return (self.n_hidden + 2, self.hidden + 1, rows)
+
+    def forward_tape(self, x, block=None):
         """Batched forward pass over (B, in_dim) inputs; returns the (B,
-        out_dim) output and a tape holding the weights it ran with, the input
-        and the (hidden, B) activations."""
+        out_dim) output and a tape holding the layers it ran with, the input
+        with a column of ones and the work block. The activations go to
+        ``block`` (of ``block_shape(B)``; a fresh one if not given)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if block is None:
+            block = np.empty(self.block_shape(len(x)))
+        x1 = np.empty((len(x), self.in_dim + 1))
+        x1[:, :-1] = x
+        x1[:, -1] = 1.0
         layers = self._layers()
-        w, b = layers[0]
-        pre = w @ x.T
-        pre += b[:, None]
-        y, acts = _tanh_stack(layers, pre)
-        return y.T, (layers, x, acts)
+        pre = np.matmul(layers[0], x1.T, out=block[0, :self.hidden])
+        y = _tanh_stack(layers, pre, block[:self.n_hidden])
+        return y.T, (layers, x1, block)
 
     def vjp_params(self, tape, dy):
         """Accumulate d(sum of seeded outputs)/d(params), summed over the
         batch, for a (B, out_dim) cotangent ``dy``."""
-        layers, x, acts = tape
-        dpre, grads = _tanh_stack_vjp(layers, acts, np.atleast_2d(dy).T)
-        return _flatten([(dpre @ x, dpre.sum(axis=1))] + grads)
+        layers, x1, block = tape
+        dpre, grads = _tanh_stack_vjp(layers, block[:self.n_hidden], np.atleast_2d(dy).T,
+                                      block[self.n_hidden:])
+        return self._flat_grad([dpre @ x1] + grads)
 
 
-def _tanh_stack(layers, pre, block=None):
-    """Every layer after the first, feature-major: from the first layer's
-    pre-activation ``pre`` (hidden, rows), overwritten, the head output
-    (out_dim, rows) and the hidden tanh activations, each (hidden, rows).
-    The activations go to the slices of ``block`` (hidden layers, hidden,
-    rows) when one is given."""
+@functools.lru_cache(maxsize=None)
+def _stacked_order(shapes):
+    """The flat parameter index of each entry of the layers' [W | b]
+    matrices, stacked in layer order, for layer ``shapes`` ((rows, cols),
+    ...); memoized per architecture."""
+    order, k = [], 0
+    for rows, cols in shapes:
+        weights = np.arange(k, k + rows * cols).reshape(rows, cols)
+        order.append(np.column_stack([weights, k + rows * cols + np.arange(rows)]).ravel())
+        k += rows * (cols + 1)
+    order = np.concatenate(order)
+    order.setflags(write=False)
+    return order
+
+
+def _tanh_stack(layers, pre, acts):
+    """Every layer after the first, feature-major, from the first layer's
+    (hidden, rows) pre-activation ``pre``: the head output (out_dim, rows).
+    The tanh activations go to ``acts`` (hidden layers, hidden + 1, rows),
+    each with its last row set to ones, so each later layer is the one
+    product [W | b] @ [A; 1] and adds no bias of its own. ``pre`` may be
+    the first activation's leading rows; it is overwritten."""
     # In place where possible: at N! rows per context, each large temporary
     # costs more in allocation than in arithmetic.
-    acts = [np.tanh(pre, out=pre if block is None else block[0])]
-    for i, (w, b) in enumerate(layers[1:-1], 1):
-        h = np.matmul(w, acts[-1], out=None if block is None else block[i])
-        h += b[:, None]
-        acts.append(np.tanh(h, out=h))
-    w, b = layers[-1]
-    out = w @ acts[-1]
-    out += b[:, None]
-    return out, acts
+    hid = pre.shape[0]
+    acts[:, hid] = 1.0
+    np.tanh(pre, out=acts[0, :hid])
+    for i, wb in enumerate(layers[1:-1], 1):
+        h = np.matmul(wb, acts[i - 1], out=acts[i, :hid])
+        np.tanh(h, out=h)
+    return layers[-1] @ acts[-1]
 
 
-def _tanh_stack_vjp(layers, acts, dout, work=None):
+def _tanh_stack_vjp(layers, acts, dout, work):
     """Pull an (out_dim, rows) cotangent back through ``_tanh_stack``: the
-    (hidden, rows) cotangent of the first layer's pre-activation, and the
-    (weight, bias) gradients of every later layer (the caller forms the
-    first layer's own). With ``work`` (2, hidden, rows) the temporaries go
-    there, and the returned cotangent is a view of it."""
+    (hidden, rows) cotangent of the first layer's pre-activation, a view of
+    ``work`` (2, hidden + 1, rows), and the [dW | db] gradient of every later
+    layer (the caller forms the first layer's own). Each gradient is one
+    product with an activation and its row of ones, so its last column is
+    the bias gradient."""
+    hid = acts.shape[1] - 1
     grads = []
     for k, li in enumerate(range(len(layers) - 1, 0, -1)):
-        grads.append((dout @ acts[li - 1].T, dout.sum(axis=1)))
+        a = acts[li - 1]
+        grads.append(dout @ a.T)
+        w = layers[li][:, :hid]
         # The two work slices alternate: the slope overwrites the cotangent
-        # the product has just consumed.
-        dout = np.matmul(layers[li][0].T, dout, out=None if work is None else work[k % 2])
-        slope = np.square(acts[li - 1], out=None if work is None else work[1 - k % 2])
-        dout *= np.subtract(1.0, slope, out=slope)      # tanh' = 1 - tanh^2
+        # the back-projection has just consumed. Through a one-output head
+        # that back-projection is the K = 1 product w.T @ dout; the
+        # broadcast product gives the same bits without a matmul call.
+        back = work[k % 2, :hid]
+        if len(w) == 1:
+            np.multiply(w.T, dout, out=back)
+        else:
+            np.matmul(w.T, dout, out=back)
+        slope = np.square(a[:hid], out=work[1 - k % 2, :hid])
+        back *= np.subtract(1.0, slope, out=slope)      # tanh' = 1 - tanh^2
+        dout = back
     return dout, grads[::-1]
 
 
@@ -178,11 +230,6 @@ def _flat_params(value, n):
     if value.size != n:
         raise ValueError(f"expected {n} parameters, got {value.size}")
     return value.copy()
-
-
-def _flatten(grads):
-    """(weight, bias) gradients per layer, in parameter order, as one vector."""
-    return np.concatenate([v for gw, gb in grads for v in (gw.ravel(), gb)])
 
 
 class ResponsibilityModel:
@@ -242,7 +289,30 @@ class ResponsibilityModel:
 
 
 class _NetworkModel(ResponsibilityModel):
-    """A family whose parameters are those of its network ``self.net``."""
+    """A family whose parameters are those of its network ``self.net``.
+
+    A forward pass keeps its activations, and its pullback its temporaries,
+    in one work block that the model reuses for its next pass once that
+    pullback is gone. Chunked passes then run in the same memory instead of
+    paging in a fresh block per pass, which the allocator hands back to the
+    system between passes. Because of that shared block, one model must not
+    run forward passes from two threads at once.
+    """
+
+    _block = None       # [flat buffer, weak reference to the pullback using it]
+
+    def _free_block(self, rows):
+        """The model's buffer if its pullback is gone and it holds a block of
+        ``rows`` network rows, else a new buffer of that size, which becomes
+        the model's; and the block, the buffer's leading entries as a
+        contiguous array of ``net.block_shape(rows)``. The caller ties the
+        buffer to its pullback by setting the returned pair's second entry."""
+        shape = self.net.block_shape(rows)
+        held, size = self._block, math.prod(shape)
+        in_use = held is not None and held[1] is not None and held[1]() is not None
+        if held is None or in_use or held[0].size < size:
+            held = self._block = [np.empty(size), None]
+        return held, held[0][:size].reshape(shape)
 
     @property
     def params(self):
@@ -304,10 +374,15 @@ class MlpGamma(_NetworkModel):
         self.net = Mlp(context_dim, n_agents, hidden, n_hidden, rng=rng)
 
     def gamma_and_pullback(self, contexts):
-        logits, tape = self.net.forward_tape(contexts)
+        x = np.atleast_2d(np.asarray(contexts, dtype=float))
+        held, block = self._free_block(len(x))
+        logits, tape = self.net.forward_tape(x, block)
         gamma = softmax(logits)
-        return gamma, lambda dgamma: self.net.vjp_params(
-            tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
+
+        def pullback(dgamma):
+            return self.net.vjp_params(tape, softmax_vjp(gamma, np.atleast_2d(dgamma)))
+        held[1] = weakref.ref(pullback)
+        return gamma, pullback
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,14 +418,9 @@ class SymmetricGammaN(_NetworkModel):
     The first layer is linear, so the N^2 products of each slot's weight
     block with each agent's block are formed once per context, and the 0/1
     incidence matrix of the orderings sums them into every ordering's
-    pre-activation in one matrix product.
-
-    A forward pass keeps its activations, and its pullback its temporaries,
-    in one block that the model reuses for its next pass once that pullback
-    is gone. Chunked passes then run in the same memory instead of paging in
-    a fresh block per chunk, which the allocator hands back to the system
-    between chunks. Because of that shared block, one model must not run
-    forward passes from two threads at once.
+    pre-activation in one matrix product. Every ordering has exactly one
+    agent in slot one, so the first layer's bias is added to the slot-one
+    products before that sum, and its gradient is read back from them.
     """
 
     kind = "symmetric"
@@ -369,17 +439,6 @@ class SymmetricGammaN(_NetworkModel):
         self.net = Mlp(self.context_dim, 1, hidden, n_hidden, rng=rng)
         self._incidence = _ordering_incidence(n_agents)
         self.net_rows_per_context = len(self._incidence)
-        self._block = None      # [flat buffer, weak reference to the pullback using it]
-
-    def _free_block(self, shape):
-        """The model's buffer if its pullback is gone and it holds ``shape``,
-        else a new buffer of that size, which becomes the model's; and the
-        buffer's leading entries as a contiguous array of ``shape``."""
-        held, size = self._block, math.prod(shape)
-        in_use = held is not None and held[1] is not None and held[1]() is not None
-        if held is None or in_use or held[0].size < size:
-            held = self._block = [np.empty(size), None]
-        return held, held[0][:size].reshape(shape)
 
     def gamma_and_pullback(self, contexts):
         x = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -387,19 +446,21 @@ class SymmetricGammaN(_NetworkModel):
         incidence = self._incidence
         orderings, per_agent = len(incidence), len(incidence) // n
         layers = self.net._layers()
-        (w1, b1), hid = layers[0], self.net.hidden
+        hid, depth = self.net.hidden, self.net.n_hidden
+        w1, b1 = layers[0][:, :-1], layers[0][:, -1]
         # Rows (unit, slot) times columns (context, agent), regrouped to rows
-        # (unit, context) and columns (slot, agent); the incidence matrix
-        # then gives the (hidden, rows) pre-activation, rows (context, ordering).
+        # (unit, context) and columns (slot, agent), the first n of them slot
+        # one; the incidence matrix then gives the (hidden, rows)
+        # pre-activation, rows (context, ordering).
         agents = x.reshape(b * n, d)
         blocks = w1.reshape(hid * n, d) @ agents.T
         blocks = blocks.reshape(hid, n, b, n).transpose(0, 2, 1, 3).reshape(hid * b, n * n)
-        depth = len(layers) - 1
-        held, block = self._free_block((depth + 2, hid, b * orderings))
-        pre = block[0]
+        blocks[:, :n] += np.repeat(b1, b)[:, None]
+        held, block = self._free_block(b * orderings)
+        pre = block[0, :hid]
         np.matmul(blocks, incidence.T, out=pre.reshape(hid * b, orderings))
-        pre += b1[:, None]
-        vals, acts = _tanh_stack(layers, pre, block[:depth])
+        acts = block[:depth]
+        vals = _tanh_stack(layers, pre, acts)
         gamma = softmax(vals.reshape(b, n, per_agent).sum(axis=2))
 
         def pullback(dgamma):
@@ -407,9 +468,10 @@ class SymmetricGammaN(_NetworkModel):
             seeds = np.repeat(dlogits, per_agent, axis=1).reshape(1, -1)
             dpre, grads = _tanh_stack_vjp(layers, acts, seeds, block[depth:])
             dblocks = dpre.reshape(hid * b, orderings) @ incidence
+            db1 = dblocks[:, :n].sum(axis=1).reshape(hid, b).sum(axis=1)
             dblocks = dblocks.reshape(hid, b, n, n).transpose(0, 2, 1, 3).reshape(hid * n, b * n)
             dw1 = (dblocks @ agents).reshape(hid, n * d)
-            return _flatten([(dw1, dpre.sum(axis=1))] + grads)
+            return self.net._flat_grad([np.column_stack([dw1, db1])] + grads)
         held[1] = weakref.ref(pullback)
         return gamma, pullback
 
@@ -432,8 +494,9 @@ class RelativeSymmetricGamma(_NetworkModel):
 
     def gamma_and_pullback(self, contexts):
         r = np.atleast_2d(np.asarray(contexts, dtype=float))
-        vals, tape = self.net.forward_tape(np.vstack([r, -r]))
         b = r.shape[0]
+        held, block = self._free_block(2 * b)
+        vals, tape = self.net.forward_tape(np.vstack([r, -r]), block)
         th = np.tanh(vals[:b, 0] - vals[b:, 0])
         g1 = 0.5 * (1.0 + th)
 
@@ -441,6 +504,7 @@ class RelativeSymmetricGamma(_NetworkModel):
             dg = np.atleast_2d(np.asarray(dgamma, dtype=float))
             ddelta = (dg[:, 0] - dg[:, 1]) * 0.5 * (1.0 - th ** 2)
             return self.net.vjp_params(tape, np.concatenate([ddelta, -ddelta])[:, None])
+        held[1] = weakref.ref(pullback)
         return np.stack([g1, 1.0 - g1], axis=1), pullback
 
 

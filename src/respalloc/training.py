@@ -59,12 +59,18 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in ("learning_rate", "huber_delta"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # An epoch's loss is never negative, so a limit at or below 0 (or NaN,
+        # which no loss exceeds) could not be honoured; inf turns the check off.
+        if not self.divergence_limit > 0.0:
+            raise ValueError(f"divergence_limit must be positive, got {self.divergence_limit}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss_metric not in LOSS_METRICS:
@@ -176,7 +182,7 @@ def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
         total += chunk_total
         grad = grad + pullback(filter_pullback(dval_du) / n)
         # Dropped before the next chunk's forward, which can then reuse the
-        # model's activation block (SymmetricGammaN).
+        # model's activation block (every network model).
         del pullback, filter_pullback
     return _mean_loss(total, n), grad
 

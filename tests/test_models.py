@@ -184,12 +184,11 @@ def test_chunked_forward_equals_one_unchunked_forward(monkeypatch):
     assert columns == [4 * 720, 4 * 720, 720]
 
 
-def test_live_pullbacks_keep_their_activations_across_later_passes():
-    model = init_model("symmetric", seed=2, n_agents=4, agent_dim=3)
-    twin = init_model("symmetric", seed=2, n_agents=4, agent_dim=3)
+def _live_pullbacks_keep_their_activations(kind, **dims):
+    model, twin = init_model(kind, seed=2, **dims), init_model(kind, seed=2, **dims)
     rng = np.random.default_rng(9)
-    ctx = [rng.normal(size=(5, 12)) for _ in range(3)]
-    dg = [rng.normal(size=(5, 4)) for _ in range(3)]
+    ctx = [rng.normal(size=(5, model.context_dim)) for _ in range(3)]
+    dg = [rng.normal(size=(5, model.n_agents)) for _ in range(3)]
     first = model.gamma_and_pullback(ctx[0])[1]
     second = model.gamma_and_pullback(ctx[1])[1]
     model.vjp_params_batch(ctx[2], dg[2])
@@ -199,18 +198,77 @@ def test_live_pullbacks_keep_their_activations_across_later_passes():
     np.testing.assert_array_equal(model.gamma_batch(ctx[0]), twin.gamma_batch(ctx[0]))
 
 
+def test_live_pullbacks_keep_their_activations_across_later_passes():
+    _live_pullbacks_keep_their_activations("symmetric", n_agents=4, agent_dim=3)
+
+
+def test_live_relative_pullbacks_keep_their_activations_across_later_passes():
+    _live_pullbacks_keep_their_activations("relative", context_dim=4)
+
+
 def test_chunked_passes_reuse_one_activation_block():
     from respalloc import models
     model = init_model("symmetric", seed=5, n_agents=6, agent_dim=4)
     ctx = np.random.default_rng(6).normal(size=(9, model.context_dim))
     model.gamma_batch(ctx)
     block = model._block[0]
-    assert block.size == 5 * 16 * models.CHUNK_ROWS
+    assert block.size == 5 * 17 * models.CHUNK_ROWS
     # Shorter chunks (the last one of 9 contexts, or 2 contexts) run in it too.
     model.gamma_batch(ctx)
     model.vjp_params_batch(ctx[:2], np.ones((2, 6)))
     model.gamma_batch(ctx[:4])
     assert model._block[0] is block
+
+
+def test_chunked_relative_passes_reuse_one_activation_block():
+    from respalloc import models
+    model = init_model("relative", seed=5, context_dim=4)
+    ctx = np.random.default_rng(6).normal(size=(3000, 4))
+    model.gamma_batch(ctx)
+    block = model._block[0]
+    assert block.size == 5 * 17 * models.CHUNK_ROWS
+    # Chunks of 1440, 1440 and 120 contexts, then shorter passes, run in it.
+    model.gamma_batch(ctx)
+    model.vjp_params_batch(ctx[:2], np.ones((2, 2)))
+    model.gamma_batch(ctx[:500])
+    assert model._block[0] is block
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("mlp", {"n_agents": 3, "context_dim": 4}),
+    ("symmetric", {"n_agents": 4, "agent_dim": 3}),
+    ("relative", {"context_dim": 4}),
+])
+def test_a_reused_block_gives_a_fresh_models_bits_at_every_length(kind, kwargs):
+    # The block is laid out anew for each pass's row count, so its rows of
+    # ones move; each pass must write them.
+    model = init_model(kind, seed=12, **kwargs)
+    rng = np.random.default_rng(13)
+    model.params = model.params + rng.normal(size=model.params.size, scale=0.3)
+    buffer = None
+    for b in (9, 2, 4, 9):
+        twin = init_model(kind, seed=12, **kwargs)
+        twin.params = model.params
+        ctx = rng.normal(size=(b, model.context_dim), scale=2.0)
+        dg = rng.normal(size=(b, model.n_agents))
+        gamma, pullback = model.gamma_and_pullback(ctx)
+        twin_gamma, twin_pullback = twin.gamma_and_pullback(ctx)
+        np.testing.assert_array_equal(gamma, twin_gamma)
+        np.testing.assert_array_equal(pullback(dg), twin_pullback(dg))
+        buffer = model._block[0] if buffer is None else buffer
+        assert model._block[0] is buffer
+        del pullback
+
+
+def test_one_output_head_back_projects_as_the_matmul_bit_for_bit():
+    from respalloc import models
+    net = Mlp(3, 1, hidden=16, n_hidden=1, rng=np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    _, (layers, _, block) = net.forward_tape(rng.normal(size=(2880, 3)))
+    dout = rng.normal(size=(1, 2880))
+    dpre, _ = models._tanh_stack_vjp(layers, block[:1], dout, block[1:])
+    w, a = layers[1][:, :-1], block[0, :-1]
+    np.testing.assert_array_equal(dpre, (w.T @ dout) * (1.0 - np.square(a)))
 
 
 def test_symmetric_cap():

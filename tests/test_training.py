@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError):
         TrainConfig(loss_metric="mse")
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("epochs", 2.5), ("batch_size", 4.0), ("epochs", True), ("batch_size", False),
+    ("epochs", "3"), ("epochs", -2), ("batch_size", 0)])
+def test_train_config_refuses_counts_that_fit_cannot_use(name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {bad!r}")):
+        TrainConfig(**{name: bad})
+    config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4))
+    assert (config.epochs, config.batch_size) == (3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, -np.inf])
+def test_train_config_refuses_a_divergence_limit_no_loss_can_cross(bad):
+    with pytest.raises(ValueError, match="divergence_limit must be positive"):
+        TrainConfig(divergence_limit=bad)
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +427,14 @@ def test_divergence_aborts_with_partial_report(line_scene, clean_samples):
     report = fit(clean_samples, model, line_scene, tc)
     assert report.diverged
     assert report.epochs_run < 50
+
+
+def test_an_infinite_divergence_limit_runs_every_epoch(line_scene, clean_samples):
+    tc = TrainConfig(epochs=3, batch_size=64, learning_rate=0.01,
+                     optimizer="sgd", seed=0, divergence_limit=np.inf)
+    report = fit(clean_samples, ConstantGamma(2), line_scene, tc)
+    assert not report.diverged
+    assert report.epochs_run == 3
 
 
 def test_report_serialization(tmp_path, line_scene, clean_samples):
