@@ -22,14 +22,18 @@ channel changes side of its box on the way; otherwise it walks its
 breakpoints. ``FilterProblem``, ``solve_filter``, ``filtered_controls`` (its
 u* alone, the generators' entry) and ``differentiate_filter`` take one row
 (``a`` (m,)) or a batch (``a`` (B, m)); ``kkt_residuals`` and the problem's
-dense pieces are one-row references. ``solve_rows_and_pullback``, the
-training step's entry, solves a batch in blocks of ``BLOCK_ROWS`` = 4 rows
+dense pieces are one-row references. The checks are two functions:
+``check_rows`` for everything but gamma and ``check_gamma``. ``FilterRows``
+holds a batch's rows, checked once, for solves at many allocations.
+``solve_rows_and_pullback``, the training step's entry, takes such rows and
+a gamma, checks only the gamma, solves in blocks of ``BLOCK_ROWS`` = 8 rows
 and pulls a cotangent on u* back to gamma, block by block, without forming
 the Jacobians. Larger blocks are faster, but they bring the scaling tests'
 fitted exponent of step time in batch size, from B = 8, closer to its lower
-bound, and a slow spell of the host then fails more runs: at 8 rows about
-twice as many as one row at a time, at 4 rows about as many (README,
-"Allocation models and their gradients").
+bound, where a step's fixed cost weighs most. With the rows checked once
+per fit instead of once per step, 8-row blocks read the exponents that
+4-row blocks read with the per-step check (README, "Allocation models and
+their gradients").
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .barriers import CbfLinearConstraint
 
 
 # Rows per ``_solve_core`` call and per pullback block in ``solve_rows_and_pullback``
-# (see the module docstring for why 4).
-BLOCK_ROWS = 4
+# (see the module docstring for why 8).
+BLOCK_ROWS = 8
 
 
 class FilterError(RuntimeError):
@@ -61,6 +65,125 @@ def _channel_agent(dims):
     for array in (owner, onehot, others):
         array.setflags(write=False)
     return owner, onehot, others
+
+
+def check_rows(a, offset, u_des, lb, ub, beta1, beta2, agent_dims):
+    """Check everything of a problem but its allocation; a FilterError names the field.
+
+    ``a`` and ``u_des`` are (m,) for one row or (B, m) for a batch, ``offset``
+    a float or (B,), ``lb``/``ub`` scalars or (m,). Returns a, offset, u_des,
+    lb and ub as float arrays, the bounds broadcast to (m,).
+    """
+    a = np.asarray(a, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    if a.ndim not in (1, 2):
+        raise FilterError(f"safety row a must have shape (m,) or (B, m), got {a.shape}")
+    if a.ndim == 2 and not len(a):
+        raise FilterError("empty batch: a batch problem needs at least one row")
+    m = a.shape[-1]
+    if sum(agent_dims) != m or min(agent_dims, default=0) < 1:
+        raise FilterError(f"agent_dims {agent_dims} must be positive and sum to m = {m}")
+    u_des = np.asarray(u_des, dtype=float)
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+    if lb.shape != (m,) or ub.shape != (m,):
+        for name, bound in (("lb", lb), ("ub", ub)):
+            if bound.shape not in ((), (1,), (m,)):
+                raise FilterError(f"{name} must be a scalar or have shape ({m},), "
+                                  f"got {bound.shape}")
+        lb, ub = np.broadcast_to(lb, (m,)), np.broadcast_to(ub, (m,))
+    if u_des.shape != a.shape:
+        raise FilterError(f"u_des must have shape {a.shape}")
+    if offset.shape != a.shape[:-1]:
+        raise FilterError(f"offset must have shape {a.shape[:-1]}")
+    if not 0.0 < beta2 < math.inf:
+        raise FilterError("beta2 must be positive and finite")
+    if not 0.0 <= beta1 < math.inf:
+        raise FilterError("beta1 must be nonnegative and finite")
+    # A product sum is finite unless an entry is NaN or inf (or it overflows).
+    if not math.isfinite(np.vdot(a, u_des) + np.vdot(offset, offset)):
+        for name, value in (("a", a), ("offset", offset), ("u_des", u_des)):
+            if not np.all(np.isfinite(value)):
+                raise FilterError(f"{name} holds a NaN or infinite entry")
+    if not (lb <= ub).all():
+        if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
+            raise FilterError("box bounds lb/ub hold a NaN entry")
+        raise FilterError("inconsistent box bounds (lb > ub)")
+    return a, offset, u_des, lb, ub
+
+
+def check_gamma(gamma, shape, beta1):
+    """Check an allocation of ``shape`` for rows that ``check_rows`` passed with
+    ``beta1``; returns it as a float array. A FilterError names the field."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != shape:
+        raise FilterError("gamma length must equal the number of agents")
+    if not math.isfinite(np.vdot(gamma, gamma)) and not np.all(np.isfinite(gamma)):
+        raise FilterError("gamma holds a NaN or infinite entry")
+    gmin = gamma.min()
+    if gmin < -1e-12:
+        raise FilterError("gamma entries must be nonnegative")
+    if gmin + beta1 <= 0:
+        raise FilterError("need gamma_i + beta1 > 0 for a unique solution")
+    return gamma
+
+
+def _read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+class FilterRows:
+    """A batch of checked safety rows, to be solved at many allocations.
+
+    ``a`` and ``u_des`` are (B, m), ``offset`` (B,) and ``lb``/``ub`` (m,),
+    shared by every row, as in a batch ``FilterProblem`` without its gamma.
+    Construction runs ``check_rows`` once and keeps read-only float copies in
+    the layout ``solve_rows_and_pullback`` reads, so a solve checks only its
+    gamma. ``subset`` takes rows of checked rows and does not check them
+    again. Attributes cannot be rebound and the arrays cannot be written, so
+    no row reaches the solver unchecked.
+    """
+
+    _ROW_FIELDS = ("a", "offset", "u_des")      # indexed by ``subset``
+
+    def __init__(self, constraints, u_des, beta1, beta2, lb, ub):
+        dims = tuple(constraints.agent_dims)
+        a, offset, u_des, lb, ub = check_rows(constraints.a, constraints.offset, u_des,
+                                              lb, ub, beta1, beta2, dims)
+        if a.ndim != 2:
+            raise FilterError(f"rows need a of shape (B, m), got {a.shape}")
+        m = a.shape[1]
+        a, offset, u_des, lb, ub = (_read_only(np.array(x)) for x in (a, offset, u_des, lb, ub))
+        vars(self).update(a=a, offset=offset, u_des=u_des, lb=lb, ub=ub, beta1=float(beta1),
+                          beta2=float(beta2), agent_dims=dims,
+                          # What each solve reads: the bounds as (1, m) rows and
+                          # the channel-to-agent maps.
+                          _core=(lb.reshape(1, m), ub.reshape(1, m)) + _channel_agent(dims))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only; its rows were checked once")
+
+    def __len__(self):
+        return len(self.a)
+
+    @property
+    def constraints(self):
+        """The rows as one ``CbfLinearConstraint``; indexing it gives one row."""
+        return CbfLinearConstraint(self.a, self.offset, self.agent_dims)
+
+    def subset(self, idx):
+        """The rows at ``idx``, an index array or a slice (a view), unchecked:
+        rows of checked rows are checked."""
+        rows = object.__new__(type(self))
+        fields = vars(rows)
+        fields.update(vars(self))
+        gathered = not isinstance(idx, slice)
+        for name in self._ROW_FIELDS:
+            value = fields[name][idx]
+            fields[name] = _read_only(value) if gathered else value
+        if not len(rows):
+            raise FilterError("empty batch: a batch problem needs at least one row")
+        return rows
 
 
 @dataclass
@@ -82,53 +205,12 @@ class FilterProblem:
     ub: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.constraint.a, dtype=float)
-        offset = np.asarray(self.constraint.offset, dtype=float)
-        if a.ndim not in (1, 2):
-            raise FilterError(f"safety row a must have shape (m,) or (B, m), got {a.shape}")
-        if a.ndim == 2 and not len(a):
-            raise FilterError("empty batch: a batch problem needs at least one row")
-        m = a.shape[-1]
-        dims = self.constraint.agent_dims
-        if sum(dims) != m or min(dims, default=0) < 1:
-            raise FilterError(f"agent_dims {dims} must be positive and sum to m = {m}")
-        self.u_des = np.asarray(self.u_des, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.lb = np.asarray(self.lb, dtype=float)
-        self.ub = np.asarray(self.ub, dtype=float)
-        if self.lb.shape != (m,) or self.ub.shape != (m,):
-            for name in ("lb", "ub"):
-                bound = getattr(self, name)
-                if bound.shape not in ((), (1,), (m,)):
-                    raise FilterError(f"{name} must be a scalar or have shape ({m},), "
-                                      f"got {bound.shape}")
-                setattr(self, name, np.broadcast_to(bound, (m,)))
-        if self.u_des.shape != a.shape:
-            raise FilterError(f"u_des must have shape {a.shape}")
-        if self.gamma.shape != a.shape[:-1] + (len(dims),):
-            raise FilterError("gamma length must equal the number of agents")
-        if offset.shape != a.shape[:-1]:
-            raise FilterError(f"offset must have shape {a.shape[:-1]}")
-        if not 0.0 < self.beta2 < math.inf:
-            raise FilterError("beta2 must be positive and finite")
-        if not 0.0 <= self.beta1 < math.inf:
-            raise FilterError("beta1 must be nonnegative and finite")
-        # A product sum is finite unless an entry is NaN or inf (or it overflows).
-        if not math.isfinite(np.vdot(a, self.u_des) + np.vdot(self.gamma, self.gamma)
-                             + np.vdot(offset, offset)):
-            for name, value in (("a", a), ("offset", offset), ("u_des", self.u_des),
-                                ("gamma", self.gamma)):
-                if not np.all(np.isfinite(value)):
-                    raise FilterError(f"{name} holds a NaN or infinite entry")
-        gmin = self.gamma.min()
-        if gmin < -1e-12:
-            raise FilterError("gamma entries must be nonnegative")
-        if gmin + self.beta1 <= 0:
-            raise FilterError("need gamma_i + beta1 > 0 for a unique solution")
-        if not (self.lb <= self.ub).all():
-            if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
-                raise FilterError("box bounds lb/ub hold a NaN entry")
-            raise FilterError("inconsistent box bounds (lb > ub)")
+        con = self.constraint
+        a, _, self.u_des, self.lb, self.ub = check_rows(
+            con.a, con.offset, self.u_des, self.lb, self.ub, self.beta1, self.beta2,
+            con.agent_dims)
+        self.gamma = check_gamma(self.gamma, a.shape[:-1] + (len(con.agent_dims),),
+                                 self.beta1)
 
     def validate_allocation(self, tol=1e-9):
         """Check the modeling contract on every row's gamma (simplex membership)."""
@@ -445,38 +527,43 @@ def differentiate_filter(problem: FilterProblem, solution: FilterSolution) -> Fi
                            du_dudes=du_dudes, degenerate=solution.degenerate)
 
 
-def solve_rows_and_pullback(problem: FilterProblem):
-    """Each row's optimum u* (B, m), solved in blocks of ``BLOCK_ROWS`` rows, and
-    its pullback.
+def solve_rows_and_pullback(rows: FilterRows, gamma):
+    """Each row's optimum u* (B, m) at allocations ``gamma`` (B, N), solved in
+    blocks of ``BLOCK_ROWS`` rows, and its pullback.
 
-    The rows of a checked batch problem go through the closed-form core one
-    block at a time (the last block may be short) and skip the duals and
-    flags of ``solve_filter``; u* equals that function's bit for bit, since
-    each row's result depends on that row alone. ``pullback(w)`` maps a
-    cotangent w (B, m) on u* to w . du*/dgamma (B, N), again block by block:
-    each row of ``differentiate_filter``'s Jacobian contracted with that row
-    of w, without forming it: (own w) @ onehot on a slack row,
+    Only ``gamma`` is checked (``check_gamma``); the rows were checked when
+    ``rows`` was built. They go through the closed-form core one block at a
+    time (the last block may be short) and skip the duals and flags of
+    ``solve_filter``; u* equals that function's bit for bit, since each row's
+    result depends on that row alone. ``pullback(w)`` maps a cotangent w
+    (B, m) on u* to w . du*/dgamma (B, N), again block by block: each row of
+    ``differentiate_filter``'s Jacobian contracted with that row of w,
+    without forming it: (own w) @ onehot on a slack row,
     (own (w keep - a sum_{l != j} w_l t_l / total)) @ onehot on a binding one.
     """
-    a, d, g, h = _rows(problem)
-    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
-    b, m = a.shape
-    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
-    beta2, (_, onehot, others) = problem.beta2, _channel_agent(problem.constraint.agent_dims)
-    blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, b, BLOCK_ROWS)]
-    u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
-    for r in blocks:
-        ur, vr, lam, _, _ = _solve_core(a[r], d[r], g[r], h[r], c[r], lb, ub, beta2)
-        u[r], free[r], binds[r] = ur, ur == vr, lam > 0.0
+    if not isinstance(rows, FilterRows):
+        raise TypeError(f"rows must be FilterRows, got {type(rows).__name__}")
+    gamma = check_gamma(gamma, (len(rows), len(rows.agent_dims)), rows.beta1)
+    a, c, d, beta2 = rows.a, rows.offset, rows.u_des, rows.beta2
+    lb, ub, owner, onehot, others = rows._core
+    g = gamma.take(owner, axis=1)
+    h = g + rows.beta1
+    blocks = []
+    for i in range(0, len(a), BLOCK_ROWS):
+        r = slice(i, i + BLOCK_ROWS)
+        ar, dr, hr = a[r], d[r], h[r]
+        ur, vr, lam, _, _ = _solve_core(ar, dr, g[r], hr, c[r], lb, ub, beta2)
+        blocks.append((r, ar, dr, hr, ur, ur == vr, lam > 0.0))
 
     def pullback(w):
-        dgamma = np.empty((b, onehot.shape[1]))
-        for r in blocks:
+        dgamma = []
+        for r, ar, dr, hr, ur, free, binds in blocks:
             wr = w[r]
-            _, own, t, total, keep = _sensitivities(a[r], d[r], h[r], u[r], free[r], beta2, others)
-            wr = np.where(binds[r, None],       # d lam = 0 on a slack row
-                          wr * keep - a[r] * _vecmat(wr * t, others) / total[:, None], wr)
-            dgamma[r] = _vecmat(own * wr, onehot)
-        return dgamma
+            _, own, t, total, keep = _sensitivities(ar, dr, hr, ur, free, beta2, others)
+            wr = np.where(binds[:, None],       # d lam = 0 on a slack row
+                          wr * keep - ar * _vecmat(wr * t, others) / total[:, None], wr)
+            dgamma.append(_vecmat(own * wr, onehot))
+        return dgamma[0] if len(dgamma) == 1 else np.concatenate(dgamma)
 
+    u = blocks[0][4] if len(blocks) == 1 else np.concatenate([block[4] for block in blocks])
     return u, pullback

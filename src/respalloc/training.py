@@ -6,11 +6,14 @@ safety-filter QP is solved at the sample's state, and the mismatch between
 its optimum and the observed controls is scored (Huber by default). The
 gradient chains d loss / d u*  .  d u* / d gamma  .  d gamma / d params,
 with the middle factor coming from the QP's closed form (``filter_qp``).
-Each chunk of the minibatch is checked once as one batch problem, then
-solved and pulled back through w . du*/dgamma, without forming the
-Jacobians, in blocks of ``filter_qp.BLOCK_ROWS`` = 4 rows: larger blocks
-make step time grow more slowly in the batch size, and the scaling tests,
-which start at B = 8, then fail more often on a noisy host.
+Each chunk of the minibatch is solved and pulled back through
+w . du*/dgamma, without forming the Jacobians, in blocks of
+``filter_qp.BLOCK_ROWS`` = 8 rows; only its gamma is checked, since the
+rows were checked once when the fit prepared them. A step's fixed cost is
+what weighs most at the scaling tests' smallest batch, B = 8: with 8-row
+blocks and the per-step row check and problem of earlier versions, the
+tests' fitted exponents fell and they failed about twice as often on a
+noisy host; without them, they read as with 4-row blocks.
 
 A step runs the minibatch in the chunks of ``models.chunk_slices``: whole
 contexts, at most ``models.CHUNK_ROWS`` network rows each
@@ -22,8 +25,11 @@ L2 cache. Models with few rows per context (constant, MLP, relative) take
 the whole minibatch as one chunk; the 6-agent symmetric model, at 720 rows
 per context, takes four contexts per chunk.
 
-Safety rows do not depend on gamma, so constraint assembly is hoisted out of
-the training loop (``prepare_batch``).
+Safety rows do not depend on gamma, so constraint assembly and the row
+check are hoisted out of the training loop (``prepare_batch``, which
+builds a ``PreparedBatch``). ``fit`` gathers the prepared rows once per
+epoch in that epoch's order, and each step takes a contiguous slice (a
+view) of them.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import CbfLinearConstraint
 from .data import InteractionScene, SampleSet, atomic_write, write_csv
 # solve_filter and differentiate_filter stay bound here: perfbench's tracer wraps them by name.
-from .filter_qp import (FilterProblem, differentiate_filter, solve_filter,  # noqa: F401
+from .filter_qp import (FilterRows, differentiate_filter, solve_filter,  # noqa: F401
                         solve_rows_and_pullback)
 from .models import ConstantGamma, chunk_slices
 
@@ -92,34 +97,32 @@ def residual_loss(residual, metric="huber", delta=1.0):
     raise ValueError(f"unknown loss metric {metric!r}")
 
 
-@dataclass
-class PreparedBatch:
-    """Constraint rows and stacked controls hoisted out of the inner loop."""
+class PreparedBatch(FilterRows):
+    """Checked filter rows, model inputs and observed controls, hoisted out of
+    the inner loop.
 
-    contexts: np.ndarray        # (B, context_dim) model inputs
-    constraints: CbfLinearConstraint    # a (B, m), offset (B,)
-    u_des: np.ndarray           # (B, m) stacked desired controls
-    u_obs: np.ndarray           # (B, m) stacked observed controls
-    lb: np.ndarray
-    ub: np.ndarray
-    beta1: float
-    beta2: float
+    ``contexts`` (B, context_dim) are the model inputs and ``u_obs`` (B, m)
+    the stacked observed controls; the rest are ``FilterRows``, whose
+    construction checks the rows once. ``subset`` (an index array, or a
+    slice for a view) takes the same rows of all five arrays unchecked.
+    """
 
-    def __len__(self):
-        return len(self.u_des)
+    _ROW_FIELDS = FilterRows._ROW_FIELDS + ("contexts", "u_obs")
 
-    def subset(self, idx):
-        rows = self.constraints
-        return PreparedBatch(
-            contexts=self.contexts[idx],
-            constraints=CbfLinearConstraint(rows.a[idx], rows.offset[idx], rows.agent_dims),
-            u_des=self.u_des[idx], u_obs=self.u_obs[idx], lb=self.lb, ub=self.ub,
-            beta1=self.beta1, beta2=self.beta2)
+    def __init__(self, contexts, constraints, u_des, u_obs, lb, ub, beta1, beta2):
+        super().__init__(constraints, u_des, beta1, beta2, lb, ub)
+        contexts, u_obs = np.array(contexts, dtype=float), np.array(u_obs, dtype=float)
+        if len(contexts) != len(self) or u_obs.shape != self.u_des.shape:
+            raise ValueError(f"need contexts for {len(self)} rows and u_obs of shape "
+                             f"{self.u_des.shape}, got {contexts.shape} and {u_obs.shape}")
+        contexts.setflags(write=False)
+        u_obs.setflags(write=False)
+        vars(self).update(contexts=contexts, u_obs=u_obs)
 
 
 def prepare_batch(samples: SampleSet, scene: InteractionScene,
                   context_dim=None) -> PreparedBatch:
-    """Assemble the samples' safety rows once; they do not depend on gamma."""
+    """Assemble and check the samples' safety rows once; they do not depend on gamma."""
     B = len(samples)
     if not B:
         raise ValueError("empty batch")
@@ -131,12 +134,6 @@ def prepare_batch(samples: SampleSet, scene: InteractionScene,
     ctx = np.zeros((B, 0)) if context_dim == 0 else states
     return PreparedBatch(contexts=ctx, constraints=cons, u_des=u_des, u_obs=u_obs,
                          lb=lb, ub=ub, beta1=scene.beta1, beta2=scene.beta2)
-
-
-def _solve(prep: PreparedBatch, gamma):
-    """The rows' filter optima u* (B, m) at allocations ``gamma`` and their pullback."""
-    return solve_rows_and_pullback(FilterProblem(
-        prep.constraints, prep.u_des, gamma, prep.beta1, prep.beta2, prep.lb, prep.ub))
 
 
 def _residual_loss(prep: PreparedBatch, u, config: TrainConfig):
@@ -157,7 +154,7 @@ def _mean_loss(total, rows):
 
 def batch_loss(prep: PreparedBatch, model, config: TrainConfig) -> float:
     """Mean per-sample loss of filter outputs against observed controls."""
-    u, _ = _solve(prep, model.gamma_batch(prep.contexts))
+    u, _ = solve_rows_and_pullback(prep, model.gamma_batch(prep.contexts))
     return _mean_loss(_residual_loss(prep, u, config)[0], len(prep))
 
 
@@ -177,7 +174,7 @@ def batch_loss_and_grad(prep: PreparedBatch, model, config: TrainConfig):
     for part in parts:
         chunk = prep if len(parts) == 1 else prep.subset(part)
         gamma, pullback = model.gamma_and_pullback(chunk.contexts)
-        u, filter_pullback = _solve(chunk, gamma)
+        u, filter_pullback = solve_rows_and_pullback(chunk, gamma)
         chunk_total, dval_du = _residual_loss(chunk, u, config)
         total += chunk_total
         grad = grad + pullback(filter_pullback(dval_du) / n)
@@ -279,10 +276,15 @@ class TrainReport:
         return self.gamma_trace[-1]
 
     def to_dict(self):
-        doc = {"losses": [float(v) for v in self.losses],
+        """The report as strict JSON values: the disabled divergence limit
+        (inf) and an epoch loss that overflowed are None (null)."""
+        config = dict(self.config)
+        if config.get("divergence_limit") == math.inf:
+            config["divergence_limit"] = None
+        doc = {"losses": [float(v) if math.isfinite(v) else None for v in self.losses],
                "step_ms": [float(v) for v in self.step_ms],
                "final_params": [float(v) for v in self.final_params],
-               "config": self.config,
+               "config": config,
                "diverged": self.diverged}
         if self.gamma_trace is not None:
             doc["gamma_trace"] = [[float(v) for v in row] for row in self.gamma_trace]
@@ -292,7 +294,7 @@ class TrainReport:
         return doc
 
     def save_json(self, path):
-        atomic_write(path, json.dumps(self.to_dict()))
+        atomic_write(path, json.dumps(self.to_dict(), allow_nan=False))
 
     def save_trace_csv(self, path):
         """Per epoch: loss, mean step time and, for constant models, gamma."""
@@ -327,12 +329,14 @@ def fit(samples, model, scene: InteractionScene, config: TrainConfig) -> TrainRe
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss, seen, steps, t0 = 0.0, 0, 0, time.perf_counter()
+        shuffled = prep.subset(order)       # the rows in this epoch's order, gathered once
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            value, grad = batch_loss_and_grad(prep.subset(idx), model, config)
+            batch = shuffled.subset(slice(start, start + config.batch_size))
+            value, grad = batch_loss_and_grad(batch, model, config)
             params = optimizer.step(model.params, grad)
-            epoch_loss += value * len(idx)
-            seen += len(idx)
+            rows = len(batch)
+            epoch_loss += value * rows
+            seen += rows
             steps += 1
             if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(params))):
                 diverged = True

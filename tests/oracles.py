@@ -336,20 +336,23 @@ def exact_filter_pullback(problem, solution, w, i):
                      for k in range(len(du_dgamma[0]))])
 
 
-def per_row_solve_and_pullback(problem):
+def per_row_solve_and_pullback(rows, gamma):
     """``filter_qp.solve_rows_and_pullback`` one row at a time: (u*, pullback).
 
-    Each row of a checked batch problem runs through ``_solve_core`` as its
-    own (1, m) view, and ``pullback(w)`` contracts each row's Jacobian with
-    that row of w, through ``_sensitivities`` on a binding row and the
-    slack row's ``(own w) @ onehot`` otherwise.
+    It reads the public fields of the checked ``rows`` (a ``FilterRows``) and
+    checks ``gamma`` as that function does. Each row runs through
+    ``_solve_core`` as its own (1, m) view, and ``pullback(w)`` contracts each
+    row's Jacobian with that row of w, through ``_sensitivities`` on a binding
+    row and the slack row's ``(own w) @ onehot`` otherwise.
     """
-    a, d, g, h = filter_qp._rows(problem)
-    c = np.asarray(problem.constraint.offset, dtype=float).reshape(-1)
+    gamma = filter_qp.check_gamma(gamma, (len(rows), len(rows.agent_dims)), rows.beta1)
+    a, d, c = rows.a, rows.u_des, rows.offset
     b, m = a.shape
-    lb, ub = problem.lb.reshape(1, m), problem.ub.reshape(1, m)
-    beta2 = problem.beta2
-    _, onehot, others = filter_qp._channel_agent(problem.constraint.agent_dims)
+    lb, ub = rows.lb.reshape(1, m), rows.ub.reshape(1, m)
+    beta2 = rows.beta2
+    owner, onehot, others = filter_qp._channel_agent(rows.agent_dims)
+    g = gamma[:, owner]
+    h = g + rows.beta1
     u, free, binds = np.empty((b, m)), np.empty((b, m), dtype=bool), np.empty(b, dtype=bool)
     for i in range(b):
         r = slice(i, i + 1)

@@ -9,7 +9,7 @@ from respalloc.barriers import (CbfLinearConstraint, assemble_constraint,
 from respalloc.data import planar_group_scene, two_agent_line_scene, weaving_scene
 from respalloc import filter_qp
 from respalloc.dynamics import make_single_integrator_1d
-from respalloc.filter_qp import (FilterError, FilterProblem,
+from respalloc.filter_qp import (FilterError, FilterProblem, FilterRows,
                                  differentiate_filter, filtered_controls,
                                  kkt_residuals, solve_filter)
 
@@ -747,11 +747,18 @@ def _core_on_row(problem, i):
                                  problem.beta2)
 
 
+def _solve_rows(solver, problem):
+    """``solver`` (the block path or the per-row reference) on a batch problem's
+    rows, checked as ``FilterRows``, at its gamma."""
+    return solver(FilterRows(problem.constraint, problem.u_des, problem.beta1, problem.beta2,
+                             problem.lb, problem.ub), problem.gamma)
+
+
 def _assert_pullback_matches_jacobian(problem, rng):
     """Per-row u* equals ``solve_filter``'s; the pullback equals w @ du*/dgamma,
     contracted in exact rationals."""
     sol = solve_filter(problem)
-    u, pullback = filter_qp.solve_rows_and_pullback(problem)
+    u, pullback = _solve_rows(filter_qp.solve_rows_and_pullback, problem)
     np.testing.assert_array_equal(u, sol.u)
     w = rng.normal(size=u.shape)
     got = pullback(w)
@@ -819,10 +826,10 @@ def _block_path_equals_per_row(problem, rng):
     b, k = len(problem.u_des), filter_qp.BLOCK_ROWS
     with mock.patch.object(filter_qp, "_solve_core", wraps=filter_qp._solve_core) as core, \
             mock.patch.object(filter_qp, "_root", wraps=filter_qp._root) as walk:
-        u, pullback = filter_qp.solve_rows_and_pullback(problem)
+        u, pullback = _solve_rows(filter_qp.solve_rows_and_pullback, problem)
     assert [len(call.args[0]) for call in core.call_args_list] == \
         [min(k, b - i) for i in range(0, b, k)]
-    ref_u, ref_pullback = per_row_solve_and_pullback(problem)
+    ref_u, ref_pullback = _solve_rows(per_row_solve_and_pullback, problem)
     w = rng.normal(size=u.shape)
     np.testing.assert_array_equal(_bits(u), _bits(ref_u))
     np.testing.assert_array_equal(_bits(pullback(w)), _bits(ref_pullback(w)))

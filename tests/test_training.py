@@ -4,14 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from respalloc.data import (WeavingConfig, augment, default_planar_group_config,
+from respalloc.data import (InteractionScene, WeavingConfig, augment, default_planar_group_config,
                             default_two_agent_config, generate_synthetic,
                             generate_weaving_trajectories, planar_group_scene,
                             two_agent_line_scene, weaving_scene)
-from respalloc import models, training
-from respalloc.filter_qp import FilterProblem, differentiate_filter, solve_filter
+from respalloc import filter_qp, models, training
+from respalloc.barriers import CbfLinearConstraint
+from respalloc.filter_qp import (FilterError, FilterProblem, differentiate_filter,
+                                 solve_filter, solve_rows_and_pullback)
 from respalloc.models import ConstantGamma, RelativeSymmetricGamma, init_model
-from respalloc.training import (Adam, Sgd, TrainConfig, batch_loss,
+from respalloc.training import (Adam, PreparedBatch, Sgd, TrainConfig, batch_loss,
                                 batch_loss_and_grad, fit, fit_windows,
                                 gradient_step, loss, prepare_batch,
                                 residual_loss, time_loss_and_grad)
@@ -259,6 +261,134 @@ def test_prepared_rows_index_as_one_row_constraints(line_scene, clean_samples):
             assert got.agent_dims == rows.agent_dims
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["a", "offset", "u_des"])
+def test_prepare_batch_refuses_rows_holding_nan_or_inf(field, bad, line_scene, clean_samples,
+                                                       monkeypatch):
+    # States are checked before assembly, so a non-finite a or offset comes
+    # from the barrier; a non-finite u_des can come with the samples.
+    def poison(value):
+        value = np.array(value)
+        value.reshape(-1)[3] = bad
+        return value
+
+    if field == "u_des":
+        clean_samples = type(clean_samples)(**{**vars(clean_samples),
+                                               "u_des": poison(clean_samples.u_des)})
+    else:
+        assemble = InteractionScene.assemble
+
+        def poisoned(scene, states):
+            rows = assemble(scene, states)
+            fields = {"a": rows.a, "offset": rows.offset}
+            fields[field] = poison(fields[field])
+            return CbfLinearConstraint(fields["a"], fields["offset"], rows.agent_dims)
+
+        monkeypatch.setattr(InteractionScene, "assemble", poisoned)
+    with pytest.raises(FilterError, match=f"{field} holds a NaN or infinite entry"):
+        prepare_batch(clean_samples, line_scene, 0)
+
+
+def _prepared_fields(prep):
+    return dict(contexts=prep.contexts, constraints=prep.constraints, u_des=prep.u_des,
+                u_obs=prep.u_obs, lb=prep.lb, ub=prep.ub, beta1=prep.beta1, beta2=prep.beta2)
+
+
+@pytest.mark.parametrize("field", ["a", "offset", "u_des"])
+def test_a_prepared_batch_checks_its_rows_when_built(field, line_scene, clean_samples):
+    fields = _prepared_fields(prepare_batch(clean_samples[:8], line_scene, 0))
+    rows = {"a": np.array(fields["constraints"].a),
+            "offset": np.array(fields["constraints"].offset), "u_des": np.array(fields["u_des"])}
+    rows[field].reshape(-1)[-1] = np.nan
+    fields.update(u_des=rows["u_des"], constraints=CbfLinearConstraint(
+        rows["a"], rows["offset"], fields["constraints"].agent_dims))
+    with pytest.raises(FilterError, match=f"{field} holds a NaN or infinite entry"):
+        PreparedBatch(**fields)
+    fields = _prepared_fields(prepare_batch(clean_samples[:8], line_scene, 0))
+    for name, bad, message in (("lb", np.full(2, 20.0), "lb > ub"), ("beta2", 0.0, "beta2")):
+        with pytest.raises(FilterError, match=message):
+            PreparedBatch(**{**fields, name: bad})
+    with pytest.raises(ValueError, match="u_obs of shape"):
+        PreparedBatch(**{**fields, "u_obs": fields["u_obs"][:1]})
+
+
+def test_prepared_rows_cannot_change_after_their_check(line_scene, clean_samples):
+    prep = prepare_batch(clean_samples, line_scene, 0)
+    for sub in (prep, prep.subset(np.array([5, 2])), prep.subset(slice(3, 9))):
+        for name in ("a", "offset", "u_des", "lb", "ub", "contexts", "u_obs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sub, name)[...] = np.nan
+        with pytest.raises(AttributeError, match="read-only"):
+            sub.u_des = np.full_like(sub.u_des, np.nan)
+    with pytest.raises(FilterError, match="empty batch"):
+        prep.subset(slice(64, 72))
+    with pytest.raises(TypeError, match="FilterRows"):
+        solve_rows_and_pullback(FilterProblem(prep.constraints, prep.u_des,
+                                              np.full((64, 2), 0.5), prep.beta1, prep.beta2,
+                                              prep.lb, prep.ub), np.full((64, 2), 0.5))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_step_at_a_nan_allocation_raises_naming_gamma(line_scene, clean_samples):
+    prep = prepare_batch(clean_samples, line_scene, 0)
+    model = ConstantGamma(2, params=np.array([np.inf, 0.0]))   # softmax gives NaN
+    assert np.isnan(model.gamma()).any()
+    with pytest.raises(FilterError, match="gamma holds a NaN or infinite entry"):
+        batch_loss_and_grad(prep.subset(slice(0, 8)), model, CFG)
+    with pytest.raises(FilterError, match="gamma holds a NaN or infinite entry"):
+        fit(clean_samples, model, line_scene, TrainConfig(epochs=2, batch_size=8))
+
+
+def test_a_fit_checks_its_rows_once_and_builds_no_filter_problem(line_scene, clean_samples,
+                                                                  monkeypatch):
+    calls = {"rows": 0, "gamma": 0, "problem": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(filter_qp, "check_rows", counted("rows", filter_qp.check_rows))
+    monkeypatch.setattr(filter_qp, "check_gamma", counted("gamma", filter_qp.check_gamma))
+    monkeypatch.setattr(filter_qp, "_rows", counted("problem", filter_qp._rows))
+    monkeypatch.setattr(FilterProblem, "__post_init__",
+                        counted("problem", FilterProblem.__post_init__))
+    fit(clean_samples, ConstantGamma(2), line_scene, TrainConfig(epochs=3, batch_size=8))
+    assert calls == {"rows": 1, "gamma": 3 * 64 // 8, "problem": 0}
+
+
+def _reference_fit(prep, model, config):
+    """``fit``'s loop with each step's rows taken by ``prep.subset(order[start:stop])``."""
+    rng, optimizer, n = np.random.default_rng(config.seed), training.make_optimizer(config), len(prep)
+    probe = prep.contexts[np.linspace(0, n - 1, min(training.PROBE_COUNT, n)).astype(int)]
+    losses, probes = [], []
+    for _ in range(config.epochs):
+        order, total = rng.permutation(n), 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            value, grad = batch_loss_and_grad(prep.subset(idx), model, config)
+            model.params = optimizer.step(model.params, grad)
+            total += value * len(idx)
+        losses.append(total / n)
+        probes.append(model.gamma_batch(probe))
+    return np.array(losses), np.array(probes)
+
+
+@pytest.mark.parametrize("kind,batch_size", [("relative", 16), ("relative", 7), ("mlp", 64)])
+def test_epoch_gather_equals_a_loop_over_index_subsets(kind, batch_size, line_scene):
+    cfg = default_two_agent_config(n_samples=61, noise_variance=0.1, seed=9)
+    samples = generate_synthetic(cfg, line_scene, np.array([0.35, 0.65]))
+    config = TrainConfig(epochs=4, batch_size=batch_size, learning_rate=0.02, seed=3)
+    model = init_model(kind, seed=5, n_agents=2, context_dim=2)
+    ref_model = init_model(kind, seed=5, n_agents=2, context_dim=2)
+    report = fit(samples, model, line_scene, config)
+    losses, probes = _reference_fit(prepare_batch(samples, line_scene, 2), ref_model, config)
+    np.testing.assert_array_equal(report.losses.view(np.uint64), losses.view(np.uint64))
+    np.testing.assert_array_equal(model.params.view(np.uint64), ref_model.params.view(np.uint64))
+    np.testing.assert_array_equal(report.probe_trace.view(np.uint64), probes.view(np.uint64))
+
+
 @pytest.mark.parametrize("size", [16, 33])
 def test_each_ordering_row_runs_once_per_step(planar6_prep, size, monkeypatch):
     prep, model = planar6_prep
@@ -435,6 +565,24 @@ def test_an_infinite_divergence_limit_runs_every_epoch(line_scene, clean_samples
     report = fit(clean_samples, ConstantGamma(2), line_scene, tc)
     assert not report.diverged
     assert report.epochs_run == 3
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_reports_are_strict_json_with_a_disabled_limit_as_null(tmp_path, line_scene,
+                                                               clean_samples):
+    tc = TrainConfig(epochs=2, batch_size=64, seed=0, divergence_limit=np.inf)
+    report = fit(clean_samples, ConstantGamma(2), line_scene, tc)
+    path = tmp_path / "report.json"
+    report.save_json(path)
+    doc = json.loads(path.read_text(), parse_constant=_strict)
+    assert doc["config"]["divergence_limit"] is None
+    assert report.config["divergence_limit"] == np.inf       # the report itself keeps inf
+    report.losses = np.array([1.0, np.inf])                   # an epoch loss that overflowed
+    report.save_json(path)
+    assert json.loads(path.read_text(), parse_constant=_strict)["losses"] == [1.0, None]
 
 
 def test_report_serialization(tmp_path, line_scene, clean_samples):
